@@ -7,121 +7,20 @@ drivers with stable CSV/JSON output (``harness``).  The ``zonal`` console
 script in ``cli`` fronts all of it.
 """
 
-from .asymptotics import (
-    DELTA_MAX,
-    AngleWindow,
-    AsymptoticValue,
-    c_constant_leading,
-    gaussian_coefficient_numeric,
-    gaussian_leading_coefficient,
-    gegenbauer_leading,
-    legendre_leading,
-    phase_alpha,
-    projector_leading,
-    psi2,
-    window_contains,
-)
-from .harness import (
-    ConvergenceRow,
-    CrossoverReport,
-    ScalingFit,
-    c_constant_convergence,
-    compare_rows,
-    crossover_benchmark,
-    fit_error_scaling,
-    geometric_oracle,
-    json_summary,
-    relative_bracket_error,
-    write_csv,
-)
-from .quadrature import complement_frame, fiber_rule, sphere_rule
-from .quadric import (
-    ConeBasis,
-    DecayReport,
-    FramePoint,
-    SzegoEvaluator,
-    build_cone_basis,
-    c_constant_numeric,
-    cone_slice_mass,
-    frame_volume,
-    fubini_study_distance,
-    geodesic_lift,
-    hlc_offset,
-    monomial_basis,
-    offdiagonal_decay_probe,
-    probe_pair,
-    pushforward_kernel,
-    s_plus_minus,
-    sample_frame,
-    sphere_point,
-    szego_eval,
-)
-from .special import (
-    ZonalIndex,
-    dim_eigenspace,
-    gegenbauer_jacobi,
-    gegenbauer_norm_constant,
-    legendre_normalized,
-    legendre_sweep,
-    projector_kernel,
-    vol_sphere,
-)
+from . import asymptotics, harness, quadrature, quadric, special
+from .asymptotics import *  # noqa: F403
+from .harness import *  # noqa: F403
+from .quadrature import *  # noqa: F403
+from .quadric import *  # noqa: F403
+from .special import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "ZonalIndex",
-    "legendre_normalized",
-    "legendre_sweep",
-    "gegenbauer_norm_constant",
-    "gegenbauer_jacobi",
-    "dim_eigenspace",
-    "vol_sphere",
-    "projector_kernel",
-    "DELTA_MAX",
-    "AngleWindow",
-    "AsymptoticValue",
-    "window_contains",
-    "phase_alpha",
-    "legendre_leading",
-    "projector_leading",
-    "gegenbauer_leading",
-    "c_constant_leading",
-    "psi2",
-    "gaussian_leading_coefficient",
-    "gaussian_coefficient_numeric",
-    "sphere_rule",
-    "complement_frame",
-    "fiber_rule",
-    "FramePoint",
-    "ConeBasis",
-    "SzegoEvaluator",
-    "DecayReport",
-    "frame_volume",
-    "cone_slice_mass",
-    "sample_frame",
-    "sphere_point",
-    "monomial_basis",
-    "build_cone_basis",
-    "szego_eval",
-    "pushforward_kernel",
-    "c_constant_numeric",
-    "geodesic_lift",
-    "s_plus_minus",
-    "fubini_study_distance",
-    "hlc_offset",
-    "probe_pair",
-    "offdiagonal_decay_probe",
-    "ScalingFit",
-    "ConvergenceRow",
-    "CrossoverReport",
-    "relative_bracket_error",
-    "fit_error_scaling",
-    "c_constant_convergence",
-    "crossover_benchmark",
-    "geometric_oracle",
-    "compare_rows",
-    "write_csv",
-    "json_summary",
+    *special.__all__,
+    *asymptotics.__all__,
+    *quadrature.__all__,
+    *quadric.__all__,
+    *harness.__all__,
 ]

@@ -19,6 +19,7 @@ import numpy as np
 from .special import ZonalIndex, vol_sphere
 
 __all__ = [
+    "DELTA_MAX",
     "AngleWindow",
     "AsymptoticValue",
     "window_contains",

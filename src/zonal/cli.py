@@ -109,6 +109,18 @@ def _add_common(sub, registry: set, default_format: str) -> None:
          help="JSON file of flag defaults for this subcommand")
 
 
+def _add_window(sub, registry: set) -> None:
+    _add(sub, registry, "--window-c", dest="window_c", type=_positive_float, default=1.0,
+         help="window margin constant")
+    _add(sub, registry, "--delta", type=_delta_value, default=0.0,
+         help="window shrink exponent in [0, 1/6)")
+
+
+def _add_grid(sub, registry: set) -> None:
+    _add(sub, registry, "--grid", type=_int_type(1, "--grid"), default=512,
+         help="angles per window")
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set]]:
     parser = argparse.ArgumentParser(
         prog="zonal",
@@ -130,12 +142,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set]]:
     reg = flags["compare"] = set()
     _add(sub, reg, "--n", type=_int_type(1, "--n"), default=2, help="sphere dimension")
     _add(sub, reg, "--k", type=_int_type(1, "--k"), default=256, help="degree")
-    _add(sub, reg, "--window-c", dest="window_c", type=_positive_float, default=1.0,
-         help="window margin constant")
-    _add(sub, reg, "--delta", type=_delta_value, default=0.0,
-         help="window shrink exponent in [0, 1/6)")
-    _add(sub, reg, "--grid", type=_int_type(1, "--grid"), default=512,
-         help="angles per window")
+    _add_window(sub, reg)
+    _add_grid(sub, reg)
     _add_common(sub, reg, "csv")
     sub.set_defaults(func=_cmd_compare)
 
@@ -146,12 +154,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set]]:
          help="first degree of the doubling grid")
     _add(sub, reg, "--k-max", dest="k_max", type=_int_type(1, "--k-max"), default=4096,
          help="last degree of the doubling grid")
-    _add(sub, reg, "--window-c", dest="window_c", type=_positive_float, default=1.0,
-         help="window margin constant")
-    _add(sub, reg, "--delta", type=_delta_value, default=0.0,
-         help="window shrink exponent in [0, 1/6)")
-    _add(sub, reg, "--grid", type=_int_type(1, "--grid"), default=512,
-         help="angles per window")
+    _add_window(sub, reg)
+    _add_grid(sub, reg)
     _add_common(sub, reg, "csv")
     sub.set_defaults(func=_cmd_scaling)
 
@@ -170,10 +174,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set]]:
     _add(sub, reg, "--n", type=_int_type(1, "--n"), default=2, help="sphere dimension")
     _add(sub, reg, "--ks", type=_degree_list(1), default=[16, 64, 256, 1024, 4096],
          help="comma separated degrees")
-    _add(sub, reg, "--window-c", dest="window_c", type=_positive_float, default=1.0,
-         help="window margin constant")
-    _add(sub, reg, "--delta", type=_delta_value, default=0.0,
-         help="window shrink exponent in [0, 1/6)")
+    _add_window(sub, reg)
     _add(sub, reg, "--budget", type=_positive_float, default=1e-2,
          help="relative error budget for the switch-over degree")
     _add(sub, reg, "--batch", type=_int_type(100_000, "--batch"), default=1 << 17,
@@ -240,15 +241,7 @@ def _cmd_eval(args) -> int:
         for i, t in enumerate(thetas)
     ]
     if args.format == "csv":
-        lines = [",".join(EVAL_HEADER)]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    str(row[name]) if name in ("n", "k") else harness.format_float(row[name])
-                    for name in EVAL_HEADER
-                )
-            )
-        text = "\n".join(lines) + "\n"
+        text = harness.write_csv(rows, header=EVAL_HEADER)
     else:
         config = {"n": args.n, "k": args.k, "theta": [float(t) for t in thetas], "seed": args.seed}
         text = harness.json_summary("eval", config, {"rows": rows})
@@ -287,26 +280,7 @@ def _cmd_scaling(args) -> int:
     window = AngleWindow(c=args.window_c, delta=args.delta)
     fit = harness.fit_error_scaling(args.n, ks, window, args.grid)
     if args.format == "csv":
-        rows = []
-        for k in fit.ks:
-            idx = ZonalIndex(n=args.n, k=k)
-            thetas, exact, lead, rel = harness.bracket_errors_on_grid(idx, window, args.grid)
-            i = int(np.argmax(rel))
-            value = float(np.broadcast_to(np.asarray(lead.value), thetas.shape)[i])
-            rows.append(
-                {
-                    "n": args.n,
-                    "k": k,
-                    "delta": window.delta,
-                    "C": window.c,
-                    "theta": float(thetas[i]),
-                    "exact": float(exact[i]),
-                    "asymptotic": value,
-                    "abs_err": abs(float(exact[i]) - value),
-                    "rel_err": float(rel[i]),
-                }
-            )
-        text = harness.write_csv(rows)
+        text = harness.write_csv(fit.worst_rows)
     else:
         doc = fit.as_dict()
         if math.isnan(doc["slope"]):

@@ -13,7 +13,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -78,6 +78,8 @@ class ScalingFit:
     intercept: float
     r_squared: float
     exact: bool
+    # each degree's worst-angle CSV-schema row; not part of the JSON summary
+    worst_rows: tuple[dict, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def points(self) -> tuple[tuple[float, float], ...]:
@@ -121,36 +123,36 @@ def fit_error_scaling(
         raise ValueError(f"fit_error_scaling: need at least 2 degrees, got {len(ks)}")
     if any(k < 1 for k in ks):
         raise ValueError("fit_error_scaling: degrees must be >= 1")
-    errors = tuple(
-        relative_bracket_error(ZonalIndex(n=n, k=k), window, grid_size) for k in ks
-    )
-    if max(errors) < EXACT_FLOOR:
-        return ScalingFit(
-            n=n,
-            window=window,
-            ks=ks,
-            errors=errors,
-            slope=math.nan,
-            intercept=math.nan,
-            r_squared=1.0,
-            exact=True,
-        )
-    logk = np.log(np.array(ks, dtype=float))
-    loge = np.log(np.array(errors, dtype=float))
-    slope, intercept = np.polyfit(logk, loge, 1)
-    pred = slope * logk + intercept
-    ss_res = float(np.sum((loge - pred) ** 2))
-    ss_tot = float(np.sum((loge - loge.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
+    errors = []
+    worst_rows = []
+    for k in ks:
+        idx = ZonalIndex(n=n, k=k)
+        grid = bracket_errors_on_grid(idx, window, grid_size)
+        rel = grid[3]
+        errors.append(float(rel.max()))
+        worst_rows += _schema_rows(idx, window, grid, [int(np.argmax(rel))])
+    exact = max(errors) < EXACT_FLOOR
+    if exact:
+        slope = intercept = math.nan
+        r2 = 1.0
+    else:
+        logk = np.log(np.array(ks, dtype=float))
+        loge = np.log(np.array(errors, dtype=float))
+        slope, intercept = (float(v) for v in np.polyfit(logk, loge, 1))
+        pred = slope * logk + intercept
+        ss_res = float(np.sum((loge - pred) ** 2))
+        ss_tot = float(np.sum((loge - loge.mean()) ** 2))
+        r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
     return ScalingFit(
         n=n,
         window=window,
         ks=ks,
-        errors=errors,
-        slope=float(slope),
-        intercept=float(intercept),
+        errors=tuple(errors),
+        slope=slope,
+        intercept=intercept,
         r_squared=r2,
-        exact=False,
+        exact=exact,
+        worst_rows=tuple(worst_rows),
     )
 
 
@@ -165,27 +167,13 @@ class ConvergenceRow:
     ratio: float
     ratio_stderr: float
 
-    def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "numeric": self.numeric,
-            "stderr": self.stderr,
-            "leading": self.leading,
-            "ratio": self.ratio,
-            "ratio_stderr": self.ratio_stderr,
-        }
 
-
-def c_constant_convergence(
-    n: int, ks, samples: int, seed: int, threads: int | None = None
-) -> list[ConvergenceRow]:
+def c_constant_convergence(n: int, ks, samples: int, seed: int) -> list[ConvergenceRow]:
     """Numeric push-forward constant against its leading form, per degree."""
     rows = []
     for k in ks:
         idx = ZonalIndex(n=n, k=int(k))
-        value, stderr = quadric.c_constant_numeric(
-            idx, samples=samples, seed=seed, threads=threads
-        )
+        value, stderr = quadric.c_constant_numeric(idx, samples=samples, seed=seed)
         lead = c_constant_leading(idx)
         rows.append(
             ConvergenceRow(
@@ -207,14 +195,6 @@ class CrossRow:
     asymptotic_ns: float
     max_rel_err: float
 
-    def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "exact_ns": self.exact_ns,
-            "asymptotic_ns": self.asymptotic_ns,
-            "max_rel_err": self.max_rel_err,
-        }
-
 
 @dataclass(frozen=True)
 class CrossoverReport:
@@ -232,7 +212,7 @@ class CrossoverReport:
             "C": self.window.c,
             "delta": self.window.delta,
             "error_budget": self.error_budget,
-            "rows": [r.as_dict() for r in self.rows],
+            "rows": [asdict(r) for r in self.rows],
             "k_star": self.k_star,
         }
 
@@ -296,9 +276,7 @@ def _unit_vector(gen: np.random.Generator, d: int) -> np.ndarray:
             return v / norm
 
 
-def geometric_oracle(
-    n: int, ks, samples: int, pairs: int, seed: int, threads: int | None = None
-) -> dict:
+def geometric_oracle(n: int, ks, samples: int, pairs: int, seed: int) -> dict:
     """Cross-checks of the geometric chain on Monte Carlo bases, per degree.
 
     For every degree: builds the cone basis, evaluates the fiber
@@ -307,7 +285,7 @@ def geometric_oracle(
     times the sphere projector.  Residuals are normalized by the diagonal
     scale C^2 N / vol(S^n).  A decay section reuses the bases at one
     separated probe pair.  Everything is driven by counter-based substreams
-    of `seed`, so the result is independent of the thread count.
+    of `seed`, so the result is a function of the arguments alone.
     """
     ks = sorted(int(k) for k in ks)
     if not ks:
@@ -318,12 +296,10 @@ def geometric_oracle(
     degrees = []
     for k in ks:
         idx = ZonalIndex(n=n, k=k)
-        basis = quadric.build_cone_basis(n, k, samples, seed, threads)
+        basis = quadric.build_cone_basis(n, k, samples, seed)
         bases.append(basis)
         ev = quadric.SzegoEvaluator(basis=basis, radius=math.sqrt(2.0))
-        c_num, c_se = quadric.c_constant_numeric(
-            idx, ev, samples=samples, seed=seed, threads=threads
-        )
+        c_num, c_se = quadric.c_constant_numeric(idx, ev, samples=samples, seed=seed)
         lead = c_constant_leading(idx)
         scale = c_num**2 * dim_eigenspace(idx) / vol_sphere(n)
         gen = rng.substream(seed, rng.PAIR_DRAW, k)
@@ -378,35 +354,42 @@ def format_float(x) -> str:
     return repr(float(x))
 
 
+def _schema_rows(idx: ZonalIndex, window: AngleWindow, grid, indices) -> list[dict]:
+    """CSV-schema rows at the given indices of a bracket_errors_on_grid result."""
+    thetas, exact, lead, rel = grid
+    asym = np.broadcast_to(np.asarray(lead.value), thetas.shape)
+    return [
+        {
+            "n": idx.n,
+            "k": idx.k,
+            "delta": window.delta,
+            "C": window.c,
+            "theta": float(thetas[i]),
+            "exact": float(exact[i]),
+            "asymptotic": float(asym[i]),
+            "abs_err": abs(float(exact[i]) - float(asym[i])),
+            "rel_err": float(rel[i]),
+        }
+        for i in indices
+    ]
+
+
 def compare_rows(idx: ZonalIndex, window: AngleWindow, grid_size: int = GRID_SIZE):
     """CSV-schema rows comparing exact and leading values over the window."""
-    thetas, exact, lead, rel = bracket_errors_on_grid(idx, window, grid_size)
-    asym = np.broadcast_to(np.asarray(lead.value), thetas.shape)
-    rows = []
-    for i, theta in enumerate(thetas):
-        rows.append(
-            {
-                "n": idx.n,
-                "k": idx.k,
-                "delta": window.delta,
-                "C": window.c,
-                "theta": float(theta),
-                "exact": float(exact[i]),
-                "asymptotic": float(asym[i]),
-                "abs_err": abs(float(exact[i]) - float(asym[i])),
-                "rel_err": float(rel[i]),
-            }
-        )
-    return rows
+    grid = bracket_errors_on_grid(idx, window, grid_size)
+    return _schema_rows(idx, window, grid, range(len(grid[0])))
 
 
-def write_csv(rows, stream=None) -> str:
-    """Serialize schema rows; returns the CSV text (and writes it if given a stream)."""
+def write_csv(rows, stream=None, header=CSV_HEADER) -> str:
+    """Serialize rows under ``header``; returns the CSV text (and writes it if given a stream).
+
+    Integers are written as integers, everything else as round-trip floats.
+    """
     buf = io.StringIO()
-    buf.write(",".join(CSV_HEADER) + "\n")
+    buf.write(",".join(header) + "\n")
     for row in rows:
         cells = []
-        for name in CSV_HEADER:
+        for name in header:
             value = row[name]
             if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
                 cells.append(str(int(value)))

@@ -34,13 +34,13 @@ __all__ = [
     "sphere_point",
     "monomial_basis",
     "build_cone_basis",
-    "szego_eval",
     "pushforward_kernel",
     "c_constant_numeric",
     "geodesic_lift",
     "s_plus_minus",
     "fubini_study_distance",
     "hlc_offset",
+    "probe_pair",
     "offdiagonal_decay_probe",
 ]
 
@@ -72,7 +72,7 @@ def cone_slice_mass(n: int, r: float = 1.0) -> float:
     diagonal value N / mass(sqrt(2)), whose large-k form is
     (sqrt(2)/2^n) (k/pi)^(n-1) exactly when this mass is used.
     """
-    if r <= 0.0:
+    if not r > 0.0:
         raise ValueError(f"cone_slice_mass: expected radius > 0, got {r!r}")
     return float(r) ** (2 * n - 1) * 2.0 ** (-(n - 1)) * frame_volume(n) / (2.0 * math.pi)
 
@@ -251,9 +251,7 @@ def _block_sizes(samples: int) -> list[int]:
     return sizes
 
 
-def build_cone_basis(
-    n: int, k: int, samples: int, seed: int, threads: int | None = None
-) -> ConeBasis:
+def build_cone_basis(n: int, k: int, samples: int, seed: int) -> ConeBasis:
     """Estimate the Gram of the monomial basis on the unit slice and invert it.
 
     Draws Haar frames block by block (one substream per block), scales the
@@ -278,7 +276,7 @@ def build_cone_basis(
         a = _monomial_matrix(scale * (q + 1j * p), exponents)
         return a.conj().T @ a
 
-    partials = rng.map_blocks(one_block, len(sizes), threads)
+    partials = rng.map_blocks(one_block, len(sizes))
     gram = np.zeros((nbasis, nbasis), dtype=complex)
     for part in partials:
         gram += part
@@ -362,17 +360,12 @@ class SzegoEvaluator:
         xs = np.atleast_2d(x)
         ys = np.atleast_2d(y)
         if validate:
-            _require_on_slice(xs, self.radius, "szego_eval x")
-            _require_on_slice(ys, self.radius, "szego_eval y")
+            _require_on_slice(xs, self.radius, "SzegoEvaluator.kernel x")
+            _require_on_slice(ys, self.radius, "SzegoEvaluator.kernel y")
         sx = self.basis.evaluate(xs)
         sy = self.basis.evaluate(ys)
         vals = self.prefactor * np.sum(sx * sy.conj(), axis=-1)
         return complex(vals[0]) if single else vals
-
-
-def szego_eval(ev: SzegoEvaluator, x, y):
-    """Kernel value at a pair of points on the evaluator's slice."""
-    return ev.kernel(x, y)
 
 
 def _pushforward_raw(
@@ -437,7 +430,6 @@ def c_constant_numeric(
     *,
     samples: int,
     seed: int,
-    threads: int | None = None,
     null_vector: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """Norm ratio of the fiber push-forward on a null power section.
@@ -492,7 +484,7 @@ def c_constant_numeric(
         vals = mod2**k
         return float(vals.sum()), float((vals**2).sum())
 
-    parts = rng.map_blocks(one_block, len(sizes), threads)
+    parts = rng.map_blocks(one_block, len(sizes))
     s1 = 0.0
     s2 = 0.0
     for part in parts:

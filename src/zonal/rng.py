@@ -3,17 +3,13 @@
 Monte Carlo routines never share one sequential stream.  Each block of
 samples draws from its own substream keyed by (master seed, purpose tag,
 block index), so a result is a function of the master seed and the sample
-count alone: worker threads only decide who computes a block, never which
-numbers the block sees, and block partials are reduced in block order.
+count alone, and block partials are reduced in block order.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
-__all__ = ["substream", "worker_count", "map_blocks", "BLOCK"]
+__all__ = ["substream", "map_blocks", "BLOCK"]
 
 # samples per block; also the unit of substream assignment
 BLOCK = 1 << 14
@@ -25,8 +21,6 @@ SECTION_NORM = 3
 PAIR_DRAW = 4
 PROBE = 5
 
-THREADS_ENV = "ZONAL_THREADS"
-
 
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Philox generator for the substream of ``seed`` at spawn key ``key``."""
@@ -34,30 +28,6 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def worker_count() -> int:
-    """Thread count from the environment, default 1."""
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{THREADS_ENV}: must be a positive integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError(f"{THREADS_ENV}: must be a positive integer, got {raw!r}")
-    return value
-
-
-def map_blocks(fn, nblocks: int, threads: int | None = None) -> list:
-    """Apply ``fn`` to block indices 0..nblocks-1, results in block order.
-
-    The ordered return value is what makes threaded reductions byte-stable:
-    callers fold the list left to right regardless of which worker ran
-    which block.
-    """
-    if threads is None:
-        threads = worker_count()
-    if threads <= 1 or nblocks <= 1:
-        return [fn(b) for b in range(nblocks)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(nblocks)))
+def map_blocks(fn, nblocks: int) -> list:
+    """Apply ``fn`` to block indices 0..nblocks-1, results in block order."""
+    return [fn(b) for b in range(nblocks)]

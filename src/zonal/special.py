@@ -27,6 +27,11 @@ __all__ = [
 ARG_SLACK = 1e-12
 
 
+def _is_int(value) -> bool:
+    # bool subclasses int, but True is not a dimension or a degree
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ZonalIndex:
     """Sphere dimension n >= 1 and polynomial degree k >= 0."""
@@ -35,19 +40,47 @@ class ZonalIndex:
     k: int
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise ValueError(f"ZonalIndex.n: expected integer >= 1, got {self.n!r}")
-        if not isinstance(self.k, (int, np.integer)) or self.k < 0:
+        if not _is_int(self.k) or self.k < 0:
             raise ValueError(f"ZonalIndex.k: expected integer >= 0, got {self.k!r}")
 
 
 def _clamped(t):
     arr = np.asarray(t, dtype=float)
-    bad = np.abs(arr) > 1.0 + ARG_SLACK
-    if np.any(bad):
+    # written so that NaN fails the range test too, in the same pass
+    if not np.all(np.abs(arr) <= 1.0 + ARG_SLACK):
         worst = float(arr[np.unravel_index(np.argmax(np.abs(arr)), arr.shape)]) if arr.ndim else float(arr)
-        raise ValueError(f"legendre argument outside [-1, 1] beyond clamp tolerance: {worst!r}")
+        raise ValueError(f"legendre argument is NaN or outside [-1, 1] beyond clamp tolerance: {worst!r}")
     return np.clip(arr, -1.0, 1.0)
+
+
+def _degrees(n: int, k: int, t: np.ndarray):
+    """Yield the value-one values of degrees 0..k at t, endpoints not pinned.
+
+    Each yielded array is new; the caller may keep or modify it.
+    """
+    lam = 0.5 * (n - 1)
+    prev = np.ones_like(t)
+    yield prev
+    if k == 0:
+        return
+    cur = t.copy()
+    yield cur
+    for j in range(2, k + 1):
+        denom = j + 2.0 * lam - 1.0
+        prev, cur = cur, (2.0 * (j + lam - 1.0) * t * cur - (j - 1.0) * prev) / denom
+        yield cur
+
+
+def _pin_endpoints(values: np.ndarray, t: np.ndarray, degrees) -> None:
+    """Set P_j(1) = 1 and P_j(-1) = (-1)^j exactly, in place.
+
+    values has shape (len(degrees),) + t.shape.  The recurrence only reaches
+    the endpoint values through rounded coefficients.
+    """
+    values[:, t == 1.0] = 1.0
+    values[:, t == -1.0] = np.where(np.asarray(degrees) % 2 == 0, 1.0, -1.0)[:, None]
 
 
 def legendre_normalized(idx: ZonalIndex, t):
@@ -58,7 +91,8 @@ def legendre_normalized(idx: ZonalIndex, t):
     idx : ZonalIndex
         Sphere dimension and degree.
     t : array_like
-        Points in [-1, 1]; values within 1e-12 outside are clamped.
+        Points in [-1, 1]; values within 1e-12 outside are clamped, NaN is
+        rejected.
 
     Returns
     -------
@@ -80,25 +114,10 @@ def legendre_normalized(idx: ZonalIndex, t):
     arr = _clamped(t)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    out = _recurrence_final(idx.n, idx.k, arr)
-    # endpoint values are pinned exactly: the recurrence only reaches them
-    # through rounded coefficients
-    out[arr == 1.0] = 1.0
-    out[arr == -1.0] = 1.0 if idx.k % 2 == 0 else -1.0
+    for out in _degrees(idx.n, idx.k, arr):
+        pass
+    _pin_endpoints(out[None], arr, [idx.k])
     return float(out[0]) if scalar else out
-
-
-def _recurrence_final(n: int, k: int, t: np.ndarray) -> np.ndarray:
-    lam = 0.5 * (n - 1)
-    prev = np.ones_like(t)
-    if k == 0:
-        return prev
-    cur = t.copy()
-    for j in range(2, k + 1):
-        denom = j + 2.0 * lam - 1.0
-        nxt = (2.0 * (j + lam - 1.0) * t * cur - (j - 1.0) * prev) / denom
-        prev, cur = cur, nxt
-    return cur
 
 
 def legendre_sweep(n: int, kmax: int, t) -> np.ndarray:
@@ -111,19 +130,10 @@ def legendre_sweep(n: int, kmax: int, t) -> np.ndarray:
     if kmax < 0:
         raise ValueError(f"kmax: expected >= 0, got {kmax!r}")
     arr = np.atleast_1d(_clamped(t))
-    lam = 0.5 * (n - 1)
     out = np.empty((kmax + 1,) + arr.shape, dtype=float)
-    out[0] = 1.0
-    if kmax >= 1:
-        out[1] = arr
-    for j in range(2, kmax + 1):
-        denom = j + 2.0 * lam - 1.0
-        out[j] = (2.0 * (j + lam - 1.0) * arr * out[j - 1] - (j - 1.0) * out[j - 2]) / denom
-    hi = arr == 1.0
-    lo = arr == -1.0
-    for j in range(kmax + 1):
-        out[j][hi] = 1.0
-        out[j][lo] = 1.0 if j % 2 == 0 else -1.0
+    for j, values in enumerate(_degrees(n, kmax, arr)):
+        out[j] = values
+    _pin_endpoints(out, arr, np.arange(kmax + 1))
     return out
 
 
@@ -161,7 +171,7 @@ def dim_eigenspace(idx: ZonalIndex) -> int:
 
 def vol_sphere(m: int) -> float:
     """Riemannian volume of the unit m-sphere, 2 pi^((m+1)/2) / Gamma((m+1)/2)."""
-    if not isinstance(m, (int, np.integer)) or m < 0:
+    if not _is_int(m) or m < 0:
         raise ValueError(f"vol_sphere: expected integer dimension >= 0, got {m!r}")
     half = 0.5 * (m + 1)
     if m <= 300:

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from zonal import harness
 from zonal.cli import main
 
 
@@ -96,6 +97,20 @@ def test_scaling_csv_doubling_grid(capsys):
     lines = out.strip().split("\n")
     assert lines[0].startswith("n,k,delta,C")
     assert [line.split(",")[1] for line in lines[1:]] == ["64", "128", "256"]
+
+
+def test_scaling_csv_measures_each_degree_once(capsys, monkeypatch):
+    calls = []
+    original = harness.bracket_errors_on_grid
+
+    def counted(idx, *args, **kwargs):
+        calls.append(idx.k)
+        return original(idx, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "bracket_errors_on_grid", counted)
+    code, _, _ = run_cli(["scaling", "--k-min", "64", "--k-max", "256", "--grid", "32"], capsys)
+    assert code == 0
+    assert calls == [64, 128, 256]
 
 
 def test_scaling_json_fit(capsys):

@@ -23,7 +23,6 @@ from zonal.quadric import (
     s_plus_minus,
     sample_frame,
     sphere_point,
-    szego_eval,
 )
 from zonal.special import ZonalIndex, dim_eigenspace, projector_kernel, vol_sphere
 
@@ -55,6 +54,8 @@ def test_cone_slice_mass_homogeneity():
             )
     with pytest.raises(ValueError):
         cone_slice_mass(2, 0.0)
+    with pytest.raises(ValueError):
+        cone_slice_mass(2, math.nan)
 
 
 def test_frame_volume():
@@ -148,10 +149,6 @@ def test_build_determinism():
     b = build_cone_basis(2, 2, 30_000, seed=5)
     assert a.coeff.tobytes() == b.coeff.tobytes()
     assert a.gram_stderr == b.gram_stderr
-    c = build_cone_basis(2, 2, 30_000, seed=5, threads=1)
-    d = build_cone_basis(2, 2, 30_000, seed=5, threads=4)
-    assert c.coeff.tobytes() == d.coeff.tobytes()
-    assert a.coeff.tobytes() == c.coeff.tobytes()
 
 
 def test_build_rejects_too_few_samples():
@@ -270,15 +267,6 @@ def test_diagonal_matches_dimension():
         for _ in range(5):
             z = sample_frame(n, gen).lift()
             np.testing.assert_allclose(ev.kernel(z, z).real, expected, rtol=1e-10)
-
-
-def test_szego_eval_helper(basis_cache):
-    basis = basis_cache.get(2, 2)
-    ev = SzegoEvaluator(basis=basis, radius=1.0)
-    gen = np.random.default_rng(37)
-    x = unit_slice_point(2, gen)
-    y = unit_slice_point(2, gen)
-    assert szego_eval(ev, x, y) == ev.kernel(x, y)
 
 
 # ---------------------------------------------------------------- push-forward

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import eval_jacobi, eval_legendre
 
 from zonal.special import (
@@ -23,6 +25,12 @@ def test_index_validation():
         ZonalIndex(n=2, k=-1)
     with pytest.raises(ValueError):
         ZonalIndex(n=2.0, k=3)
+    # bool subclasses int
+    with pytest.raises(ValueError):
+        ZonalIndex(n=True, k=3)
+    with pytest.raises(ValueError):
+        ZonalIndex(n=2, k=False)
+    assert ZonalIndex(n=np.int64(2), k=np.int32(3)).k == 3
 
 
 def test_chebyshev_case_spot():
@@ -113,6 +121,8 @@ def test_vol_sphere_values():
     np.testing.assert_allclose(vol_sphere(3), 2.0 * math.pi**2, rtol=1e-15)
     with pytest.raises(ValueError):
         vol_sphere(-1)
+    with pytest.raises(ValueError):
+        vol_sphere(True)
 
 
 def test_projector_diagonal_and_chebyshev():
@@ -218,3 +228,31 @@ def test_argument_clamp():
     )
     with pytest.raises(ValueError):
         legendre_normalized(idx, 1.0 + 1e-9)
+    with pytest.raises(ValueError, match="NaN"):
+        legendre_normalized(idx, math.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        legendre_normalized(idx, np.array([0.1, math.nan, 0.3]))
+    with pytest.raises(ValueError, match="NaN"):
+        projector_kernel(idx, np.array([[0.5, -0.5], [math.nan, 1.0]]))
+    with pytest.raises(ValueError, match="NaN"):
+        legendre_sweep(2, 4, [math.nan])
+
+
+_angles = st.lists(
+    st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)), min_size=1, max_size=6
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), k=st.integers(0, 300), t=_angles, data=st.data())
+def test_recurrence_properties(n, k, t, data):
+    idx = ZonalIndex(n=n, k=k)
+    t = np.array(t)
+    vals = legendre_normalized(idx, t)
+    sign = -1.0 if k % 2 else 1.0
+    # negation is exact and every step of the recurrence is odd or even in t
+    np.testing.assert_array_equal(legendre_normalized(idx, -t), sign * vals)
+    assert np.max(np.abs(vals)) <= 1.0 + 1e-10
+    np.testing.assert_array_equal(legendre_normalized(idx, np.array([1.0, -1.0])), [1.0, sign])
+    j = data.draw(st.integers(0, k), label="j")
+    np.testing.assert_array_equal(legendre_sweep(n, k, t)[j], legendre_normalized(ZonalIndex(n, j), t))
