@@ -220,11 +220,14 @@ def gaussian_coefficient_numeric(n: int, theta) -> complex:
     identical two-dimensional integrals, so one midpoint tensor rule on the
     box [-8, 8]^2 is evaluated and raised to the power n-1.  The node count
     per axis is 64 inflated with the chirp rate |cot theta|, which keeps the
-    rule at discretization error below 1e-13 across (0.05, pi - 0.05).
+    rule at discretization error below 1e-13 across (0.05, pi - 0.05); an
+    angle outside that range raises before anything is allocated.
     """
     if not isinstance(n, (int, np.integer)) or not 1 <= n <= 4:
         raise ValueError(f"gaussian_coefficient_numeric: supported n is 1..4, got {n!r}")
     th = float(_checked_theta(theta))
+    if not 0.05 < th < math.pi - 0.05:
+        raise ValueError(f"gaussian_coefficient_numeric: theta must lie in (0.05, pi - 0.05), got {th!r}")
     if n == 1:
         # zero-dimensional integral: empty product
         return complex(1.0)

@@ -3,10 +3,12 @@
 Rules are built recursively: the m-sphere splits into a polar coordinate
 with Gauss-Jacobi weight (1 - t^2)^((m-2)/2) and an (m-1)-sphere, and the
 circle uses equispaced angles, exact for trigonometric polynomials below
-the node count.  Weights always sum to the Riemannian volume.
+the node count.  Weights always sum to the Riemannian volume.  Each sphere
+rule is built once per (m, degree) and shared read-only by every caller.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -17,32 +19,36 @@ from .special import vol_sphere
 __all__ = ["sphere_rule", "complement_frame", "fiber_rule", "fiber_degree"]
 
 
+@functools.lru_cache(maxsize=128)
 def sphere_rule(m: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on S^m integrating polynomials of total degree <= degree.
 
     Returns (nodes, weights) with nodes of shape (M, m+1); weights sum to
-    vol(S^m).
+    vol(S^m).  Both arrays are cached and read-only.
     """
     if m < 0:
         raise ValueError(f"sphere_rule: expected dimension >= 0, got {m!r}")
     if degree < 0:
         raise ValueError(f"sphere_rule: expected degree >= 0, got {degree!r}")
     if m == 0:
-        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    if m == 1:
+        nodes, weights = np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
+    elif m == 1:
         count = degree + 1
         # half-step offset keeps nodes away from the coordinate axes
         ang = (np.arange(count) + 0.5) * (2.0 * math.pi / count)
         nodes = np.column_stack([np.cos(ang), np.sin(ang)])
-        return nodes, np.full(count, 2.0 * math.pi / count)
-    npolar = (degree + 2) // 2
-    t, tw = roots_jacobi(npolar, 0.5 * (m - 2), 0.5 * (m - 2))
-    sub_nodes, sub_w = sphere_rule(m - 1, degree)
-    sin_t = np.sqrt(np.clip(1.0 - t**2, 0.0, None))
-    nodes = np.empty((npolar * len(sub_w), m + 1))
-    nodes[:, 0] = np.repeat(t, len(sub_w))
-    nodes[:, 1:] = np.repeat(sin_t, len(sub_w))[:, None] * np.tile(sub_nodes, (npolar, 1))
-    weights = np.repeat(tw, len(sub_w)) * np.tile(sub_w, npolar)
+        weights = np.full(count, 2.0 * math.pi / count)
+    else:
+        npolar = (degree + 2) // 2
+        t, tw = roots_jacobi(npolar, 0.5 * (m - 2), 0.5 * (m - 2))
+        sub_nodes, sub_w = sphere_rule(m - 1, degree)
+        sin_t = np.sqrt(np.clip(1.0 - t**2, 0.0, None))
+        nodes = np.empty((npolar * len(sub_w), m + 1))
+        nodes[:, 0] = np.repeat(t, len(sub_w))
+        nodes[:, 1:] = np.repeat(sin_t, len(sub_w))[:, None] * np.tile(sub_nodes, (npolar, 1))
+        weights = np.repeat(tw, len(sub_w)) * np.tile(sub_w, npolar)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
     return nodes, weights
 
 
@@ -77,7 +83,8 @@ def fiber_rule(q: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature on the unit sphere of the hyperplane orthogonal to q.
 
     Nodes are returned as vectors in the ambient space of q; weights sum to
-    vol(S^(d-2)) for ambient dimension d.
+    vol(S^(d-2)) for ambient dimension d; the weights are the cached,
+    read-only weights of the sub-sphere rule.
     """
     q = np.asarray(q, dtype=float)
     d = q.shape[0]

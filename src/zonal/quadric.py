@@ -11,6 +11,7 @@ substreams so results depend only on (seed, sample count).
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -172,14 +173,15 @@ def _monomial_matrix(z: np.ndarray, exponents) -> np.ndarray:
         for e in range(1, maxe[j] + 1):
             tbl[e] = tbl[e - 1] * z[:, j]
         pows.append(tbl)
-    out = np.empty((m, len(exponents)), dtype=complex)
+    # one contiguous row per monomial; out-of-place products round as a plain product
+    out = np.empty((len(exponents), m), dtype=complex)
     for i, expo in enumerate(exponents):
-        acc = pows[0][expo[0]].copy()
+        acc = pows[0][expo[0]]
         for j in range(1, ncoord):
             if expo[j]:
                 acc = acc * pows[j][expo[j]]
-        out[:, i] = acc
-    return out
+        out[i] = acc
+    return out.T
 
 
 @dataclass(frozen=True)
@@ -424,6 +426,20 @@ def _null_direction(n: int) -> np.ndarray:
     return a
 
 
+@functools.lru_cache(maxsize=64)
+def _pushforward_norm2(n: int, k: int, a_bytes: bytes) -> float:
+    """|| fiber integral of (a.z)^k ||^2 over the sphere, once per (n, k, a)."""
+    a = np.frombuffer(a_bytes, dtype=complex)
+    nodes, weights = sphere_rule(n, 2 * k + 6)
+    deg = fiber_degree(n, k)
+    total = 0.0
+    for q, w in zip(nodes, weights):
+        pnodes, pw = fiber_rule(q, deg)
+        vals = (np.dot(a, q) + 1j * (pnodes @ a)) ** k
+        total += w * abs(np.dot(pw, vals)) ** 2
+    return total
+
+
 def c_constant_numeric(
     idx: ZonalIndex,
     ev: SzegoEvaluator | None = None,
@@ -464,14 +480,8 @@ def c_constant_numeric(
         if norm2 == 0.0 or abs(complex(np.sum(a * a))) > 1e-10 * norm2:
             raise ValueError("c_constant_numeric: null_vector must satisfy a . a = 0")
 
-    # quadrature side: || fiber integral of s ||^2 over the sphere
-    nodes, weights = sphere_rule(n, 2 * k + 6)
-    deg = fiber_degree(n, k)
-    total = 0.0
-    for q, w in zip(nodes, weights):
-        pnodes, pw = fiber_rule(q, deg)
-        vals = (np.dot(a, q) + 1j * (pnodes @ a)) ** k
-        total += w * abs(np.dot(pw, vals)) ** 2
+    # quadrature side, cached: it depends on neither seed nor samples
+    total = _pushforward_norm2(n, k, a.tobytes())
 
     # Monte Carlo side: section norm on the radius-sqrt(2) slice
     sizes = _block_sizes(samples)

@@ -183,6 +183,15 @@ def test_gaussian_domain_errors():
         gaussian_leading_coefficient(0, 1.0)
 
 
+def test_gaussian_numeric_rejects_unvalidated_angles():
+    # the grid would need about 32 |cot theta| nodes per axis, 16 GB at 1e-3;
+    # the cheap edge angles come first so a missing guard fails before that
+    for n in (1, 2, 4):
+        for theta in (0.05, math.pi - 0.05, 1e-3, math.pi - 1e-3):
+            with pytest.raises(ValueError, match="0.05"):
+                gaussian_coefficient_numeric(n, theta)
+
+
 def test_window_validation():
     with pytest.raises(ValueError):
         AngleWindow(c=0.0)

@@ -258,3 +258,26 @@ def test_thread_count_never_changes_bytes(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append(target.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_warm_caches_match_a_fresh_process(tmp_path):
+    # quadrature caches persist between calls in one process; a cold call, a
+    # warm call and a fresh process must give the same bytes
+    from zonal import quadrature, quadric
+
+    quadrature.sphere_rule.cache_clear()
+    quadric._pushforward_norm2.cache_clear()
+    config = {"n": 3, "ks": [2, 4], "samples": 20000, "pairs": 2, "seed": 13}
+    texts = [
+        harness.json_summary("oracle", config, harness.geometric_oracle(3, (2, 4), 20000, 2, 13))
+        for _ in range(2)
+    ]
+    target = tmp_path / "oracle.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "zonal.cli", "oracle", "--n", "3", "--ks", "2,4", "--pairs", "2",
+         "--samples", "20000", "--seed", "13", "--out", str(target)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert texts[0].encode() == texts[1].encode() == target.read_bytes()

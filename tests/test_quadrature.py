@@ -112,3 +112,22 @@ def test_fiber_degree_margin():
         assert fiber_degree(3, k) == 4 * k + 11
         assert fiber_degree(2, k) >= 2 * k
         assert fiber_degree(3, k) >= 2 * k
+
+
+def test_sphere_rule_cached_read_only():
+    # one shared copy per (m, degree); no caller may write into it
+    for m in (0, 1, 2, 3):
+        nodes, weights = sphere_rule(m, 9)
+        again = sphere_rule(m, 9)
+        assert again[0] is nodes and again[1] is weights
+        for arr in (nodes, weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+    q = np.array([0.6, 0.0, 0.8])
+    _, weights = fiber_rule(q, 7)
+    with pytest.raises(ValueError):
+        weights[0] = 0.0
+    with pytest.raises(ValueError):
+        weights *= 2.0
+    # the cached copy is still intact
+    np.testing.assert_allclose(fiber_rule(q, 7)[1].sum(), vol_sphere(1), rtol=1e-13)

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from oracles import C_EXACT, PUSH_PAIRS, exact_cone_basis, exact_gram
+from zonal import quadrature
 from zonal.quadric import (
     ConeBasis,
     FramePoint,
     SzegoEvaluator,
+    _monomial_matrix,
+    _pushforward_norm2,
     _pushforward_raw,
     build_cone_basis,
     c_constant_numeric,
@@ -128,6 +131,35 @@ def test_monomial_basis_counts_match_eigenspace():
     for n in (1, 2, 3, 4, 5):
         for k in (0, 1, 2, 3, 7, 12):
             assert len(monomial_basis(n, k)) == dim_eigenspace(ZonalIndex(n=n, k=k))
+
+
+def plain_monomials(z, exponents):
+    # column by column: powers by repeated multiplication, factors left to right
+    cols = []
+    for expo in exponents:
+        acc = None
+        for j, e in enumerate(expo):
+            power = np.ones(z.shape[0], dtype=complex)
+            for _ in range(e):
+                power = power * z[:, j]
+            if acc is None:
+                acc = power
+            elif e:
+                acc = acc * power
+        cols.append(acc)
+    return np.column_stack(cols)
+
+
+def test_monomial_matrix_matches_plain_product():
+    gen = np.random.default_rng(5)
+    for n in (2, 3):
+        exponents = monomial_basis(n, 8)
+        for m in (1, 2, 3, 4097):
+            z = (gen.standard_normal((m, n + 1)) + 1j * gen.standard_normal((m, n + 1))) / SQRT2
+            out = _monomial_matrix(z, exponents)
+            assert out.shape == (m, len(exponents))
+            # bitwise, including the length-1 rows where in-place products round differently
+            assert out.tobytes() == plain_monomials(z, exponents).tobytes()
 
 
 def test_cone_basis_json_roundtrip(basis_cache):
@@ -350,8 +382,24 @@ def test_c_constant_stderr_scaling():
     assert 1.7 < se1 / se4 < 2.3
 
 
+def test_c_constant_warm_equals_cold():
+    idx = ZonalIndex(n=3, k=4)
+    quadrature.sphere_rule.cache_clear()
+    _pushforward_norm2.cache_clear()
+    cold = c_constant_numeric(idx, samples=20_000, seed=3)
+    assert _pushforward_norm2.cache_info().currsize == 1
+    warm = c_constant_numeric(idx, samples=20_000, seed=3)
+    assert _pushforward_norm2.cache_info().hits == 1
+    assert warm == cold
+    # the cached quadrature side is shared across seeds and sample counts
+    other = c_constant_numeric(idx, samples=30_000, seed=4)
+    assert _pushforward_norm2.cache_info().hits == 2
+    assert other != cold
+
+
 def test_c_constant_null_vector_invariance():
     idx = ZonalIndex(n=2, k=3)
+    _pushforward_norm2.cache_clear()
     base = c_constant_numeric(idx, samples=50_000, seed=9)
     # power-of-two complex scale keeps every float operation exact
     scaled = c_constant_numeric(
@@ -367,6 +415,8 @@ def test_c_constant_null_vector_invariance():
         null_vector=np.array([1.0, math.cos(th) * 1j, math.sin(th) * 1j]),
     )
     assert abs(base[0] - rotated[0]) <= 6.0 * (base[1] + rotated[1])
+    # each null direction keeps its own cached quadrature side
+    assert _pushforward_norm2.cache_info().currsize == 3
 
 
 def test_c_constant_validation(basis_cache):

@@ -140,6 +140,15 @@ def test_projector_diagonal_and_chebyshev():
     )
 
 
+def test_projector_scale_overflow_raises():
+    # N / vol(S^n) passes the largest double at n=400, k=21, and N itself
+    # does at k=10^5; these gave -inf and OverflowError before
+    assert math.isfinite(projector_kernel(ZonalIndex(n=400, k=20), 0.3))
+    for k in (21, 50, 100_000):
+        with pytest.raises(ValueError, match="overflow"):
+            projector_kernel(ZonalIndex(n=400, k=k), 0.3)
+
+
 def test_projector_parity():
     t = np.linspace(-1.0, 1.0, 17)
     for n in (1, 2, 3):
