@@ -11,7 +11,6 @@ substreams so results depend only on (seed, sample count).
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -426,20 +425,6 @@ def _null_direction(n: int) -> np.ndarray:
     return a
 
 
-@functools.lru_cache(maxsize=64)
-def _pushforward_norm2(n: int, k: int, a_bytes: bytes) -> float:
-    """|| fiber integral of (a.z)^k ||^2 over the sphere, once per (n, k, a)."""
-    a = np.frombuffer(a_bytes, dtype=complex)
-    nodes, weights = sphere_rule(n, 2 * k + 6)
-    deg = fiber_degree(n, k)
-    total = 0.0
-    for q, w in zip(nodes, weights):
-        pnodes, pw = fiber_rule(q, deg)
-        vals = (np.dot(a, q) + 1j * (pnodes @ a)) ** k
-        total += w * abs(np.dot(pw, vals)) ** 2
-    return total
-
-
 def c_constant_numeric(
     idx: ZonalIndex,
     ev: SzegoEvaluator | None = None,
@@ -480,8 +465,14 @@ def c_constant_numeric(
         if norm2 == 0.0 or abs(complex(np.sum(a * a))) > 1e-10 * norm2:
             raise ValueError("c_constant_numeric: null_vector must satisfy a . a = 0")
 
-    # quadrature side, cached: it depends on neither seed nor samples
-    total = _pushforward_norm2(n, k, a.tobytes())
+    # quadrature side: || fiber integral of s ||^2 over the sphere
+    nodes, weights = sphere_rule(n, 2 * k + 6)
+    deg = fiber_degree(n, k)
+    total = 0.0
+    for q, w in zip(nodes, weights):
+        pnodes, pw = fiber_rule(q, deg)
+        vals = (np.dot(a, q) + 1j * (pnodes @ a)) ** k
+        total += w * abs(np.dot(pw, vals)) ** 2
 
     # Monte Carlo side: section norm on the radius-sqrt(2) slice
     sizes = _block_sizes(samples)

@@ -186,12 +186,13 @@ def projector_kernel(idx: ZonalIndex, t):
     Value at cos-angle t is (N / vol(S^n)) * legendre_normalized(idx, t) with
     N the eigenspace dimension, so the diagonal t=1 equals N / vol(S^n).
     The scale overflows a double when n and k are both large (n=200 from
-    k=668, n=300 from k=148, n=400 from k=21); there the call raises
-    ValueError instead of returning inf.
+    k=668, n=300 from k=148, n=400 from k=21), and at every k from n=438,
+    where vol(S^n) falls below 1 / DBL_MAX (to zero from n=455); there the
+    call raises ValueError instead of returning inf.
     """
     try:
         scale = dim_eigenspace(idx) / vol_sphere(idx.n)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         scale = math.inf
     if not math.isfinite(scale):
         raise ValueError(f"projector_kernel: N / vol(S^n) overflows a double at n={idx.n}, k={idx.k}")

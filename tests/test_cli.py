@@ -261,12 +261,11 @@ def test_thread_count_never_changes_bytes(tmp_path):
 
 
 def test_warm_caches_match_a_fresh_process(tmp_path):
-    # quadrature caches persist between calls in one process; a cold call, a
+    # quadrature rules persist between calls in one process; a cold call, a
     # warm call and a fresh process must give the same bytes
-    from zonal import quadrature, quadric
+    from zonal import quadrature
 
     quadrature.sphere_rule.cache_clear()
-    quadric._pushforward_norm2.cache_clear()
     config = {"n": 3, "ks": [2, 4], "samples": 20000, "pairs": 2, "seed": 13}
     texts = [
         harness.json_summary("oracle", config, harness.geometric_oracle(3, (2, 4), 20000, 2, 13))

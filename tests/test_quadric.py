@@ -10,7 +10,6 @@ from zonal.quadric import (
     FramePoint,
     SzegoEvaluator,
     _monomial_matrix,
-    _pushforward_norm2,
     _pushforward_raw,
     build_cone_basis,
     c_constant_numeric,
@@ -383,23 +382,16 @@ def test_c_constant_stderr_scaling():
 
 
 def test_c_constant_warm_equals_cold():
+    # the first call builds the sphere and fiber rules, the second reuses them
     idx = ZonalIndex(n=3, k=4)
     quadrature.sphere_rule.cache_clear()
-    _pushforward_norm2.cache_clear()
     cold = c_constant_numeric(idx, samples=20_000, seed=3)
-    assert _pushforward_norm2.cache_info().currsize == 1
     warm = c_constant_numeric(idx, samples=20_000, seed=3)
-    assert _pushforward_norm2.cache_info().hits == 1
-    assert warm == cold
-    # the cached quadrature side is shared across seeds and sample counts
-    other = c_constant_numeric(idx, samples=30_000, seed=4)
-    assert _pushforward_norm2.cache_info().hits == 2
-    assert other != cold
+    assert np.array(cold).tobytes() == np.array(warm).tobytes()
 
 
 def test_c_constant_null_vector_invariance():
     idx = ZonalIndex(n=2, k=3)
-    _pushforward_norm2.cache_clear()
     base = c_constant_numeric(idx, samples=50_000, seed=9)
     # power-of-two complex scale keeps every float operation exact
     scaled = c_constant_numeric(
@@ -415,8 +407,6 @@ def test_c_constant_null_vector_invariance():
         null_vector=np.array([1.0, math.cos(th) * 1j, math.sin(th) * 1j]),
     )
     assert abs(base[0] - rotated[0]) <= 6.0 * (base[1] + rotated[1])
-    # each null direction keeps its own cached quadrature side
-    assert _pushforward_norm2.cache_info().currsize == 3
 
 
 def test_c_constant_validation(basis_cache):

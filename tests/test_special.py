@@ -147,6 +147,12 @@ def test_projector_scale_overflow_raises():
     for k in (21, 50, 100_000):
         with pytest.raises(ValueError, match="overflow"):
             projector_kernel(ZonalIndex(n=400, k=k), 0.3)
+    # 1 / vol(S^n) overflows from n=438 and vol(S^n) is zero from n=455,
+    # so there even k=0 fails; n=500 raised ZeroDivisionError before
+    assert math.isfinite(projector_kernel(ZonalIndex(n=437, k=0), 0.3))
+    for n in (438, 455, 500):
+        with pytest.raises(ValueError, match="overflow"):
+            projector_kernel(ZonalIndex(n=n, k=0), 0.3)
 
 
 def test_projector_parity():
