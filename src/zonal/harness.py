@@ -238,10 +238,10 @@ def crossover_benchmark(
 
     Each degree is timed on >= batch evaluations per repetition (median of
     reps wall-clock readings divided by the batch size, reported in ns per
-    evaluation).  The recurrence cost grows linearly with the degree while
-    the leading form is degree-independent, so the report recommends the
-    smallest sampled degree at which the leading form is both faster and
-    inside the error budget.
+    evaluation).  The recurrence runs k steps in C per angle, linear in the
+    degree, while the leading form is degree-independent, so the report
+    recommends the smallest sampled degree at which the leading form is
+    both faster and inside the error budget.
     """
     window = window or AngleWindow()
     if batch < 100_000:

@@ -1,9 +1,9 @@
 """Zonal kernels on the n-sphere in the value-one normalization.
 
 The central object is the degree-k zonal polynomial normalized to 1 at
-argument 1, evaluated by a three-term recurrence written directly in that
-normalization.  Everything else in the package (asymptotic brackets, the
-projector kernel, the geometric cross-checks) is expressed against it.
+argument 1, evaluated by scipy's compiled recurrence in that normalization.
+Everything else in the package (asymptotic brackets, the projector kernel,
+the geometric cross-checks) is expressed against it.
 """
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import binom, eval_chebyt, eval_gegenbauer
 
 __all__ = [
     "ZonalIndex",
@@ -55,32 +56,24 @@ def _clamped(t):
     return np.clip(arr, -1.0, 1.0)
 
 
-def _degrees(n: int, k: int, t: np.ndarray):
-    """Yield the value-one values of degrees 0..k at t, endpoints not pinned.
-
-    Each yielded array is new; the caller may keep or modify it.
-    """
-    lam = 0.5 * (n - 1)
-    prev = np.ones_like(t)
-    yield prev
-    if k == 0:
-        return
-    cur = t.copy()
-    yield cur
-    for j in range(2, k + 1):
-        denom = j + 2.0 * lam - 1.0
-        prev, cur = cur, (2.0 * (j + lam - 1.0) * t * cur - (j - 1.0) * prev) / denom
-        yield cur
-
-
-def _pin_endpoints(values: np.ndarray, t: np.ndarray, degrees) -> None:
-    """Set P_j(1) = 1 and P_j(-1) = (-1)^j exactly, in place.
-
-    values has shape (len(degrees),) + t.shape.  The recurrence only reaches
-    the endpoint values through rounded coefficients.
-    """
-    values[:, t == 1.0] = 1.0
-    values[:, t == -1.0] = np.where(np.asarray(degrees) % 2 == 0, 1.0, -1.0)[:, None]
+def _value_one(n: int, k, t: np.ndarray) -> np.ndarray:
+    """Values at clamped t for an int degree k or an integer array broadcast against t."""
+    x = np.abs(t)
+    if n == 1:
+        vals = eval_chebyt(k, x)
+    else:
+        lam = 0.5 * (n - 1)
+        kmax = int(np.max(k))
+        # past either limit scipy returns NaN or rescales its loop by 2 lam / k
+        if not math.isfinite(binom(kmax + n - 2.0, kmax)) or (kmax and lam / kmax < 1e-8):
+            raise ValueError(f"legendre degree k={kmax} on S^{n} is outside the evaluated range: "
+                             "binom(k + n - 2, k) must be a finite double and k <= 1e8 (n - 1) / 2")
+        vals = eval_gegenbauer(k, lam, x)
+        # scipy multiplied its value-one loop by this same expression
+        vals /= binom(k + 2.0 * lam - 1.0, k)
+    # exact endpoints, whatever scipy's loops round to there
+    np.copyto(vals, 1.0, where=x == 1.0)
+    return np.negative(vals, out=vals, where=(t < 0.0) & (np.asarray(k) % 2 == 1))
 
 
 def legendre_normalized(idx: ZonalIndex, t):
@@ -89,7 +82,9 @@ def legendre_normalized(idx: ZonalIndex, t):
     Parameters
     ----------
     idx : ZonalIndex
-        Sphere dimension and degree.
+        Sphere dimension and degree.  For n >= 2, binom(k + n - 2, k) must
+        be a finite double (n=100 up to k=52024, n=200 up to k=2574, n=400
+        up to k=687) and k <= 1e8 (n-1)/2; otherwise ValueError.
     t : array_like
         Points in [-1, 1]; values within 1e-12 outside are clamped, NaN is
         rejected.
@@ -102,39 +97,33 @@ def legendre_normalized(idx: ZonalIndex, t):
 
     Notes
     -----
-    Uses the ultraspherical recurrence with parameter (n-1)/2 rewritten for
-    the value-one normalization,
-
-        P_k(t) = (2(k + L - 1) t P_{k-1}(t) - (k - 1) P_{k-2}(t)) / (k + 2L - 1),
-
-    with L = (n-1)/2.  Iterates stay inside [-1, 1], so there is no overflow
-    for any degree this package targets (k up to 1e6).  The n=1 case reduces
-    to the Chebyshev recurrence with no special handling.
+    Runs scipy's compiled integer-degree loops at |t|: ``eval_chebyt`` for
+    n=1, else ``eval_gegenbauer(k, L, |t|) / binom(k + 2L - 1, k)`` with
+    L = (n-1)/2.  scipy's loop is the value-one ultraspherical recurrence in
+    (t-1) form (a power series for |t| < 1e-5), times that binomial, which
+    the division cancels to within an ulp.  The sign (-1)^k for t < 0 makes
+    parity exact (scipy's loop alone misses it by up to 3e-13 at k <= 300),
+    and P(1) = 1, P(-1) = (-1)^k are pinned.  Cost is k steps in C per angle.
+    Measured up to k = 10^6, the envelope-relative forward error is below
+    0.25 k eps in the loop and 4.2 k eps in the power series.
     """
     arr = _clamped(t)
     scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    for out in _degrees(idx.n, idx.k, arr):
-        pass
-    _pin_endpoints(out[None], arr, [idx.k])
+    out = _value_one(idx.n, idx.k, np.atleast_1d(arr))
     return float(out[0]) if scalar else out
 
 
 def legendre_sweep(n: int, kmax: int, t) -> np.ndarray:
-    """All normalized zonal values for degrees 0..kmax in one recurrence pass.
+    """All normalized zonal values for degrees 0..kmax, shape (kmax + 1,) + shape(t).
 
-    Returns an array of shape (kmax + 1,) + shape(t).  One sweep costs the
-    same as a single degree-kmax evaluation, which is what batch comparisons
-    over many degrees want.
+    Row j is the ``legendre_normalized`` call at degree j, bit for bit, so
+    a sweep costs O(kmax^2) steps in C per angle (0.15 s at kmax=1000 on
+    100 angles).
     """
     if kmax < 0:
         raise ValueError(f"kmax: expected >= 0, got {kmax!r}")
     arr = np.atleast_1d(_clamped(t))
-    out = np.empty((kmax + 1,) + arr.shape, dtype=float)
-    for j, values in enumerate(_degrees(n, kmax, arr)):
-        out[j] = values
-    _pin_endpoints(out, arr, np.arange(kmax + 1))
-    return out
+    return _value_one(n, np.arange(kmax + 1).reshape((-1,) + (1,) * arr.ndim), arr)
 
 
 def gegenbauer_norm_constant(idx: ZonalIndex) -> float:

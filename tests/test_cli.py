@@ -57,6 +57,12 @@ def test_eval_rejects_bad_angle(capsys):
     assert code == 2
 
 
+def test_eval_rejects_degree_out_of_range(capsys):
+    code, _, err = run_cli(["eval", "--n", "200", "--k", "25000"], capsys)
+    assert code == 2
+    assert "outside the evaluated range" in err
+
+
 def test_eval_rejects_foreign_flag(capsys):
     code, _, _ = run_cli(["eval", "--k", "2", "--delta", "0.1"], capsys)
     assert code == 2

@@ -230,9 +230,81 @@ def test_chebyshev_identity_large_degree():
 
 
 def test_no_overflow_at_extreme_degree():
-    vals = legendre_normalized(ZonalIndex(n=3, k=1_000_000), np.array([-0.73, 0.2, 0.98]))
+    k = 1_000_000
+    t = np.array([-0.73, 0.2, 0.98])
+    vals = legendre_normalized(ZonalIndex(n=3, k=k), t)
     assert np.all(np.isfinite(vals))
     assert np.max(np.abs(vals)) <= 1.0 + 1e-10
+    theta = np.arccos(t)
+    closed = np.sin((k + 1) * theta) / ((k + 1) * np.sin(theta))
+    np.testing.assert_allclose(vals, closed, rtol=0, atol=1e-14)
+
+
+def _envelope(n, k, theta):
+    # leading amplitude of the value-one polynomial, written out for n = 1, 2, 3
+    s = np.sin(theta)
+    return {1: np.ones_like(s), 2: np.sqrt(2.0 / (math.pi * k * s)), 3: 1.0 / ((k + 1) * s)}[n]
+
+
+def _mp_value_one(n, k, t):
+    import mpmath as mp
+
+    x = mp.mpf(float(t))
+    if n == 1:
+        return mp.cos(k * mp.acos(x))
+    if n == 3:
+        theta = mp.acos(x)
+        return mp.sin((k + 1) * theta) / ((k + 1) * mp.sin(theta))
+    # n = 2: the classical Legendre recurrence, whose rounding in 40 digits
+    # is far below float64 (mpmath.legendre itself is slow at k = 10^4)
+    prev, cur = mp.mpf(1), x
+    for j in range(2, k + 1):
+        prev, cur = cur, ((2 * j - 1) * x * cur - (j - 1) * prev) / j
+    return cur
+
+
+# envelope-relative forward error <= FORWARD_C k eps; on these angles the
+# worst ratio is 4.2 (n=2, k=10^4) and 2.6 (n=3, k=10^5), both in scipy's
+# power series at |t| < 1e-5; elsewhere it stays below 0.25
+FORWARD_C = 8.0
+
+
+def test_forward_error_grows_like_k_eps():
+    import mpmath as mp
+
+    gen = np.random.default_rng(17)
+    # the last three angles have |t| < 1e-5, where scipy sums a power series
+    theta = np.concatenate([gen.uniform(0.05, math.pi - 0.05, size=8),
+                            math.pi / 2 - np.array([1e-7, 3e-6, -8e-6])])
+    t = np.cos(theta)
+    cases = [(n, 10**e) for n in (1, 3) for e in (3, 4, 5, 6)] + [(2, 10**3), (2, 10**4)]
+    with mp.workdps(40):
+        for n, k in cases:
+            vals = legendre_normalized(ZonalIndex(n=n, k=k), t)
+            refs = np.array([float(_mp_value_one(n, k, ti)) for ti in t])
+            worst = float(np.max(np.abs(vals - refs) / _envelope(n, k, theta)))
+            assert worst <= FORWARD_C * k * np.finfo(float).eps, (n, k, worst)
+
+
+def test_degree_range_raises():
+    # binom(k + n - 2, k) is finite up to n=100, k=52024, n=200, k=2574 and
+    # n=400, k=687; past it scipy's loop returns NaN
+    for n, k in ((100, 25_000), (200, 2574), (400, 20)):
+        vals = legendre_normalized(ZonalIndex(n=n, k=k), np.array([-0.4, 0.0, 3e-6, 0.3]))
+        assert np.all(np.isfinite(vals)) and np.max(np.abs(vals)) <= 1.0
+    for n, k in ((200, 2575), (200, 25_000), (400, 1000)):
+        with pytest.raises(ValueError, match="outside the evaluated range"):
+            legendre_normalized(ZonalIndex(n=n, k=k), 0.3)
+    with pytest.raises(ValueError, match="outside the evaluated range"):
+        legendre_sweep(200, 2575, 0.3)
+    # from k > 1e8 (n-1)/2 scipy scales its loop by 2L/k instead
+    theta = 1.2
+    k = 50_000_000
+    lead = _envelope(2, k, theta) * math.cos((k + 0.5) * theta - 0.25 * math.pi)
+    err = abs(legendre_normalized(ZonalIndex(n=2, k=k), math.cos(theta)) - lead)
+    assert err <= 1e-6 * _envelope(2, k, theta)
+    with pytest.raises(ValueError, match="outside the evaluated range"):
+        legendre_normalized(ZonalIndex(n=2, k=k + 1), math.cos(theta))
 
 
 def test_argument_clamp():
