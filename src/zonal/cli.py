@@ -1,11 +1,12 @@
 """Command line front end for the zonal kernel laboratory.
 
-Five subcommands (eval, compare, scaling, oracle, bench) share the flags
---seed, --samples, --format, --out, and --config.  A config file is a flat
-JSON object whose keys are flag names of the chosen subcommand; explicit
-command line flags always win over config values.  Tables share one CSV
-schema (n,k,delta,C,theta,exact,asymptotic,abs_err,rel_err); oracle and
-bench reports are JSON documents with schema_version 1.  Exit codes: 0 on
+Five subcommands (eval, compare, scaling, oracle, bench) share --seed, --out
+and --config; eval, compare and scaling add --format (csv or json), the
+Monte Carlo oracle adds --samples, and oracle and bench write JSON only.  A
+config file is a flat JSON object whose keys are flag names of the chosen
+subcommand; explicit command line flags always win over config values.
+Tables share one CSV schema (n,k,delta,C,theta,exact,asymptotic,abs_err,
+rel_err); JSON documents carry schema_version 1.  Exit codes: 0 on
 success, 2 on invalid usage or argument values, 1 on unexpected failure.
 """
 from __future__ import annotations
@@ -97,13 +98,9 @@ def _add(sub, registry: set, *names: str, **kwargs) -> None:
     registry.update(names)
 
 
-def _add_common(sub, registry: set, default_format: str) -> None:
+def _add_common(sub, registry: set) -> None:
     _add(sub, registry, "--seed", type=_int_type(0, "--seed"), default=DEFAULT_SEED,
          help="master seed for all Monte Carlo substreams")
-    _add(sub, registry, "--samples", type=_int_type(1, "--samples"), default=DEFAULT_SAMPLES,
-         help="Monte Carlo sample count")
-    _add(sub, registry, "--format", choices=("csv", "json"), default=default_format,
-         help="output format")
     _add(sub, registry, "--out", default=None, help="write output to this file instead of stdout")
     _add(sub, registry, "--config", default=None,
          help="JSON file of flag defaults for this subcommand")
@@ -121,6 +118,11 @@ def _add_grid(sub, registry: set) -> None:
          help="angles per window")
 
 
+def _add_format(sub, registry: set) -> None:
+    _add(sub, registry, "--format", choices=("csv", "json"), default="csv",
+         help="output format")
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set]]:
     parser = argparse.ArgumentParser(
         prog="zonal",
@@ -135,7 +137,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set]]:
     _add(sub, reg, "--k", type=_int_type(0, "--k"), required=True, help="degree")
     _add(sub, reg, "--theta", type=_theta_list, default=[0.5, 1.0, 1.5],
          help="comma separated angles in [0, pi]")
-    _add_common(sub, reg, "csv")
+    _add_format(sub, reg)
+    _add_common(sub, reg)
     sub.set_defaults(func=_cmd_eval)
 
     sub = subs.add_parser("compare", help="exact versus leading form over an angle window")
@@ -144,7 +147,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set]]:
     _add(sub, reg, "--k", type=_int_type(1, "--k"), default=256, help="degree")
     _add_window(sub, reg)
     _add_grid(sub, reg)
-    _add_common(sub, reg, "csv")
+    _add_format(sub, reg)
+    _add_common(sub, reg)
     sub.set_defaults(func=_cmd_compare)
 
     sub = subs.add_parser("scaling", help="log-log fit of bracket error against degree")
@@ -156,7 +160,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set]]:
          help="last degree of the doubling grid")
     _add_window(sub, reg)
     _add_grid(sub, reg)
-    _add_common(sub, reg, "csv")
+    _add_format(sub, reg)
+    _add_common(sub, reg)
     sub.set_defaults(func=_cmd_scaling)
 
     sub = subs.add_parser("oracle", help="Monte Carlo geometric oracle report (json)")
@@ -166,7 +171,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set]]:
          help="comma separated degrees")
     _add(sub, reg, "--pairs", type=_int_type(1, "--pairs"), default=8,
          help="random sphere pairs per degree")
-    _add_common(sub, reg, "json")
+    _add(sub, reg, "--samples", type=_int_type(1, "--samples"), default=DEFAULT_SAMPLES,
+         help="Monte Carlo sample count")
+    _add_common(sub, reg)
     sub.set_defaults(func=_cmd_oracle)
 
     sub = subs.add_parser("bench", help="recurrence versus leading form timing (json)")
@@ -181,7 +188,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set]]:
          help="evaluations per timing repetition")
     _add(sub, reg, "--reps", type=_int_type(1, "--reps"), default=5,
          help="timing repetitions per degree")
-    _add_common(sub, reg, "json")
+    _add_common(sub, reg)
     sub.set_defaults(func=_cmd_bench)
 
     return parser, flags
@@ -302,8 +309,6 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.format != "json":
-        raise CliError("--format: oracle output is json only")
     if args.n not in (2, 3):
         raise CliError("--n: the oracle push-forward supports n = 2 or 3")
     if max(args.ks) > 12:
@@ -324,8 +329,6 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.format != "json":
-        raise CliError("--format: bench output is json only")
     window = AngleWindow(c=args.window_c, delta=args.delta)
     report = harness.crossover_benchmark(
         args.n, args.ks, window, error_budget=args.budget, batch=args.batch, reps=args.reps
@@ -358,10 +361,7 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             return int(exc.code) if exc.code else 0
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -48,6 +48,8 @@ FRAME_TOL = 1e-12
 POINT_TOL = 1e-9
 # relative floor for Cholesky pivots of the estimated Gram
 PIVOT_FLOOR = 1e-8
+# frames drawn by the independent check of the Gram's standard error
+GRAM_CHECK_SAMPLES = 1 << 17
 
 
 def frame_volume(n: int) -> float:
@@ -132,9 +134,12 @@ def sample_frame(n: int, gen: np.random.Generator) -> FramePoint:
 
 
 def sphere_point(n: int, gen: np.random.Generator) -> np.ndarray:
-    """One uniform point on S^n."""
-    g = gen.standard_normal(n + 1)
-    return g / np.linalg.norm(g)
+    """One uniform point on S^n; a draw of norm <= 1e-12 is drawn again."""
+    while True:
+        g = gen.standard_normal(n + 1)
+        norm = float(np.linalg.norm(g))
+        if norm > 1e-12:
+            return g / norm
 
 
 def monomial_basis(n: int, k: int) -> tuple[tuple[int, ...], ...]:
@@ -309,13 +314,13 @@ def build_cone_basis(n: int, k: int, samples: int, seed: int) -> ConeBasis:
     return replace(basis, gram_stderr=_gram_stderr(basis, mass))
 
 
-def _gram_stderr(basis: ConeBasis, mass: float, check_samples: int = 1 << 17) -> float:
+def _gram_stderr(basis: ConeBasis, mass: float) -> float:
     """Largest entrywise stderr of the orthonormalized empirical Gram.
 
     Estimates the population variance of the section products on a fresh
     substream and scales it to the build's sample count.
     """
-    count = min(basis.samples, check_samples)
+    count = min(basis.samples, GRAM_CHECK_SAMPLES)
     gen = rng.substream(basis.seed, rng.GRAM_CHECK, 0)
     q, p = _frame_block(basis.n, count, gen)
     s = basis.evaluate((q + 1j * p) / math.sqrt(2.0))
@@ -354,15 +359,14 @@ class SzegoEvaluator:
     def prefactor(self) -> float:
         return float(self.radius) ** -(2 * self.basis.k + 2 * self.basis.n - 1)
 
-    def kernel(self, x, y, validate: bool = True):
+    def kernel(self, x, y):
         x = np.asarray(x, dtype=complex)
         y = np.asarray(y, dtype=complex)
         single = x.ndim == 1 and y.ndim == 1
         xs = np.atleast_2d(x)
         ys = np.atleast_2d(y)
-        if validate:
-            _require_on_slice(xs, self.radius, "SzegoEvaluator.kernel x")
-            _require_on_slice(ys, self.radius, "SzegoEvaluator.kernel y")
+        _require_on_slice(xs, self.radius, "SzegoEvaluator.kernel x")
+        _require_on_slice(ys, self.radius, "SzegoEvaluator.kernel y")
         sx = self.basis.evaluate(xs)
         sy = self.basis.evaluate(ys)
         vals = self.prefactor * np.sum(sx * sy.conj(), axis=-1)
@@ -427,7 +431,6 @@ def _null_direction(n: int) -> np.ndarray:
 
 def c_constant_numeric(
     idx: ZonalIndex,
-    ev: SzegoEvaluator | None = None,
     *,
     samples: int,
     seed: int,
@@ -447,11 +450,6 @@ def c_constant_numeric(
     n, k = idx.n, idx.k
     if n not in (2, 3):
         raise ValueError(f"c_constant_numeric: supported n is 2 or 3, got {n}")
-    if ev is not None:
-        if (ev.basis.n, ev.basis.k) != (n, k):
-            raise ValueError("c_constant_numeric: evaluator index does not match idx")
-        if abs(ev.radius - math.sqrt(2.0)) > 1e-12:
-            raise ValueError("c_constant_numeric: evaluator must sit at radius sqrt(2)")
     if samples < 1000:
         raise ValueError(f"c_constant_numeric: samples={samples} below floor 1000")
 

@@ -66,6 +66,8 @@ def test_eval_rejects_degree_out_of_range(capsys):
 def test_eval_rejects_foreign_flag(capsys):
     code, _, _ = run_cli(["eval", "--k", "2", "--delta", "0.1"], capsys)
     assert code == 2
+    code, _, _ = run_cli(["eval", "--k", "2", "--samples", "1000"], capsys)
+    assert code == 2
 
 
 def test_compare_csv_schema_and_determinism(capsys):
@@ -136,15 +138,13 @@ def test_scaling_json_fit(capsys):
 
 
 def test_scaling_json_circle_is_exact(capsys):
-    code, out, _ = run_cli(
-        ["scaling", "--n", "1", "--k-min", "64", "--k-max", "128", "--grid", "32",
-         "--format", "json"],
-        capsys,
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["exact"] is True
-    assert doc["slope"] is None and doc["intercept"] is None
+    # the second input is the CLI defaults, k = 64..4096 on 512 angles
+    for extra in (["--k-min", "64", "--k-max", "128", "--grid", "32"], []):
+        code, out, _ = run_cli(["scaling", "--n", "1", *extra, "--format", "json"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["exact"] is True
+        assert doc["slope"] is None and doc["intercept"] is None
 
 
 def test_scaling_rejects_reversed_range(capsys):
@@ -155,6 +155,7 @@ def test_scaling_rejects_reversed_range(capsys):
 
 def test_oracle_rejects_csv_and_bad_dimension(capsys):
     assert run_cli(["oracle", "--format", "csv"], capsys)[0] == 2
+    assert run_cli(["oracle", "--format", "json"], capsys)[0] == 2
     assert run_cli(["oracle", "--n", "5", "--samples", "2000"], capsys)[0] == 2
     assert run_cli(["oracle", "--ks", "13", "--samples", "2000"], capsys)[0] == 2
 
@@ -206,6 +207,7 @@ def test_bench_small_report(capsys):
 def test_bench_rejects_bad_arguments(capsys):
     assert run_cli(["bench", "--ks", "4", "--batch", "50000"], capsys)[0] == 2
     assert run_cli(["bench", "--ks", "4", "--budget", "0"], capsys)[0] == 2
+    assert run_cli(["bench", "--ks", "4", "--format", "json"], capsys)[0] == 2
 
 
 def test_config_file_defaults_and_precedence(tmp_path, capsys):

@@ -58,6 +58,11 @@ def test_fit_error_scaling_exact_circle():
     assert math.isnan(fit.slope)
     assert fit.r_squared == 1.0
     assert all(math.isfinite(x) and math.isfinite(y) for x, y in fit.points)
+    # near the poles rounding t = cos(theta) costs up to 34 k eps at k=256,
+    # so the bound scales with 1 / sin of the window edge
+    narrow = AngleWindow(c=0.01, delta=0.16)
+    assert fit_error_scaling(1, (64, 128, 256), narrow).exact
+    assert not fit_error_scaling(2, (64, 128, 256), narrow).exact
 
 
 def test_fit_error_scaling_slope_band():
@@ -113,6 +118,10 @@ def test_crossover_benchmark_validation():
         crossover_benchmark(2, (4,), batch=50_000)
     with pytest.raises(ValueError):
         crossover_benchmark(2, (4,), error_budget=0.0)
+    with pytest.raises(ValueError):
+        crossover_benchmark(2, (4,), error_budget=math.nan)
+    with pytest.raises(ValueError):
+        crossover_benchmark(2, (4,), reps=0)
 
 
 def test_crossover_benchmark_report():
