@@ -1,10 +1,12 @@
 """Command line front end for the zonal kernel laboratory.
 
-Five subcommands (eval, compare, scaling, oracle, bench) share --seed, --out
-and --config; eval, compare and scaling add --format (csv or json), the
-Monte Carlo oracle adds --samples, and oracle and bench write JSON only.  A
-config file is a flat JSON object whose keys are flag names of the chosen
-subcommand; explicit command line flags always win over config values.
+Five subcommands (eval, compare, scaling, oracle, bench) share --out and
+--config; eval, compare and scaling add --format (csv or json), the Monte
+Carlo oracle alone draws random numbers and adds --samples and --seed, and
+oracle and bench write JSON only.  --grid and --batch are capped so that a
+run stays below 1 GB of memory.  A config file is a flat JSON object whose
+keys are flag names of the chosen subcommand; explicit command line flags
+always win over config values.
 Tables share one CSV schema (n,k,delta,C,theta,exact,asymptotic,abs_err,
 rel_err); JSON documents carry schema_version 1.  Exit codes: 0 on
 success, 2 on invalid usage or argument values, 1 on unexpected failure.
@@ -24,6 +26,10 @@ from .special import ZonalIndex, legendre_normalized, projector_kernel
 
 DEFAULT_SEED = 20250819
 DEFAULT_SAMPLES = 1_000_000
+# compare --format json holds about 2.4 KB per angle (681 MB peak at 2^18)
+MAX_GRID = 1 << 18
+# bench holds about 76 bytes per evaluation (638 MB peak at 2^23)
+MAX_BATCH = 1 << 23
 
 EVAL_HEADER = ("n", "k", "theta", "legendre", "projector")
 
@@ -32,7 +38,7 @@ class CliError(Exception):
     """Usage error detected after parsing; the message names the flag."""
 
 
-def _int_type(minimum: int, label: str):
+def _int_type(minimum: int, label: str, maximum: int | None = None):
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -40,6 +46,10 @@ def _int_type(minimum: int, label: str):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"{label} must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(
+                f"{label} must be <= {maximum} to bound memory below 1 GB, got {value}"
+            )
         return value
 
     return parse
@@ -99,8 +109,6 @@ def _add(sub, registry: set, *names: str, **kwargs) -> None:
 
 
 def _add_common(sub, registry: set) -> None:
-    _add(sub, registry, "--seed", type=_int_type(0, "--seed"), default=DEFAULT_SEED,
-         help="master seed for all Monte Carlo substreams")
     _add(sub, registry, "--out", default=None, help="write output to this file instead of stdout")
     _add(sub, registry, "--config", default=None,
          help="JSON file of flag defaults for this subcommand")
@@ -114,7 +122,7 @@ def _add_window(sub, registry: set) -> None:
 
 
 def _add_grid(sub, registry: set) -> None:
-    _add(sub, registry, "--grid", type=_int_type(1, "--grid"), default=512,
+    _add(sub, registry, "--grid", type=_int_type(1, "--grid", MAX_GRID), default=512,
          help="angles per window")
 
 
@@ -172,7 +180,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set]]:
     _add(sub, reg, "--pairs", type=_int_type(1, "--pairs"), default=8,
          help="random sphere pairs per degree")
     _add(sub, reg, "--samples", type=_int_type(1, "--samples"), default=DEFAULT_SAMPLES,
-         help="Monte Carlo sample count")
+         help="Monte Carlo sample count of the basis build")
+    _add(sub, reg, "--seed", type=_int_type(0, "--seed"), default=DEFAULT_SEED,
+         help="master seed for the basis, pair and probe substreams")
     _add_common(sub, reg)
     sub.set_defaults(func=_cmd_oracle)
 
@@ -184,7 +194,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set]]:
     _add_window(sub, reg)
     _add(sub, reg, "--budget", type=_positive_float, default=1e-2,
          help="relative error budget for the switch-over degree")
-    _add(sub, reg, "--batch", type=_int_type(100_000, "--batch"), default=1 << 17,
+    _add(sub, reg, "--batch", type=_int_type(100_000, "--batch", MAX_BATCH), default=1 << 17,
          help="evaluations per timing repetition")
     _add(sub, reg, "--reps", type=_int_type(1, "--reps"), default=5,
          help="timing repetitions per degree")
@@ -250,7 +260,7 @@ def _cmd_eval(args) -> int:
     if args.format == "csv":
         text = harness.write_csv(rows, header=EVAL_HEADER)
     else:
-        config = {"n": args.n, "k": args.k, "theta": [float(t) for t in thetas], "seed": args.seed}
+        config = {"n": args.n, "k": args.k, "theta": [float(t) for t in thetas]}
         text = harness.json_summary("eval", config, {"rows": rows})
     _emit(args, text)
     return 0
@@ -269,7 +279,6 @@ def _cmd_compare(args) -> int:
             "C": args.window_c,
             "delta": args.delta,
             "grid": args.grid,
-            "seed": args.seed,
         }
         text = harness.json_summary("compare", config, {"rows": rows})
     _emit(args, text)
@@ -301,7 +310,6 @@ def _cmd_scaling(args) -> int:
             "C": args.window_c,
             "delta": args.delta,
             "grid": args.grid,
-            "seed": args.seed,
         }
         text = harness.json_summary("scaling", config, doc)
     _emit(args, text)
@@ -341,7 +349,6 @@ def _cmd_bench(args) -> int:
         "budget": args.budget,
         "batch": args.batch,
         "reps": args.reps,
-        "seed": args.seed,
     }
     text = harness.json_summary("bench", config, report.as_dict())
     _emit(args, text)

@@ -168,29 +168,18 @@ class ConvergenceRow:
 
     k: int
     numeric: float
-    stderr: float
     leading: float
     ratio: float
-    ratio_stderr: float
 
 
-def c_constant_convergence(n: int, ks, samples: int, seed: int) -> list[ConvergenceRow]:
-    """Numeric push-forward constant against its leading form, per degree."""
+def c_constant_convergence(n: int, ks) -> list[ConvergenceRow]:
+    """Quadrature-exact push-forward constant against its leading form, per degree."""
     rows = []
     for k in ks:
         idx = ZonalIndex(n=n, k=int(k))
-        value, stderr = quadric.c_constant_numeric(idx, samples=samples, seed=seed)
+        value = quadric.c_constant_numeric(idx)
         lead = c_constant_leading(idx)
-        rows.append(
-            ConvergenceRow(
-                k=int(k),
-                numeric=value,
-                stderr=stderr,
-                leading=lead,
-                ratio=value / lead,
-                ratio_stderr=stderr / lead,
-            )
-        )
+        rows.append(ConvergenceRow(k=int(k), numeric=value, leading=lead, ratio=value / lead))
     return rows
 
 
@@ -277,13 +266,16 @@ def crossover_benchmark(
 def geometric_oracle(n: int, ks, samples: int, pairs: int, seed: int) -> dict:
     """Cross-checks of the geometric chain on Monte Carlo bases, per degree.
 
-    For every degree: builds the cone basis, evaluates the fiber
-    push-forward of the kernel at `pairs` random sphere pairs plus the
-    diagonal, and compares against the numeric push-forward constant squared
-    times the sphere projector.  Residuals are normalized by the diagonal
-    scale C^2 N / vol(S^n).  A decay section reuses the bases at one
-    separated probe pair.  Everything is driven by counter-based substreams
-    of `seed`, so the result is a function of the arguments alone.
+    For every degree: builds the cone basis from `samples` Haar frames,
+    evaluates the fiber push-forward of the kernel at `pairs` random sphere
+    pairs plus the diagonal, and compares against the push-forward constant
+    squared times the sphere projector.  The constant (`c_numeric`) is
+    quadrature-exact and does not depend on `samples` or `seed`; `c_ratio`
+    is its ratio to the leading form.  Residuals are normalized by the
+    diagonal scale C^2 N / vol(S^n), so they measure the Monte Carlo noise
+    of the basis alone.  A decay section reuses the bases at one separated
+    probe pair.  Everything random is driven by counter-based substreams of
+    `seed`, so the result is a function of the arguments alone.
     """
     ks = sorted(int(k) for k in ks)
     if not ks:
@@ -297,7 +289,7 @@ def geometric_oracle(n: int, ks, samples: int, pairs: int, seed: int) -> dict:
         basis = quadric.build_cone_basis(n, k, samples, seed)
         bases.append(basis)
         ev = quadric.SzegoEvaluator(basis=basis, radius=math.sqrt(2.0))
-        c_num, c_se = quadric.c_constant_numeric(idx, samples=samples, seed=seed)
+        c_num = quadric.c_constant_numeric(idx)
         lead = c_constant_leading(idx)
         scale = c_num**2 * dim_eigenspace(idx) / vol_sphere(n)
         gen = rng.substream(seed, rng.PAIR_DRAW, k)
@@ -324,7 +316,6 @@ def geometric_oracle(n: int, ks, samples: int, pairs: int, seed: int) -> dict:
                 "k": k,
                 "gram_stderr": float(basis.gram_stderr),
                 "c_numeric": c_num,
-                "c_stderr": c_se,
                 "c_leading": lead,
                 "c_ratio": c_num / lead,
                 "pairs": rows,

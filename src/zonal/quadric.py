@@ -6,12 +6,13 @@ slice is exactly the set q + ip of orthonormal pairs (q, p) in R^(n+1).
 This module samples those slices, builds L2-orthonormal bases of the
 degree-k holomorphic sections by Monte Carlo, evaluates the associated
 reproducing kernel, and pushes it forward along fibers to recover the
-sphere eigenspace projector.  All randomness flows through counter-based
-substreams so results depend only on (seed, sample count).
+sphere eigenspace projector.  The push-forward constant c_k draws no
+samples: both of its norms are exact product-quadrature integrals over
+the frames.  All randomness flows through counter-based substreams so
+results depend only on (seed, sample count).
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
@@ -216,38 +217,6 @@ class ConeBasis:
         z = np.atleast_2d(np.asarray(z, dtype=complex))
         return _monomial_matrix(z, self.exponents) @ self.coeff.T
 
-    def to_json(self) -> str:
-        doc = {
-            "schema_version": 1,
-            "kind": "cone_basis",
-            "n": self.n,
-            "k": self.k,
-            "exponents": [list(e) for e in self.exponents],
-            "coeff": [[[float(v.real), float(v.imag)] for v in row] for row in self.coeff],
-            "samples": self.samples,
-            "seed": self.seed,
-            "gram_stderr": float(self.gram_stderr),
-        }
-        return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConeBasis":
-        doc = json.loads(text)
-        if doc.get("kind") != "cone_basis" or doc.get("schema_version") != 1:
-            raise ValueError("ConeBasis.from_json: not a schema-version-1 cone_basis document")
-        coeff = np.array(
-            [[complex(re, im) for re, im in row] for row in doc["coeff"]], dtype=complex
-        )
-        return cls(
-            n=int(doc["n"]),
-            k=int(doc["k"]),
-            exponents=tuple(tuple(int(v) for v in e) for e in doc["exponents"]),
-            coeff=coeff,
-            samples=int(doc["samples"]),
-            seed=int(doc["seed"]),
-            gram_stderr=float(doc["gram_stderr"]),
-        )
-
 
 def _block_sizes(samples: int) -> list[int]:
     full, tail = divmod(samples, rng.BLOCK)
@@ -421,7 +390,7 @@ def pushforward_kernel(ev: SzegoEvaluator, q0: np.ndarray, q1: np.ndarray) -> fl
     return raw.real
 
 
-# canonical null direction used by the section-norm estimate
+# canonical null direction of the c-constant section
 def _null_direction(n: int) -> np.ndarray:
     a = np.zeros(n + 1, dtype=complex)
     a[0] = 1.0
@@ -429,29 +398,26 @@ def _null_direction(n: int) -> np.ndarray:
     return a
 
 
-def c_constant_numeric(
-    idx: ZonalIndex,
-    *,
-    samples: int,
-    seed: int,
-    null_vector: np.ndarray | None = None,
-) -> tuple[float, float]:
+def c_constant_numeric(idx: ZonalIndex, *, null_vector: np.ndarray | None = None) -> float:
     """Norm ratio of the fiber push-forward on a null power section.
 
     The section is s(z) = (a . z)^k with a null (a . a = 0), by default
-    a = e0 + i e1.  The push-forward norm over the sphere is evaluated with
-    polynomial-exact quadrature; the section norm over the radius-sqrt(2)
-    slice (normalized volume) is a Monte Carlo mean over Haar frames.
-    Returns (value, stderr) where the stderr propagates the Monte Carlo
-    variance of the denominator.  The ratio does not depend on the choice
-    of a: rotations act transitively on null directions and the section
-    scale cancels.
+    a = e0 + i e1.  Both norms come from one product quadrature over the
+    frames (q, p): sphere_rule(n, 2k+6) for q and fiber_rule(q,
+    fiber_degree(n, k)) for p.  The push-forward norm is the sphere
+    integral of |fiber integral of s|^2; the section norm over the
+    radius-sqrt(2) slice (normalized volume) is the frame integral of |s|^2,
+    scaled by cone_slice_mass(n, sqrt(2)) / frame_volume(n).  Both
+    integrands are polynomials of degree 2k in p, below the fiber rule's
+    degree 4k+8 (n=2) or 4k+11 (n=3); integrating p out leaves a polynomial
+    of degree at most 2k in q, below the sphere rule's 2k+6.  The ratio is
+    therefore exact up to rounding.  It does not depend on the choice of a:
+    rotations act transitively on null directions and the section scale
+    cancels.
     """
     n, k = idx.n, idx.k
     if n not in (2, 3):
         raise ValueError(f"c_constant_numeric: supported n is 2 or 3, got {n}")
-    if samples < 1000:
-        raise ValueError(f"c_constant_numeric: samples={samples} below floor 1000")
 
     if null_vector is None:
         a = _null_direction(n)
@@ -463,41 +429,17 @@ def c_constant_numeric(
         if norm2 == 0.0 or abs(complex(np.sum(a * a))) > 1e-10 * norm2:
             raise ValueError("c_constant_numeric: null_vector must satisfy a . a = 0")
 
-    # quadrature side: || fiber integral of s ||^2 over the sphere
     nodes, weights = sphere_rule(n, 2 * k + 6)
     deg = fiber_degree(n, k)
     total = 0.0
+    section = 0.0
     for q, w in zip(nodes, weights):
         pnodes, pw = fiber_rule(q, deg)
         vals = (np.dot(a, q) + 1j * (pnodes @ a)) ** k
         total += w * abs(np.dot(pw, vals)) ** 2
-
-    # Monte Carlo side: section norm on the radius-sqrt(2) slice
-    sizes = _block_sizes(samples)
-
-    def one_block(b: int) -> tuple[float, float]:
-        gen = rng.substream(seed, rng.SECTION_NORM, b)
-        q, p = _frame_block(n, sizes[b], gen)
-        w = q @ a + 1j * (p @ a)
-        mod2 = w.real**2 + w.imag**2
-        vals = mod2**k
-        return float(vals.sum()), float((vals**2).sum())
-
-    parts = rng.map_blocks(one_block, len(sizes))
-    s1 = 0.0
-    s2 = 0.0
-    for part in parts:
-        s1 += part[0]
-        s2 += part[1]
-    mass = cone_slice_mass(n, math.sqrt(2.0))
-    mean = s1 / samples
-    var = max(s2 / samples - mean * mean, 0.0) / samples
-    denom = mass * mean
-    denom_stderr = mass * math.sqrt(var)
-
-    value = math.sqrt(total / denom)
-    stderr = 0.5 * value * denom_stderr / denom
-    return value, stderr
+        section += w * np.dot(pw, vals.real**2 + vals.imag**2)
+    denom = cone_slice_mass(n, math.sqrt(2.0)) * section / frame_volume(n)
+    return math.sqrt(total / denom)
 
 
 def geodesic_lift(frame: FramePoint, theta: float) -> np.ndarray:

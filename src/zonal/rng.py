@@ -17,7 +17,6 @@ BLOCK = 1 << 14
 # purpose tags (first spawn-key component)
 GRAM = 1
 GRAM_CHECK = 2
-SECTION_NORM = 3
 PAIR_DRAW = 4
 PROBE = 5
 

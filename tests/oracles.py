@@ -184,6 +184,19 @@ def exact_c_constant(n: int, k: int) -> float:
     return math.sqrt(num / denom)
 
 
+def c_ratio_exact(n: int, k: int) -> float:
+    """Closed form of c_k over its leading form, for k >= 1.
+
+    c_k^2 is (n-1)! vol(S^n) vol(S^(n-1)) / (2 sqrt(2) pi^L) times
+    Gamma(k+L) / Gamma(k+n-1), L = (n-1)/2, and the leading form replaces
+    the Gamma ratio by its large-k value k^-L.  The ratio is therefore
+    sqrt(k^L Gamma(k+L) / Gamma(k+n-1)) = 1 - (n-1)(3n-5)/(16 k) + O(k^-2):
+    1 - 1/(16 k) at n=2, and exactly sqrt(k / (k+1)) at n=3.
+    """
+    half = 0.5 * (n - 1)
+    return math.exp(0.5 * (half * math.log(k) + math.lgamma(k + half) - math.lgamma(k + n - 1)))
+
+
 # Frozen outputs of the functions above (full precision).  Regenerating them
 # is cheap; the test suite recomputes a subset each run and compares.
 C_EXACT = {

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from zonal import harness
-from zonal.cli import main
+from zonal.cli import MAX_BATCH, MAX_GRID, build_parser, main
 
 
 def run_cli(argv, capsys):
@@ -48,7 +48,7 @@ def test_eval_json_document(capsys):
     assert doc["schema_version"] == 1
     assert doc["kind"] == "eval"
     assert doc["config"]["n"] == 2 and doc["config"]["k"] == 4
-    assert "seed" in doc["config"]
+    assert "seed" not in doc["config"]  # eval draws no random numbers
     assert len(doc["rows"]) == 3  # default angle list
 
 
@@ -67,6 +67,8 @@ def test_eval_rejects_foreign_flag(capsys):
     code, _, _ = run_cli(["eval", "--k", "2", "--delta", "0.1"], capsys)
     assert code == 2
     code, _, _ = run_cli(["eval", "--k", "2", "--samples", "1000"], capsys)
+    assert code == 2
+    code, _, _ = run_cli(["eval", "--k", "2", "--seed", "1"], capsys)
     assert code == 2
 
 
@@ -93,7 +95,7 @@ def test_compare_json_config_echo(capsys):
     doc = json.loads(out)
     assert doc["kind"] == "compare"
     assert doc["config"]["C"] == 0.8
-    assert doc["config"]["seed"] == 20250819
+    assert "seed" not in doc["config"]
     assert len(doc["rows"]) == 8
 
 
@@ -176,8 +178,9 @@ def test_oracle_small_report(capsys):
 
 
 def test_oracle_residuals_shrink_with_samples(capsys):
+    # the basis Gram noise alone sets the residuals; 16x samples cuts it about 4x
     reports = []
-    for samples in ("30000", "120000"):
+    for samples in ("30000", "480000"):
         code, out, _ = run_cli(
             ["oracle", "--ks", "2,3", "--pairs", "6", "--samples", samples, "--seed", "123"],
             capsys,
@@ -208,6 +211,21 @@ def test_bench_rejects_bad_arguments(capsys):
     assert run_cli(["bench", "--ks", "4", "--batch", "50000"], capsys)[0] == 2
     assert run_cli(["bench", "--ks", "4", "--budget", "0"], capsys)[0] == 2
     assert run_cli(["bench", "--ks", "4", "--format", "json"], capsys)[0] == 2
+
+
+def test_grid_and_batch_caps_reject_at_parse(capsys):
+    # parse only: a run at the cap would allocate hundreds of MB
+    parser, _ = build_parser()
+    assert parser.parse_args(["compare", "--grid", str(MAX_GRID)]).grid == MAX_GRID
+    assert parser.parse_args(["bench", "--batch", str(MAX_BATCH)]).batch == MAX_BATCH
+    for argv, cap in (
+        (["compare", "--grid", str(MAX_GRID + 1)], MAX_GRID),
+        (["scaling", "--grid", str(MAX_GRID + 1)], MAX_GRID),
+        (["bench", "--batch", str(MAX_BATCH + 1)], MAX_BATCH),
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert f"must be <= {cap}" in err
 
 
 def test_config_file_defaults_and_precedence(tmp_path, capsys):

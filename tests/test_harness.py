@@ -102,15 +102,13 @@ def test_scaling_fit_points_and_dict():
 
 
 def test_c_constant_convergence_rows():
-    rows = c_constant_convergence(2, (2, 4), samples=20_000, seed=5)
+    rows = c_constant_convergence(2, (2, 4))
     assert [r.k for r in rows] == [2, 4]
     for row in rows:
         lead = c_constant_leading(ZonalIndex(n=2, k=row.k))
         assert row.leading == lead
         assert row.ratio == row.numeric / lead
-        assert row.ratio_stderr == row.stderr / lead
         assert 0.8 < row.ratio < 1.5
-        assert row.stderr > 0.0
 
 
 def test_crossover_benchmark_validation():

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import C_EXACT, PUSH_PAIRS, exact_cone_basis, exact_gram
+from oracles import C_EXACT, PUSH_PAIRS, c_ratio_exact, exact_cone_basis, exact_gram
 from zonal import quadrature
+from zonal.asymptotics import c_constant_leading
 from zonal.quadric import (
-    ConeBasis,
     FramePoint,
     SzegoEvaluator,
     _monomial_matrix,
@@ -171,20 +171,6 @@ def test_monomial_matrix_matches_plain_product():
             assert out.shape == (m, len(exponents))
             # bitwise, including the length-1 rows where in-place products round differently
             assert out.tobytes() == plain_monomials(z, exponents).tobytes()
-
-
-def test_cone_basis_json_roundtrip(basis_cache):
-    basis = basis_cache.get(2, 2)
-    clone = ConeBasis.from_json(basis.to_json())
-    assert clone.n == basis.n and clone.k == basis.k
-    assert clone.exponents == basis.exponents
-    assert clone.samples == basis.samples and clone.seed == basis.seed
-    assert clone.gram_stderr == basis.gram_stderr
-    np.testing.assert_array_equal(clone.coeff, basis.coeff)
-    with pytest.raises(ValueError):
-        ConeBasis.from_json('{"kind": "something_else", "schema_version": 1}')
-    with pytest.raises(ValueError):
-        ConeBasis.from_json('{"kind": "cone_basis", "schema_version": 2}')
 
 
 def test_build_determinism():
@@ -376,61 +362,57 @@ def test_pushforward_validation(basis_cache):
 def test_c_constant_degree_zero_closed_form():
     # k=0 section is constant: ratio is sqrt(sqrt(2) pi vol(S^(n-1))) exactly
     for n in (2, 3):
-        value, stderr = c_constant_numeric(ZonalIndex(n=n, k=0), samples=1000, seed=1)
+        value = c_constant_numeric(ZonalIndex(n=n, k=0))
         np.testing.assert_allclose(value, math.sqrt(SQRT2 * math.pi * vol_sphere(n - 1)), rtol=1e-12)
-        assert stderr == 0.0
 
 
 def test_c_constant_matches_quadrature_oracle():
-    for n, k in [(2, 3), (2, 8), (3, 2)]:
-        value, stderr = c_constant_numeric(ZonalIndex(n=n, k=k), samples=100_000, seed=31)
-        assert abs(value - C_EXACT[(n, k)]) <= 6.0 * stderr
+    for (n, k), expected in C_EXACT.items():
+        value = c_constant_numeric(ZonalIndex(n=n, k=k))
+        np.testing.assert_allclose(value, expected, rtol=1e-12, err_msg=f"n={n} k={k}")
 
 
-def test_c_constant_stderr_scaling():
-    _, se1 = c_constant_numeric(ZonalIndex(n=2, k=8), samples=100_000, seed=31)
-    _, se4 = c_constant_numeric(ZonalIndex(n=2, k=8), samples=400_000, seed=31)
-    assert 1.7 < se1 / se4 < 2.3
+def test_c_constant_ratio_matches_gamma_closed_form():
+    for n in (2, 3):
+        for k in range(1, 13):
+            idx = ZonalIndex(n=n, k=k)
+            ratio = c_constant_numeric(idx) / c_constant_leading(idx)
+            np.testing.assert_allclose(
+                ratio, c_ratio_exact(n, k), rtol=1e-12, err_msg=f"n={n} k={k}"
+            )
 
 
 def test_c_constant_warm_equals_cold():
     # the first call builds the sphere and fiber rules, the second reuses them
     idx = ZonalIndex(n=3, k=4)
     quadrature.sphere_rule.cache_clear()
-    cold = c_constant_numeric(idx, samples=20_000, seed=3)
-    warm = c_constant_numeric(idx, samples=20_000, seed=3)
-    assert np.array(cold).tobytes() == np.array(warm).tobytes()
+    cold = c_constant_numeric(idx)
+    warm = c_constant_numeric(idx)
+    assert cold == warm
 
 
 def test_c_constant_null_vector_invariance():
     idx = ZonalIndex(n=2, k=3)
-    base = c_constant_numeric(idx, samples=50_000, seed=9)
+    base = c_constant_numeric(idx)
     # power-of-two complex scale keeps every float operation exact
-    scaled = c_constant_numeric(
-        idx, samples=50_000, seed=9, null_vector=2j * np.array([1.0, 1j, 0.0])
-    )
+    scaled = c_constant_numeric(idx, null_vector=2j * np.array([1.0, 1j, 0.0]))
     assert base == scaled
-    # a genuinely rotated null direction agrees within Monte Carlo error
+    # a genuinely rotated null direction agrees to rounding
     th = 0.7
     rotated = c_constant_numeric(
-        idx,
-        samples=50_000,
-        seed=9,
-        null_vector=np.array([1.0, math.cos(th) * 1j, math.sin(th) * 1j]),
+        idx, null_vector=np.array([1.0, math.cos(th) * 1j, math.sin(th) * 1j])
     )
-    assert abs(base[0] - rotated[0]) <= 6.0 * (base[1] + rotated[1])
+    np.testing.assert_allclose(rotated, base, rtol=1e-12)
 
 
 def test_c_constant_validation():
     idx = ZonalIndex(n=2, k=3)
     with pytest.raises(ValueError):
-        c_constant_numeric(ZonalIndex(n=1, k=2), samples=5000, seed=1)
+        c_constant_numeric(ZonalIndex(n=1, k=2))
     with pytest.raises(ValueError):
-        c_constant_numeric(idx, samples=500, seed=1)
+        c_constant_numeric(idx, null_vector=np.array([1.0, 0.5, 0.0]))
     with pytest.raises(ValueError):
-        c_constant_numeric(idx, samples=5000, seed=1, null_vector=np.array([1.0, 0.5, 0.0]))
-    with pytest.raises(ValueError):
-        c_constant_numeric(idx, samples=5000, seed=1, null_vector=np.array([1.0, 1j]))
+        c_constant_numeric(idx, null_vector=np.array([1.0, 1j]))
 
 
 # ---------------------------------------------------------------- slice geometry
