@@ -6,7 +6,10 @@ slice is exactly the set q + ip of orthonormal pairs (q, p) in R^(n+1).
 This module samples those slices, builds L2-orthonormal bases of the
 degree-k holomorphic sections by Monte Carlo, evaluates the associated
 reproducing kernel, and pushes it forward along fibers to recover the
-sphere eigenspace projector.  The push-forward constant c_k draws no
+sphere eigenspace projector.  The build's Gram and the check of its
+standard error evaluate sections in fixed row slices (rng.BLOCK and
+GRAM_CHECK_ROWS rows), so neither holds more than one slice of sections,
+whatever the sample count.  The push-forward constant c_k draws no
 samples: both of its norms are exact product-quadrature integrals over
 the frames.  All randomness flows through counter-based substreams so
 results depend only on (seed, sample count).
@@ -51,6 +54,8 @@ POINT_TOL = 1e-9
 PIVOT_FLOOR = 1e-8
 # frames drawn by the independent check of the Gram's standard error
 GRAM_CHECK_SAMPLES = 1 << 17
+# check frames evaluated per slice; sets the check's memory, not its result
+GRAM_CHECK_ROWS = 1 << 12
 
 
 def frame_volume(n: int) -> float:
@@ -287,15 +292,23 @@ def _gram_stderr(basis: ConeBasis, mass: float) -> float:
     """Largest entrywise stderr of the orthonormalized empirical Gram.
 
     Estimates the population variance of the section products on a fresh
-    substream and scales it to the build's sample count.
+    substream and scales it to the build's sample count.  The check frames
+    are evaluated GRAM_CHECK_ROWS at a time into running sums, so the
+    check holds one slice of sections, not all of its frames at once.
     """
     count = min(basis.samples, GRAM_CHECK_SAMPLES)
     gen = rng.substream(basis.seed, rng.GRAM_CHECK, 0)
     q, p = _frame_block(basis.n, count, gen)
-    s = basis.evaluate((q + 1j * p) / math.sqrt(2.0))
-    mean = mass * (s.conj().T @ s) / count
-    sq = np.abs(s) ** 2
-    second = mass**2 * (sq.T @ sq) / count
+    z = (q + 1j * p) / math.sqrt(2.0)
+    first = np.zeros((basis.size, basis.size), dtype=complex)
+    second = np.zeros((basis.size, basis.size))
+    for start in range(0, count, GRAM_CHECK_ROWS):
+        s = basis.evaluate(z[start : start + GRAM_CHECK_ROWS])
+        first += s.conj().T @ s
+        sq = s.real**2 + s.imag**2
+        second += sq.T @ sq
+    mean = mass * first / count
+    second = mass**2 * second / count
     var = np.clip(second - np.abs(mean) ** 2, 0.0, None)
     return float(np.sqrt(var / basis.samples).max())
 

@@ -197,6 +197,19 @@ def c_ratio_exact(n: int, k: int) -> float:
     return math.exp(0.5 * (half * math.log(k) + math.lgamma(k + half) - math.lgamma(k + n - 1)))
 
 
+def decay_exact(angle: float, k: int) -> float:
+    """Normalized kernel magnitude |K(x, x')| / sqrt(K(x, x) K(x', x')).
+
+    The degree-k section space is spanned by (a . z)^k over null a, and the
+    only kernel holomorphic of degree k in z, antiholomorphic in w and
+    rotation invariant on the cone is a multiple of (z . conj(w))^k.  For the
+    unit-slice pair x = (q + ip)/sqrt(2), x' = (cos(angle) q + sin(angle) e
+    + ip)/sqrt(2), with (q, p, e) orthonormal, x . conj(x') is
+    (1 + cos(angle)) / 2 and both diagonal values are equal.
+    """
+    return ((1.0 + math.cos(angle)) / 2.0) ** k
+
+
 # Frozen outputs of the functions above (full precision).  Regenerating them
 # is cheap; the test suite recomputes a subset each run and compares.
 C_EXACT = {

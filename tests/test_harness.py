@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import decay_exact
 from zonal.asymptotics import AngleWindow, c_constant_leading
 from zonal.harness import (
     CSV_HEADER,
+    JSON_BATCH,
     bracket_errors_on_grid,
     c_constant_convergence,
     compare_rows,
@@ -186,6 +188,17 @@ def test_json_summary_layout():
     assert text.index('"alpha"') < text.index('"config"') < text.index('"kind"')
 
 
+@pytest.mark.parametrize("rows", [0, 3, JSON_BATCH])
+def test_json_summary_stream_matches_one_shot(rows):
+    # a JSON_BATCH-row payload spans several batched writes
+    payload = {"rows": [{"theta": 0.1 * i, "k": i, "exact": True} for i in range(rows)]}
+    expected = json.dumps({"schema_version": 1, "kind": "demo", "config": {"n": 2}, **payload},
+                          sort_keys=True, indent=2) + "\n"
+    stream = io.StringIO()
+    assert json_summary("demo", {"n": 2}, payload, stream) is None
+    assert stream.getvalue() == json_summary("demo", {"n": 2}, payload) == expected
+
+
 def test_geometric_oracle_validation():
     with pytest.raises(ValueError):
         geometric_oracle(2, (), samples=30_000, pairs=2, seed=1)
@@ -210,6 +223,18 @@ def test_geometric_oracle_report():
     assert decay["ks"] == [2, 3]
     assert decay["monotone_until_floor"] is True
     assert decay["superpolynomial"] is None  # two degrees cannot show curvature
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("samples", [30_000, 200_000])
+def test_geometric_oracle_decay_matches_closed_form(n, samples):
+    # the probe pair sits at probe_pair's default angle 0.9; the decay values
+    # carry the basis's Gram noise, so gram_stderr must bound their error
+    out = geometric_oracle(n, (2, 4, 8), samples=samples, pairs=1, seed=7)
+    assert out["decay"]["distance"] == pytest.approx(math.sqrt(2.0) * math.sin(0.45), rel=1e-12)
+    stderr = {deg["k"]: deg["gram_stderr"] for deg in out["degrees"]}
+    for k, value in zip(out["decay"]["ks"], out["decay"]["values"]):
+        assert abs(value - decay_exact(0.9, k)) <= 2.0 * stderr[k]
 
 
 def test_geometric_oracle_deterministic():

@@ -1,14 +1,19 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from oracles import C_EXACT, PUSH_PAIRS, c_ratio_exact, exact_cone_basis, exact_gram
-from zonal import quadrature
+from zonal import quadrature, rng
 from zonal.asymptotics import c_constant_leading
 from zonal.quadric import (
+    GRAM_CHECK_SAMPLES,
     FramePoint,
     SzegoEvaluator,
+    _frame_block,
+    _gram_stderr,
     _monomial_matrix,
     _pushforward_raw,
     build_cone_basis,
@@ -192,6 +197,49 @@ def test_build_matches_exact_gram(basis_cache):
         gram = exact_gram(n, k)
         dev = np.abs(basis.coeff @ gram @ basis.coeff.conj().T - np.eye(basis.size)).max()
         assert dev <= 6.0 * basis.gram_stderr
+
+
+def one_pass_gram_stderr(basis, mass):
+    # every check frame evaluated at once, as the sliced check must reproduce
+    count = min(basis.samples, GRAM_CHECK_SAMPLES)
+    q, p = _frame_block(basis.n, count, rng.substream(basis.seed, rng.GRAM_CHECK, 0))
+    s = basis.evaluate((q + 1j * p) / SQRT2)
+    mean = mass * (s.conj().T @ s) / count
+    sq = np.abs(s) ** 2
+    second = mass**2 * (sq.T @ sq) / count
+    return float(np.sqrt(np.clip(second - np.abs(mean) ** 2, 0.0, None) / basis.samples).max())
+
+
+@pytest.mark.parametrize(
+    "n, k, samples, check_samples",
+    [
+        (2, 4, 30_000, None),  # seven full 4096-row slices and a partial one
+        (3, 4, 30_000, None),
+        (2, 2, 3_000, None),  # fewer frames than one slice
+        (3, 2, 3_000, None),
+        (3, 2, 30_000, 200_000),  # the check count capped at GRAM_CHECK_SAMPLES
+    ],
+)
+def test_sliced_gram_stderr_matches_one_pass(n, k, samples, check_samples):
+    basis = build_cone_basis(n, k, samples, seed=11)
+    if check_samples is not None:
+        basis = replace(basis, samples=check_samples)
+    mass = cone_slice_mass(n, 1.0)
+    streamed = _gram_stderr(basis, mass)
+    if check_samples is None:
+        assert streamed == basis.gram_stderr
+    np.testing.assert_allclose(streamed, one_pass_gram_stderr(basis, mass), rtol=1e-12)
+
+
+def test_build_memory_does_not_grow_with_check_frames():
+    # a check slice is 5 MB; all 131072 check frames at once would be 170 MB per array
+    tracemalloc.start()
+    try:
+        build_cone_basis(3, 8, 200_000, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 2**20
 
 
 # ---------------------------------------------------------------- kernel identities
