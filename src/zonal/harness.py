@@ -46,7 +46,7 @@ GRID_SIZE = 512
 EXACT_C = 8.0
 
 CSV_HEADER = ("n", "k", "delta", "C", "theta", "exact", "asymptotic", "abs_err", "rel_err")
-# encoder chunks joined per write of a streamed JSON document
+# JSON encoder chunks or CSV lines joined per write of a streamed document
 JSON_BATCH = 4096
 
 
@@ -372,26 +372,25 @@ def compare_rows(idx: ZonalIndex, window: AngleWindow, grid_size: int = GRID_SIZ
     return _schema_rows(idx, window, grid, range(len(grid[0])))
 
 
-def write_csv(rows, stream=None, header=CSV_HEADER) -> str:
-    """Serialize rows under ``header``; returns the CSV text (and writes it if given a stream).
+def _csv_cell(value) -> str:
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return str(int(value))
+    return format_float(value)
 
-    Integers are written as integers, everything else as round-trip floats.
+
+def write_csv(rows, stream=None, header=CSV_HEADER) -> str | None:
+    """Serialize rows under ``header``, integers as integers, the rest as round-trip floats.
+
+    Given a stream, the rows are written to it in batches of JSON_BATCH
+    lines and never held whole as text, and None is returned; without one,
+    the text is.
     """
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        cells = []
-        for name in header:
-            value = row[name]
-            if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-                cells.append(str(int(value)))
-            else:
-                cells.append(format_float(value))
-        buf.write(",".join(cells) + "\n")
-    text = buf.getvalue()
-    if stream is not None:
-        stream.write(text)
-    return text
+    out = io.StringIO() if stream is None else stream
+    out.write(",".join(header) + "\n")
+    lines = (",".join(_csv_cell(row[name]) for name in header) + "\n" for row in rows)
+    while batch := list(itertools.islice(lines, JSON_BATCH)):
+        out.write("".join(batch))
+    return out.getvalue() if stream is None else None
 
 
 def json_summary(kind: str, config: dict, payload: dict, stream=None) -> str | None:

@@ -5,6 +5,8 @@ with Gauss-Jacobi weight (1 - t^2)^((m-2)/2) and an (m-1)-sphere, and the
 circle uses equispaced angles, exact for trigonometric polynomials below
 the node count.  Weights always sum to the Riemannian volume.  Each sphere
 rule is built once per (m, degree) and shared read-only by every caller.
+Callers ask for exactly the degree of their integrand, and one fiber rule
+call covers a whole stack of base points.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from scipy.special import roots_jacobi
 
 from .special import vol_sphere
 
-__all__ = ["sphere_rule", "complement_frame", "fiber_rule", "fiber_degree"]
+__all__ = ["sphere_rule", "complement_frame", "fiber_rule"]
 
 
 @functools.lru_cache(maxsize=128)
@@ -53,43 +55,32 @@ def sphere_rule(m: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def complement_frame(q: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the hyperplane orthogonal to the unit vector q.
+    """Orthonormal bases of the hyperplanes orthogonal to unit vectors q.
 
-    Columns of the returned (d, d-1) matrix span q-perp; built from the
-    Householder reflection exchanging q with a signed coordinate axis.
+    For q of shape (..., d), columns of the returned (..., d, d-1) stack
+    span each q-perp; built from the Householder reflection exchanging q
+    with a signed coordinate axis.
     """
     q = np.asarray(q, dtype=float)
-    d = q.shape[0]
-    sign = 1.0 if q[0] >= 0.0 else -1.0
+    d = q.shape[-1]
     u = q.copy()
-    u[0] += sign
-    house = np.eye(d) - 2.0 * np.outer(u, u) / np.dot(u, u)
-    return house[:, 1:]
-
-
-def fiber_degree(n: int, k: int) -> int:
-    """Polynomial degree requested from the fiber rule at sphere dimension n.
-
-    Chosen so the circle fiber (n=2) carries at least 4k+8 equispaced nodes
-    and the two-sphere fiber (n=3) at least 2k+6 nodes per factor, both far
-    beyond the degree-k exactness the integrands need.
-    """
-    if n == 2:
-        return 4 * k + 8
-    return 4 * k + 11
+    u[..., 0] += np.where(q[..., 0] >= 0.0, 1.0, -1.0)
+    outer = u[..., :, None] * u[..., None, :]
+    house = np.eye(d) - 2.0 * outer / np.sum(u * u, axis=-1)[..., None, None]
+    return house[..., 1:]
 
 
 def fiber_rule(q: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature on the unit sphere of the hyperplane orthogonal to q.
+    """Quadrature on the unit spheres of the hyperplanes orthogonal to q.
 
-    Nodes are returned as vectors in the ambient space of q; weights sum to
-    vol(S^(d-2)) for ambient dimension d; the weights are the cached,
-    read-only weights of the sub-sphere rule.
+    For q of shape (..., d), nodes of shape (..., F, d) are vectors in the
+    ambient space of q; the F weights, shared by every fiber, sum to
+    vol(S^(d-2)) and are the cached, read-only weights of the sub-sphere
+    rule.
     """
     q = np.asarray(q, dtype=float)
-    d = q.shape[0]
+    d = q.shape[-1]
     if d < 2:
         raise ValueError("fiber_rule: ambient dimension must be at least 2")
-    basis = complement_frame(q)
     sub_nodes, weights = sphere_rule(d - 2, degree)
-    return sub_nodes @ basis.T, weights
+    return sub_nodes @ np.swapaxes(complement_frame(q), -1, -2), weights

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cholesky, solve_triangular
 
 from . import rng
-from .quadrature import fiber_degree, fiber_rule, sphere_rule
+from .quadrature import complement_frame, fiber_rule, sphere_rule
 from .special import ZonalIndex, vol_sphere
 
 __all__ = [
@@ -256,10 +256,7 @@ def build_cone_basis(n: int, k: int, samples: int, seed: int) -> ConeBasis:
         a = _monomial_matrix(scale * (q + 1j * p), exponents)
         return a.conj().T @ a
 
-    partials = rng.map_blocks(one_block, len(sizes))
-    gram = np.zeros((nbasis, nbasis), dtype=complex)
-    for part in partials:
-        gram += part
+    gram = rng.map_blocks(one_block, len(sizes))
     gram *= mass / samples
     gram = 0.5 * (gram + gram.conj().T)
 
@@ -371,12 +368,11 @@ def _pushforward_raw(
         if q.shape != (n + 1,) or abs(np.linalg.norm(q) - 1.0) > POINT_TOL:
             raise ValueError(f"pushforward_kernel: {label} must be a unit vector in R^{n + 1}")
 
-    deg = fiber_degree(n, k)
-    fibers = []
-    for q in (q0, q1):
-        nodes, w = fiber_rule(q, deg)
-        s = basis.evaluate(q[None, :] + 1j * nodes)
-        fibers.append(w @ s)
+    # each section has degree k in the fiber variable p
+    qs = np.stack([q0, q1])
+    nodes, w = fiber_rule(qs, k)
+    s = basis.evaluate((qs[:, None, :] + 1j * nodes).reshape(-1, n + 1))
+    fibers = w @ s.reshape(2, len(w), basis.size)
     raw = ev.prefactor * complex(np.sum(fibers[0] * fibers[1].conj()))
     # a Monte Carlo Gram leaves imaginary noise of order gram_stderr times
     # the fiber-integral magnitudes; only an excess beyond that is a bug
@@ -416,17 +412,16 @@ def c_constant_numeric(idx: ZonalIndex, *, null_vector: np.ndarray | None = None
 
     The section is s(z) = (a . z)^k with a null (a . a = 0), by default
     a = e0 + i e1.  Both norms come from one product quadrature over the
-    frames (q, p): sphere_rule(n, 2k+6) for q and fiber_rule(q,
-    fiber_degree(n, k)) for p.  The push-forward norm is the sphere
-    integral of |fiber integral of s|^2; the section norm over the
+    frames (q, p): sphere_rule(n, 2k) for q and the fiber rule of degree 2k
+    for p, run over all q nodes at once.  The push-forward norm is the
+    sphere integral of |fiber integral of s|^2; the section norm over the
     radius-sqrt(2) slice (normalized volume) is the frame integral of |s|^2,
     scaled by cone_slice_mass(n, sqrt(2)) / frame_volume(n).  Both
-    integrands are polynomials of degree 2k in p, below the fiber rule's
-    degree 4k+8 (n=2) or 4k+11 (n=3); integrating p out leaves a polynomial
-    of degree at most 2k in q, below the sphere rule's 2k+6.  The ratio is
-    therefore exact up to rounding.  It does not depend on the choice of a:
-    rotations act transitively on null directions and the section scale
-    cancels.
+    integrands are polynomials of degree 2k in p, and integrating p out
+    leaves a polynomial of degree at most 2k in q, so each rule has exactly
+    its integrand's degree and the ratio is exact up to rounding.  It does
+    not depend on the choice of a: rotations act transitively on null
+    directions and the section scale cancels.
     """
     n, k = idx.n, idx.k
     if n not in (2, 3):
@@ -442,15 +437,13 @@ def c_constant_numeric(idx: ZonalIndex, *, null_vector: np.ndarray | None = None
         if norm2 == 0.0 or abs(complex(np.sum(a * a))) > 1e-10 * norm2:
             raise ValueError("c_constant_numeric: null_vector must satisfy a . a = 0")
 
-    nodes, weights = sphere_rule(n, 2 * k + 6)
-    deg = fiber_degree(n, k)
-    total = 0.0
-    section = 0.0
-    for q, w in zip(nodes, weights):
-        pnodes, pw = fiber_rule(q, deg)
-        vals = (np.dot(a, q) + 1j * (pnodes @ a)) ** k
-        total += w * abs(np.dot(pw, vals)) ** 2
-        section += w * np.dot(pw, vals.real**2 + vals.imag**2)
+    nodes, weights = sphere_rule(n, 2 * k)
+    sub_nodes, pw = sphere_rule(n - 1, 2 * k)
+    # a . p = (a @ frame(q)) . t at the fiber node p = frame(q) @ t, so the
+    # (q node, fiber node) array of the p themselves is never formed
+    vals = ((nodes @ a)[:, None] + 1j * ((a @ complement_frame(nodes)) @ sub_nodes.T)) ** k
+    total = weights @ np.abs(vals @ pw) ** 2
+    section = weights @ ((vals.real**2 + vals.imag**2) @ pw)
     denom = cone_slice_mass(n, math.sqrt(2.0)) * section / frame_volume(n)
     return math.sqrt(total / denom)
 

@@ -27,6 +27,13 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def map_blocks(fn, nblocks: int) -> list:
-    """Apply ``fn`` to block indices 0..nblocks-1, results in block order."""
-    return [fn(b) for b in range(nblocks)]
+def map_blocks(fn, nblocks: int):
+    """Sum of ``fn(b)`` over block indices b = 0..nblocks-1, added in block order.
+
+    nblocks must be at least 1.  Each block's result is added as it
+    arrives, so only one is held at a time.
+    """
+    total = fn(0)
+    for b in range(1, nblocks):
+        total += fn(b)
+    return total

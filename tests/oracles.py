@@ -132,10 +132,15 @@ def eval_monomials(z: np.ndarray, exponents) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def exact_gram(n: int, k: int) -> np.ndarray:
-    """Quadrature-exact Gram of the coset monomials on the unit slice."""
+    """Quadrature-exact Gram of the coset monomials on the unit slice.
+
+    Each entry integrates a polynomial of degree 2k in p, and the fiber
+    integral leaves one of degree at most 2k in q, so both rules have
+    degree 2k.
+    """
     exponents = monomial_basis(n, k)
     size = len(exponents)
-    snodes, sweights = sphere_nodes(n, 4 * k + 2)
+    snodes, sweights = sphere_nodes(n, 2 * k)
     gram = np.zeros((size, size), dtype=complex)
     scale = 1.0 / math.sqrt(2.0)
     for q, wq in zip(snodes, sweights):

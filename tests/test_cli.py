@@ -160,6 +160,10 @@ def test_oracle_rejects_csv_and_bad_dimension(capsys):
     assert run_cli(["oracle", "--format", "json"], capsys)[0] == 2
     assert run_cli(["oracle", "--n", "5", "--samples", "2000"], capsys)[0] == 2
     assert run_cli(["oracle", "--ks", "13", "--samples", "2000"], capsys)[0] == 2
+    # degree 0 and repeated degrees are refused by the parser, before any basis build
+    for ks in ("0,2", "2,2", "4,2,4"):
+        code, out, err = run_cli(["oracle", "--ks", ks], capsys)
+        assert code == 2 and out == "" and "argument --ks" in err
 
 
 def test_oracle_small_report(capsys):
@@ -211,6 +215,8 @@ def test_bench_rejects_bad_arguments(capsys):
     assert run_cli(["bench", "--ks", "4", "--batch", "50000"], capsys)[0] == 2
     assert run_cli(["bench", "--ks", "4", "--budget", "0"], capsys)[0] == 2
     assert run_cli(["bench", "--ks", "4", "--format", "json"], capsys)[0] == 2
+    code, out, err = run_cli(["bench", "--ks", "16,16"], capsys)
+    assert code == 2 and out == "" and "argument --ks" in err
 
 
 def test_grid_and_batch_caps_reject_at_parse(capsys):

@@ -160,10 +160,20 @@ def test_write_csv_schema():
     assert first[0] == "2" and first[1] == "16"  # integers stay integers
     assert float(first[4]) > 0.0
     stream = io.StringIO()
-    echoed = write_csv(rows, stream)
-    assert stream.getvalue() == echoed == text
+    assert write_csv(rows, stream) is None
+    assert stream.getvalue() == text
     other = write_csv([{"k": 3, "x": 0.5}], header=("k", "x"))
     assert other == "k,x\n3,0.5\n"
+
+
+@pytest.mark.parametrize("count", [0, 3, JSON_BATCH + 1])
+def test_write_csv_stream_matches_one_shot(count):
+    # JSON_BATCH + 1 rows span two batched writes
+    rows = [{"k": i, "x": 0.1 * i} for i in range(count)]
+    expected = "k,x\n" + "".join(f"{i},{0.1 * i!r}\n" for i in range(count))
+    stream = io.StringIO()
+    assert write_csv(rows, stream, header=("k", "x")) is None
+    assert stream.getvalue() == write_csv(rows, header=("k", "x")) == expected
 
 
 def test_compare_rows_contents():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from zonal.quadrature import complement_frame, fiber_degree, fiber_rule, sphere_rule
+from zonal.quadrature import complement_frame, fiber_rule, sphere_rule
 from zonal.special import vol_sphere
 
 
@@ -106,12 +106,29 @@ def test_fiber_rule_second_moment():
         np.testing.assert_allclose(numeric, vol_sphere(d - 2) / (d - 1) * perp2, rtol=1e-12)
 
 
-def test_fiber_degree_margin():
-    for k in (0, 3, 12):
-        assert fiber_degree(2, k) == 4 * k + 8
-        assert fiber_degree(3, k) == 4 * k + 11
-        assert fiber_degree(2, k) >= 2 * k
-        assert fiber_degree(3, k) >= 2 * k
+def test_stacked_frames_match_single_calls():
+    # a (2, 3, d) stack of base points, axis signs of both kinds included
+    rng = np.random.default_rng(17)
+    for d in (3, 4):
+        qs = rng.standard_normal((2, 3, d))
+        qs[0, 0] = 0.0
+        qs[0, 0, 0] = -1.0
+        qs /= np.linalg.norm(qs, axis=-1, keepdims=True)
+        frames = complement_frame(qs)
+        nodes, weights = fiber_rule(qs, 5)
+        assert frames.shape == (2, 3, d, d - 1)
+        assert nodes.shape == (2, 3, len(weights), d)
+        np.testing.assert_allclose(
+            np.swapaxes(frames, -1, -2) @ frames, np.broadcast_to(np.eye(d - 1), (2, 3, d - 1, d - 1)),
+            atol=1e-13,
+        )
+        np.testing.assert_allclose(np.einsum("abfd,abd->abf", nodes, qs), 0.0, atol=1e-13)
+        for i in range(2):
+            for j in range(3):
+                np.testing.assert_allclose(frames[i, j], complement_frame(qs[i, j]), rtol=0, atol=1e-15)
+                single, single_w = fiber_rule(qs[i, j], 5)
+                assert single_w is weights
+                np.testing.assert_allclose(nodes[i, j], single, rtol=0, atol=1e-15)
 
 
 def test_sphere_rule_cached_read_only():

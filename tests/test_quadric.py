@@ -5,7 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import C_EXACT, PUSH_PAIRS, c_ratio_exact, exact_cone_basis, exact_gram
+from oracles import (
+    C_EXACT,
+    PUSH_PAIRS,
+    c_ratio_exact,
+    eval_monomials,
+    exact_cone_basis,
+    exact_gram,
+    fiber_nodes,
+)
 from zonal import quadrature, rng
 from zonal.asymptotics import c_constant_leading
 from zonal.quadric import (
@@ -387,6 +395,26 @@ def test_pushforward_imaginary_residue_tiny():
     for _ in range(5):
         raw, _ = _pushforward_raw(ev, sphere_point(2, gen), sphere_point(2, gen))
         assert abs(raw.imag) < 1e-10 * (1.0 + abs(raw.real))
+
+
+def test_pushforward_fiber_rule_has_the_kernel_degree():
+    # the kernel has degree k in each fiber variable, so the degree-k fiber
+    # rule must match an independent double fiber integral of higher degree
+    gen = np.random.default_rng(53)
+    for n in (2, 3):
+        for k in range(1, 9):
+            basis = exact_cone_basis(n, k)
+            ev = SzegoEvaluator(basis=basis, radius=SQRT2)
+            q0 = sphere_point(n, gen)
+            for q1 in (sphere_point(n, gen), sphere_point(n, gen), q0):
+                raw, _ = _pushforward_raw(ev, q0, q1)
+                fibers = []
+                for q in (q0, q1):
+                    nodes, weights = fiber_nodes(q, k + 4)
+                    sections = eval_monomials(q + 1j * nodes, basis.exponents) @ basis.coeff.T
+                    fibers.append(weights @ sections)
+                ref = ev.prefactor * complex(np.sum(fibers[0] * fibers[1].conj()))
+                assert abs(raw - ref) <= 1e-13 * max(1.0, abs(ref)), (n, k, raw, ref)
 
 
 def test_pushforward_validation(basis_cache):
