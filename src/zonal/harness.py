@@ -269,28 +269,27 @@ def crossover_benchmark(
 def geometric_oracle(n: int, ks, samples: int, pairs: int, seed: int) -> dict:
     """Cross-checks of the geometric chain on Monte Carlo bases, per degree.
 
-    For every degree: builds the cone basis from `samples` Haar frames,
-    evaluates the fiber push-forward of the kernel at `pairs` random sphere
-    pairs plus the diagonal, and compares against the push-forward constant
-    squared times the sphere projector.  The constant (`c_numeric`) is
-    quadrature-exact and does not depend on `samples` or `seed`; `c_ratio`
-    is its ratio to the leading form.  Residuals are normalized by the
-    diagonal scale C^2 N / vol(S^n), so they measure the Monte Carlo noise
-    of the basis alone.  A decay section reuses the bases at one separated
-    probe pair.  Everything random is driven by counter-based substreams of
-    `seed`, so the result is a function of the arguments alone.
+    Builds the cone bases of all degrees in one pass over `samples` Haar
+    frames.  For every degree: evaluates the fiber push-forward of the
+    kernel at `pairs` random sphere pairs plus the diagonal, and compares
+    against the push-forward constant squared times the sphere projector.
+    The constant (`c_numeric`) is quadrature-exact and does not depend on
+    `samples` or `seed`; `c_ratio` is its ratio to the leading form.
+    Residuals are normalized by the diagonal scale C^2 N / vol(S^n), so
+    they measure the Monte Carlo noise of the basis alone.  A decay section
+    reuses the bases at one separated probe pair.  Everything random is
+    driven by counter-based substreams of `seed`, so the result is a
+    function of the arguments alone.
     """
     ks = sorted(int(k) for k in ks)
     if not ks:
         raise ValueError("geometric_oracle: need at least one degree")
     if pairs < 1:
         raise ValueError(f"geometric_oracle: pairs must be >= 1, got {pairs}")
-    bases = []
+    bases = quadric.build_cone_basis(n, ks, samples, seed)
     degrees = []
-    for k in ks:
+    for k, basis in zip(ks, bases):
         idx = ZonalIndex(n=n, k=k)
-        basis = quadric.build_cone_basis(n, k, samples, seed)
-        bases.append(basis)
         ev = quadric.SzegoEvaluator(basis=basis, radius=math.sqrt(2.0))
         c_num = quadric.c_constant_numeric(idx)
         lead = c_constant_leading(idx)

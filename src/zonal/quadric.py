@@ -6,13 +6,15 @@ slice is exactly the set q + ip of orthonormal pairs (q, p) in R^(n+1).
 This module samples those slices, builds L2-orthonormal bases of the
 degree-k holomorphic sections by Monte Carlo, evaluates the associated
 reproducing kernel, and pushes it forward along fibers to recover the
-sphere eigenspace projector.  The build's Gram and the check of its
-standard error evaluate sections in fixed row slices (rng.BLOCK and
-GRAM_CHECK_ROWS rows), so neither holds more than one slice of sections,
-whatever the sample count.  The push-forward constant c_k draws no
-samples: both of its norms are exact product-quadrature integrals over
-the frames.  All randomness flows through counter-based substreams so
-results depend only on (seed, sample count).
+sphere eigenspace projector.  One build pass draws each block of frames
+once for every requested degree and adds each degree's Gram by a
+Hermitian rank-k update (zherk).  The build and the check of its
+standard error evaluate one degree's sections in fixed row slices
+(rng.BLOCK and GRAM_CHECK_ROWS rows), whatever the sample count.  The
+push-forward constant c_k draws no samples: both of its norms are exact
+product-quadrature integrals over the frames.  All randomness flows
+through counter-based substreams so results depend only on (seed, sample
+count).
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, solve_triangular
+from scipy.linalg import LinAlgError, blas, cholesky, solve_triangular
 
 from . import rng
 from .quadrature import complement_frame, fiber_rule, sphere_rule
@@ -231,21 +233,31 @@ def _block_sizes(samples: int) -> list[int]:
     return sizes
 
 
-def build_cone_basis(n: int, k: int, samples: int, seed: int) -> ConeBasis:
-    """Estimate the Gram of the monomial basis on the unit slice and invert it.
+def _hermitian(upper: np.ndarray) -> np.ndarray:
+    """Hermitian matrix whose upper triangle (diagonal included) is upper's."""
+    return upper + np.triu(upper, 1).conj().T
 
-    Draws Haar frames block by block (one substream per block), scales the
-    lifts down to radius 1, accumulates the Gram of the coset monomials under
-    the normalized slice volume, Hermitizes, and Cholesky-factorizes with a
-    relative pivot floor of 1e-8.  Raises if the estimated Gram is not
-    safely positive definite, which is the too-few-samples signature.
+
+def build_cone_basis(n: int, ks, samples: int, seed: int) -> tuple[ConeBasis, ...]:
+    """Estimate the Gram of each degree's monomial basis on the unit slice and invert it.
+
+    One pass draws Haar frames block by block (one substream per block) and
+    scales the lifts down to radius 1.  For each degree in ks it forms the
+    block's coset monomials and adds the upper triangle of their Gram, a
+    Hermitian rank-k update (zherk), so each frame is drawn once for all
+    degrees and one degree's monomials are held at a time.  After the last
+    block each Gram is scaled by the normalized slice volume, made
+    Hermitian, and Cholesky-factorized with a relative pivot floor of 1e-8.
+    Raises if a Gram is not safely positive definite, which is the
+    too-few-samples signature.  Returns one ConeBasis per degree in the
+    order of ks; each is the same whatever the other degrees are.
     """
-    exponents = monomial_basis(n, k)
-    nbasis = len(exponents)
-    if samples < 10 * nbasis:
-        raise ValueError(
-            f"build_cone_basis: samples={samples} is below 10x basis size ({10 * nbasis}); increase samples"
-        )
+    families = [monomial_basis(n, k) for k in ks]
+    for exponents in families:
+        if samples < 10 * len(exponents):
+            raise ValueError(
+                f"build_cone_basis: samples={samples} is below 10x basis size ({10 * len(exponents)}); increase samples"
+            )
     sizes = _block_sizes(samples)
     mass = cone_slice_mass(n, 1.0)
     scale = 1.0 / math.sqrt(2.0)
@@ -253,58 +265,57 @@ def build_cone_basis(n: int, k: int, samples: int, seed: int) -> ConeBasis:
     def one_block(b: int) -> np.ndarray:
         gen = rng.substream(seed, rng.GRAM, b)
         q, p = _frame_block(n, sizes[b], gen)
-        a = _monomial_matrix(scale * (q + 1j * p), exponents)
-        return a.conj().T @ a
-
-    gram = rng.map_blocks(one_block, len(sizes))
-    gram *= mass / samples
-    gram = 0.5 * (gram + gram.conj().T)
-
-    try:
-        low = cholesky(gram, lower=True)
-    except LinAlgError as exc:
-        raise ValueError(
-            f"build_cone_basis: Gram at samples={samples} is not positive definite; increase samples"
-        ) from exc
-    pivots = np.diag(low).real ** 2
-    if pivots.min() < PIVOT_FLOOR * pivots.max():
-        raise ValueError(
-            f"build_cone_basis: Gram pivot ratio below {PIVOT_FLOOR:g} at samples={samples}; increase samples"
+        z = scale * (q + 1j * p)
+        # the monomial matrix is Fortran-ordered, so zherk forms a^H a without a copy
+        return np.concatenate(
+            [blas.zherk(1.0, _monomial_matrix(z, e), trans=2).ravel() for e in families]
         )
-    coeff = solve_triangular(low, np.eye(nbasis), lower=True)
 
-    basis = ConeBasis(
-        n=n,
-        k=k,
-        exponents=exponents,
-        coeff=coeff,
-        samples=samples,
-        seed=seed,
-        gram_stderr=0.0,
-    )
-    return replace(basis, gram_stderr=_gram_stderr(basis, mass))
+    flat = rng.map_blocks(one_block, len(sizes)) * (mass / samples)
+    grams = np.split(flat, np.cumsum([len(e) ** 2 for e in families])[:-1])
+    q, p = _frame_block(n, min(samples, GRAM_CHECK_SAMPLES), rng.substream(seed, rng.GRAM_CHECK, 0))
+    check = (q + 1j * p) / math.sqrt(2.0)
+
+    bases = []
+    for k, exponents, upper in zip(ks, families, grams):
+        nbasis = len(exponents)
+        gram = _hermitian(upper.reshape(nbasis, nbasis))
+        try:
+            low = cholesky(gram, lower=True)
+        except LinAlgError as exc:
+            raise ValueError(
+                f"build_cone_basis: Gram at samples={samples} is not positive definite; increase samples"
+            ) from exc
+        pivots = np.diag(low).real ** 2
+        if pivots.min() < PIVOT_FLOOR * pivots.max():
+            raise ValueError(
+                f"build_cone_basis: Gram pivot ratio below {PIVOT_FLOOR:g} at samples={samples}; increase samples"
+            )
+        coeff = solve_triangular(low, np.eye(nbasis), lower=True)
+        basis = ConeBasis(n, k, exponents, coeff, samples, seed, gram_stderr=0.0)
+        bases.append(replace(basis, gram_stderr=_gram_stderr(basis, mass, check)))
+    return tuple(bases)
 
 
-def _gram_stderr(basis: ConeBasis, mass: float) -> float:
+def _gram_stderr(basis: ConeBasis, mass: float, z: np.ndarray) -> float:
     """Largest entrywise stderr of the orthonormalized empirical Gram.
 
-    Estimates the population variance of the section products on a fresh
-    substream and scales it to the build's sample count.  The check frames
-    are evaluated GRAM_CHECK_ROWS at a time into running sums, so the
-    check holds one slice of sections, not all of its frames at once.
+    Estimates the population variance of the section products at the
+    unit-slice check points z, drawn by the build from a substream of their
+    own, and scales it to the build's sample count.  The points are
+    evaluated GRAM_CHECK_ROWS at a time into running sums, the first moment
+    by zherk, so the check holds one slice of sections, not all of them.
     """
-    count = min(basis.samples, GRAM_CHECK_SAMPLES)
-    gen = rng.substream(basis.seed, rng.GRAM_CHECK, 0)
-    q, p = _frame_block(basis.n, count, gen)
-    z = (q + 1j * p) / math.sqrt(2.0)
+    count = len(z)
     first = np.zeros((basis.size, basis.size), dtype=complex)
     second = np.zeros((basis.size, basis.size))
     for start in range(0, count, GRAM_CHECK_ROWS):
         s = basis.evaluate(z[start : start + GRAM_CHECK_ROWS])
-        first += s.conj().T @ s
+        # s.T is Fortran-ordered; its zherk is conj(s^H s), and only the modulus is used
+        first += blas.zherk(1.0, s.T)
         sq = s.real**2 + s.imag**2
         second += sq.T @ sq
-    mean = mass * first / count
+    mean = mass * _hermitian(first) / count
     second = mass**2 * second / count
     var = np.clip(second - np.abs(mean) ** 2, 0.0, None)
     return float(np.sqrt(var / basis.samples).max())

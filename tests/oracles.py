@@ -215,6 +215,20 @@ def decay_exact(angle: float, k: int) -> float:
     return ((1.0 + math.cos(angle)) / 2.0) ** k
 
 
+def szego_kernel_exact(n: int, k: int, z: np.ndarray, w: np.ndarray):
+    """Degree-k reproducing kernel on the unit slice, N_k / mass(1) (z . conj(w))^k.
+
+    The kernel is holomorphic of degree k in z, antiholomorphic in w and
+    rotation invariant, and z . z = w . w = 0 on the cone, so it is a
+    multiple of (z . conj(w))^k.  Its trace over the slice is the dimension
+    N_k = binom(k+n, n) - binom(k+n-2, n) of the section space, and
+    z . conj(z) = 1 on the unit slice fixes the multiple at N_k / mass(1).
+    """
+    dim = math.comb(k + n, n) - (math.comb(k + n - 2, n) if k >= 2 else 0)
+    product = np.sum(np.asarray(z) * np.conj(np.asarray(w)), axis=-1)
+    return dim / slice_mass(n, 1.0) * product**k
+
+
 # Frozen outputs of the functions above (full precision).  Regenerating them
 # is cheap; the test suite recomputes a subset each run and compares.
 C_EXACT = {

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import cholesky, solve_triangular
 
 from oracles import (
     C_EXACT,
@@ -13,11 +14,13 @@ from oracles import (
     exact_cone_basis,
     exact_gram,
     fiber_nodes,
+    szego_kernel_exact,
 )
 from zonal import quadrature, rng
 from zonal.asymptotics import c_constant_leading
 from zonal.quadric import (
     GRAM_CHECK_SAMPLES,
+    ConeBasis,
     FramePoint,
     SzegoEvaluator,
     _frame_block,
@@ -187,15 +190,19 @@ def test_monomial_matrix_matches_plain_product():
 
 
 def test_build_determinism():
-    a = build_cone_basis(2, 2, 30_000, seed=5)
-    b = build_cone_basis(2, 2, 30_000, seed=5)
-    assert a.coeff.tobytes() == b.coeff.tobytes()
-    assert a.gram_stderr == b.gram_stderr
+    a = build_cone_basis(2, (2, 4), 30_000, seed=5)
+    b = build_cone_basis(2, (2, 4), 30_000, seed=5)
+    for x, y in zip(a, b):
+        assert x.coeff.tobytes() == y.coeff.tobytes()
+        assert x.gram_stderr == y.gram_stderr
 
 
 def test_build_rejects_too_few_samples():
     with pytest.raises(ValueError):
-        build_cone_basis(2, 2, 40, seed=5)
+        build_cone_basis(2, (2,), 40, seed=5)
+    # every degree keeps its own floor: 10 x 17 sections at k=8, 10 x 5 at k=2
+    with pytest.raises(ValueError, match=r"below 10x basis size \(170\)"):
+        build_cone_basis(2, (2, 8), 100, seed=5)
 
 
 def test_build_matches_exact_gram(basis_cache):
@@ -207,14 +214,19 @@ def test_build_matches_exact_gram(basis_cache):
         assert dev <= 6.0 * basis.gram_stderr
 
 
-def one_pass_gram_stderr(basis, mass):
-    # every check frame evaluated at once, as the sliced check must reproduce
-    count = min(basis.samples, GRAM_CHECK_SAMPLES)
-    q, p = _frame_block(basis.n, count, rng.substream(basis.seed, rng.GRAM_CHECK, 0))
-    s = basis.evaluate((q + 1j * p) / SQRT2)
-    mean = mass * (s.conj().T @ s) / count
+def check_points(n, samples, seed):
+    # the unit-slice check points the build draws for _gram_stderr
+    count = min(samples, GRAM_CHECK_SAMPLES)
+    q, p = _frame_block(n, count, rng.substream(seed, rng.GRAM_CHECK, 0))
+    return (q + 1j * p) / SQRT2
+
+
+def one_pass_gram_stderr(basis, mass, z):
+    # every check point evaluated at once, as the sliced check must reproduce
+    s = basis.evaluate(z)
+    mean = mass * (s.conj().T @ s) / len(z)
     sq = np.abs(s) ** 2
-    second = mass**2 * (sq.T @ sq) / count
+    second = mass**2 * (sq.T @ sq) / len(z)
     return float(np.sqrt(np.clip(second - np.abs(mean) ** 2, 0.0, None) / basis.samples).max())
 
 
@@ -225,25 +237,59 @@ def one_pass_gram_stderr(basis, mass):
         (3, 4, 30_000, None),
         (2, 2, 3_000, None),  # fewer frames than one slice
         (3, 2, 3_000, None),
-        (3, 2, 30_000, 200_000),  # the check count capped at GRAM_CHECK_SAMPLES
+        (3, 2, 200_000, None),  # the build checks only GRAM_CHECK_SAMPLES frames
+        (3, 2, 30_000, 200_000),  # the stderr scaled by basis.samples, not by the check count
     ],
 )
 def test_sliced_gram_stderr_matches_one_pass(n, k, samples, check_samples):
-    basis = build_cone_basis(n, k, samples, seed=11)
+    (basis,) = build_cone_basis(n, (k,), samples, seed=11)
     if check_samples is not None:
         basis = replace(basis, samples=check_samples)
+    z = check_points(n, basis.samples, seed=11)
     mass = cone_slice_mass(n, 1.0)
-    streamed = _gram_stderr(basis, mass)
+    streamed = _gram_stderr(basis, mass, z)
     if check_samples is None:
         assert streamed == basis.gram_stderr
-    np.testing.assert_allclose(streamed, one_pass_gram_stderr(basis, mass), rtol=1e-12)
+    np.testing.assert_allclose(streamed, one_pass_gram_stderr(basis, mass, z), rtol=1e-12)
+
+
+def reference_build(n, k, samples, seed):
+    # one degree per pass, each block's Gram as the full product a^H a
+    exponents = monomial_basis(n, k)
+    mass = cone_slice_mass(n, 1.0)
+    full, tail = divmod(samples, rng.BLOCK)
+    gram = np.zeros((len(exponents), len(exponents)), dtype=complex)
+    for b, size in enumerate([rng.BLOCK] * full + [tail] * bool(tail)):
+        q, p = _frame_block(n, size, rng.substream(seed, rng.GRAM, b))
+        a = _monomial_matrix((q + 1j * p) / SQRT2, exponents)
+        gram += a.conj().T @ a
+    gram *= mass / samples
+    low = cholesky(0.5 * (gram + gram.conj().T), lower=True)
+    coeff = solve_triangular(low, np.eye(len(exponents)), lower=True)
+    basis = ConeBasis(n, k, exponents, coeff, samples, seed, gram_stderr=0.0)
+    return coeff, one_pass_gram_stderr(basis, mass, check_points(n, samples, seed))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_one_pass_build_equals_one_degree_builds(n):
+    ks = (2, 4, 8)
+    together = build_cone_basis(n, ks, 40_000, seed=3)
+    assert [b.k for b in together] == list(ks)
+    for k, basis in zip(ks, together):
+        (alone,) = build_cone_basis(n, (k,), 40_000, seed=3)
+        assert basis.coeff.tobytes() == alone.coeff.tobytes()
+        assert basis.gram_stderr == alone.gram_stderr
+        coeff, stderr = reference_build(n, k, 40_000, seed=3)
+        np.testing.assert_allclose(basis.coeff, coeff, rtol=1e-12)
+        np.testing.assert_allclose(basis.gram_stderr, stderr, rtol=1e-12)
 
 
 def test_build_memory_does_not_grow_with_check_frames():
-    # a check slice is 5 MB; all 131072 check frames at once would be 170 MB per array
+    # a check slice is 5 MB; all 131072 check frames at once would be 170 MB
+    # per array, and every degree's block monomials at once 30 MB more
     tracemalloc.start()
     try:
-        build_cone_basis(3, 8, 200_000, seed=7)
+        build_cone_basis(3, (2, 4, 8), 200_000, seed=7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -327,6 +373,19 @@ def test_kernel_conjugation():
         np.testing.assert_allclose(
             ev.kernel(x.conj(), y.conj()), np.conj(val), rtol=0, atol=5e-13 * max(1.0, abs(val))
         )
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_kernel_matches_closed_form(n, k):
+    # exact-quadrature basis against N_k / mass(1) (z . conj(w))^k, sharing no zonal code
+    ev = SzegoEvaluator(basis=exact_cone_basis(n, k), radius=1.0)
+    gen = np.random.default_rng(100 * n + k)
+    x = np.array([unit_slice_point(n, gen) for _ in range(50)])
+    y = np.array([unit_slice_point(n, gen) for _ in range(50)])
+    diagonal = ev.basis.size / cone_slice_mass(n, 1.0)
+    err = np.abs(ev.kernel(x, y) - szego_kernel_exact(n, k, x, y)).max() / diagonal
+    assert err <= 1e-13
 
 
 def test_kernel_conjugation_monte_carlo(basis_cache):
@@ -427,7 +486,7 @@ def test_pushforward_validation(basis_cache):
         pushforward_kernel(ev, 2.0 * e0, e1)
     with pytest.raises(ValueError):
         pushforward_kernel(ev, np.array([1.0, 0.0, 0.0, 0.0]), e1)
-    n1 = build_cone_basis(1, 2, 1000, seed=1)
+    (n1,) = build_cone_basis(1, (2,), 1000, seed=1)
     with pytest.raises(ValueError):
         pushforward_kernel(SzegoEvaluator(basis=n1, radius=SQRT2), e0[:2], e1[:2])
 
