@@ -236,10 +236,12 @@ def crossover_benchmark(
 
     Each degree is timed on >= batch evaluations per repetition (median of
     reps wall-clock readings divided by the batch size, reported in ns per
-    evaluation).  The recurrence runs k steps in C per angle, linear in the
-    degree, while the leading form is degree-independent, so the report
-    recommends the smallest sampled degree at which the leading form is
-    both faster and inside the error budget.
+    evaluation).  The exact path costs k steps in C per angle below
+    ``special.K_EXPANSION`` and, from there on, a Darboux sum of at most
+    ``special.MAX_TERMS`` terms per angle inside the window, so its cost
+    stops growing with the degree; the leading form, one term, is cheaper
+    still.  The report recommends the smallest sampled degree at which the
+    leading form is both faster and inside the error budget.
     """
     window = window or AngleWindow()
     if batch < 100_000:

@@ -253,6 +253,8 @@ def build_cone_basis(n: int, ks, samples: int, seed: int) -> tuple[ConeBasis, ..
     order of ks; each is the same whatever the other degrees are.
     """
     families = [monomial_basis(n, k) for k in ks]
+    if not families:
+        raise ValueError("build_cone_basis: ks is empty; need at least one degree")
     for exponents in families:
         if samples < 10 * len(exponents):
             raise ValueError(

@@ -203,6 +203,9 @@ def test_build_rejects_too_few_samples():
     # every degree keeps its own floor: 10 x 17 sections at k=8, 10 x 5 at k=2
     with pytest.raises(ValueError, match=r"below 10x basis size \(170\)"):
         build_cone_basis(2, (2, 8), 100, seed=5)
+    # an empty degree list is named, not left to numpy's concatenate
+    with pytest.raises(ValueError, match="ks is empty"):
+        build_cone_basis(2, (), 30_000, seed=5)
 
 
 def test_build_matches_exact_gram(basis_cache):

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 from scipy.special import eval_jacobi, eval_legendre
 
 from zonal.special import (
+    K_EXPANSION,
     ZonalIndex,
+    _darboux_plan,
+    _gamma_ratio,
     dim_eigenspace,
     gegenbauer_jacobi,
     gegenbauer_norm_constant,
@@ -241,9 +244,10 @@ def test_no_overflow_at_extreme_degree():
 
 
 def _envelope(n, k, theta):
-    # leading amplitude of the value-one polynomial, written out for n = 1, 2, 3
+    # leading amplitude of the value-one polynomial, written out for n = 1..5
     s = np.sin(theta)
-    return {1: np.ones_like(s), 2: np.sqrt(2.0 / (math.pi * k * s)), 3: 1.0 / ((k + 1) * s)}[n]
+    return {1: np.ones_like(s), 2: np.sqrt(2.0 / (math.pi * k * s)), 3: 1.0 / ((k + 1) * s),
+            4: 8.0 / (math.sqrt(math.pi) * (2.0 * k * s) ** 1.5), 5: 3.0 / (k * s) ** 2}[n]
 
 
 def _mp_value_one(n, k, t):
@@ -255,18 +259,32 @@ def _mp_value_one(n, k, t):
     if n == 3:
         theta = mp.acos(x)
         return mp.sin((k + 1) * theta) / ((k + 1) * mp.sin(theta))
-    # n = 2: the classical Legendre recurrence, whose rounding in 40 digits
-    # is far below float64 (mpmath.legendre itself is slow at k = 10^4)
-    prev, cur = mp.mpf(1), x
-    for j in range(2, k + 1):
-        prev, cur = cur, ((2 * j - 1) * x * cur - (j - 1) * prev) / j
-    return cur
+    if n == 2:
+        # the classical Legendre recurrence, whose rounding in 40 digits is
+        # far below float64 (mpmath.legendre itself is slow at k = 10^4)
+        prev, cur = mp.mpf(1), x
+        for j in range(2, k + 1):
+            prev, cur = cur, ((2 * j - 1) * x * cur - (j - 1) * prev) / j
+        return cur
+    lam = mp.mpf(n - 1) / 2
+    return mp.gegenbauer(k, lam, x) / mp.gegenbauer(k, lam, 1)
 
 
-# envelope-relative forward error <= FORWARD_C k eps; on these angles the
+# envelope-relative forward error <= FORWARD_C k eps.  The recurrence's
 # worst ratio is 4.2 (n=2, k=10^4) and 2.6 (n=3, k=10^5), both in scipy's
-# power series at |t| < 1e-5; elsewhere it stays below 0.25
+# power series at |t| < 1e-5, and below 0.25 elsewhere.  At n >= 2 these
+# degrees take the Darboux expansion on all but the boundary angles; its
+# worst ratio here is 1.07 (n=3, k=10^6), and 1.3 on other angles.
 FORWARD_C = 8.0
+
+
+def _boundary_angles(n, k):
+    # 0.1% to either side of the expansion's domain edge, at both poles
+    bound = _darboux_plan(n, k).bound
+    edge = math.acos(bound)
+    outside, inside = edge * (1.0 - 1e-3), edge * (1.0 + 1e-3)
+    assert math.cos(inside) < bound <= math.cos(outside)
+    return np.array([outside, inside, math.pi - outside, math.pi - inside])
 
 
 def test_forward_error_grows_like_k_eps():
@@ -274,16 +292,53 @@ def test_forward_error_grows_like_k_eps():
 
     gen = np.random.default_rng(17)
     # the last three angles have |t| < 1e-5, where scipy sums a power series
-    theta = np.concatenate([gen.uniform(0.05, math.pi - 0.05, size=8),
-                            math.pi / 2 - np.array([1e-7, 3e-6, -8e-6])])
-    t = np.cos(theta)
-    cases = [(n, 10**e) for n in (1, 3) for e in (3, 4, 5, 6)] + [(2, 10**3), (2, 10**4)]
+    base = np.concatenate([gen.uniform(0.05, math.pi - 0.05, size=8),
+                           math.pi / 2 - np.array([1e-7, 3e-6, -8e-6])])
+    cases = ([(n, 10**e) for n in (1, 3) for e in (3, 4, 5, 6)] + [(2, 10**3), (2, 10**4)]
+             + [(n, k) for n in (4, 5) for k in (1000, 3000)])
     with mp.workdps(40):
         for n, k in cases:
+            theta = base if n == 1 else np.concatenate([base, _boundary_angles(n, k)])
+            t = np.cos(theta)
             vals = legendre_normalized(ZonalIndex(n=n, k=k), t)
             refs = np.array([float(_mp_value_one(n, k, ti)) for ti in t])
             worst = float(np.max(np.abs(vals - refs) / _envelope(n, k, theta)))
             assert worst <= FORWARD_C * k * np.finfo(float).eps, (n, k, worst)
+
+
+def test_sweep_matches_single_degree_on_the_expansion():
+    # window angles, inside the expansion's domain from K_EXPANSION on, so
+    # the sweep and the single-degree call both take it there
+    theta = np.linspace(1.0, math.pi - 1.0, 33)
+    t = np.cos(theta)
+    for n in (2, 3, 4):
+        sweep = legendre_sweep(n, 300, t)
+        for j in range(K_EXPANSION, 301):
+            assert np.all(np.abs(t) < _darboux_plan(n, j).bound)
+            np.testing.assert_array_equal(sweep[j], legendre_normalized(ZonalIndex(n=n, k=j), t))
+
+
+def test_array_shape_and_order_keep_values():
+    # the expansion runs over a flat copy of the angles in chunks
+    t = np.cos(np.linspace(0.01, math.pi - 0.01, 10_000)).reshape(100, 100)
+    for n in (2, 3):
+        idx = ZonalIndex(n=n, k=300)
+        flat = legendre_normalized(idx, t.ravel()).reshape(t.shape)
+        np.testing.assert_array_equal(legendre_normalized(idx, t), flat)
+        np.testing.assert_array_equal(legendre_normalized(idx, np.asfortranarray(t)), flat)
+        np.testing.assert_array_equal(legendre_normalized(idx, t.T), flat.T)
+
+
+def test_gamma_ratio_against_mpmath():
+    # k! / Gamma(k + L + 1), the expansion's scale; measured within 33 ulps
+    # for L <= 2.5 up to k = 10^8
+    import mpmath as mp
+
+    with mp.workdps(40):
+        for lam in (0.5, 1.0, 1.5, 2.0, 2.5):
+            for k in (13, 32, 255, 9_999, 10_000, 10**6, 10**8):
+                ref = float(mp.gamma(k + 1) / mp.gamma(k + 1 + mp.mpf(lam)))
+                assert _gamma_ratio(k, lam) == pytest.approx(ref, rel=64 * np.finfo(float).eps), (lam, k)
 
 
 def test_degree_range_raises():
