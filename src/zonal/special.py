@@ -92,7 +92,7 @@ class _Plan(NamedTuple):
     bound: float
 
 
-def _darboux_plan(n: int, k: int) -> _Plan:
+def _darboux_plan(n: int, k: int) -> _Plan | None:
     """Scale, coefficients, term cutoffs and domain of the expansion at degree k.
 
     With L = (n-1)/2 and s = 2 sin(theta) (Szego 8.21.14, DLMF 18.15.10,
@@ -105,14 +105,13 @@ def _darboux_plan(n: int, k: int) -> _Plan:
     so |a_m| / s^m is term m's size relative to the envelope scale / s^L.
     Term m >= 1 is summed where every term 1..m is above eps, that is at
     s < cut[m - 1], so the first term left out is below eps.  The domain is
-    s >= sigma, written as |t| < bound (0 when it is empty): there the
+    s >= sigma, written as |t| < bound, and None when it is empty: there the
     envelope is at most 1 (absolute error no larger than envelope-relative),
     and within MAX_TERMS terms one falls below eps with none before it
     above the leading term.  For odd n, a_m = 0 from m = L on and the sum
     is exact.
     """
     lam = 0.5 * (n - 1)
-    scale = 4.0**lam * poch(0.5, lam) * _gamma_ratio(k, lam)
     coef, cut = [1.0], [math.inf]
     sigma, largest = math.inf, 0.0
     for m in range(1, MAX_TERMS + 1):
@@ -121,9 +120,18 @@ def _darboux_plan(n: int, k: int) -> _Plan:
         cut.append(min(cut[-1], below_eps))
         sigma = min(sigma, max(below_eps, largest))
         largest = max(largest, abs(coef[m]) ** (1.0 / m))
+    if sigma >= 2.0:
+        return None
+    # sigma >= |a_1| = L |L - 1| / (k + L + 1), so here k > L^2 / 2 - 2L, where
+    # binom(k + 2L - 1, k) is a finite double only for L < 90: the scale of a
+    # degree that passed _recurrence_scale is finite (4^L overflows from
+    # L = 512, (1/2)_L from 172)
+    scale = 4.0**lam * poch(0.5, lam) * _gamma_ratio(k, lam)
     sigma = max(sigma, scale ** (1.0 / lam))
+    if sigma >= 2.0:
+        return None
     # strict in |t| < bound, so |t| = 1 stays outside even when bound rounds to 1
-    bound = math.sqrt(1.0 - 0.25 * sigma**2) if sigma < 2.0 else 0.0
+    bound = math.sqrt(1.0 - 0.25 * sigma**2)
     return _Plan(scale, coef[:MAX_TERMS], cut[1:MAX_TERMS], bound)
 
 
@@ -176,7 +184,7 @@ def _value_one(n: int, k: int, t: np.ndarray) -> np.ndarray:
         scale = _recurrence_scale(n, k)
         lam = 0.5 * (n - 1)
         plan = _darboux_plan(n, k) if k >= K_EXPANSION else None
-        if plan is None or plan.bound == 0.0:
+        if plan is None:
             vals = eval_gegenbauer(k, lam, x)
             vals /= scale
         else:
@@ -260,8 +268,6 @@ def legendre_sweep(n: int, kmax: int, t) -> np.ndarray:
     if kmax < 0:
         raise ValueError(f"kmax: expected >= 0, got {kmax!r}")
     arr = np.atleast_1d(_clamped(t))
-    if n > 1:
-        _recurrence_scale(n, kmax)
     return np.stack([_value_one(n, j, arr) for j in range(kmax + 1)])
 
 

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import eval_jacobi, eval_legendre
+from scipy.special import binom, eval_gegenbauer, eval_jacobi, eval_legendre
 
 from zonal.special import (
     K_EXPANSION,
@@ -327,6 +328,34 @@ def test_array_shape_and_order_keep_values():
         np.testing.assert_array_equal(legendre_normalized(idx, t), flat)
         np.testing.assert_array_equal(legendre_normalized(idx, np.asfortranarray(t)), flat)
         np.testing.assert_array_equal(legendre_normalized(idx, t.T), flat.T)
+
+
+def test_expansion_memory_is_chunked():
+    # the expansion holds a dozen temporaries per angle; over 4096-angle
+    # chunks the call peaks near 3.2 input sizes (the clamped copy, |t| and
+    # the result), over the whole array at once near 13
+    t = np.cos(np.linspace(0.0, math.pi, 2**18))
+    tracemalloc.start()
+    try:
+        legendre_normalized(ZonalIndex(n=2, k=512), t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * t.nbytes
+
+
+@pytest.mark.filterwarnings("error")
+def test_large_dimension_keeps_the_recurrence():
+    # from L = (n-1)/2 = 90 no degree inside the range guard has an
+    # expansion domain, and 4^L (1/2)_L in its scale overflows from L = 172
+    t = np.array([0.1, 0.5, 0.9])
+    for n in (181, 401, 1025, 1100):
+        lam = 0.5 * (n - 1)
+        for k in range(K_EXPANSION, 101):
+            assert _darboux_plan(n, k) is None
+            vals = legendre_normalized(ZonalIndex(n=n, k=k), t)
+            assert np.all(np.isfinite(vals))
+            np.testing.assert_array_equal(vals, eval_gegenbauer(k, lam, t) / binom(k + n - 2.0, k))
 
 
 def test_gamma_ratio_against_mpmath():
