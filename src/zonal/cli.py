@@ -1,12 +1,12 @@
 """Command line front end for the zonal kernel laboratory.
 
-Five subcommands (eval, compare, scaling, oracle, bench) share --out and
---config; eval, compare and scaling add --format (csv or json), the Monte
-Carlo oracle alone draws random numbers and adds --samples and --seed, and
-oracle and bench write JSON only.  --grid and --batch are capped so that a
-run stays below 1 GB of memory.  A config file is a flat JSON object whose
-keys are flag names of the chosen subcommand; explicit command line flags
-always win over config values.
+Four subcommands (eval, compare, scaling, oracle) share --out and
+--config; eval, compare and scaling add --format (csv or json), and the
+Monte Carlo oracle alone draws random numbers, adds --samples and --seed,
+and writes JSON only.  --grid is capped so that a run stays below 1 GB of
+memory.  A config file is a flat JSON object whose keys are flag names of
+the chosen subcommand; explicit command line flags always win over config
+values.
 Tables share one CSV schema (n,k,delta,C,theta,exact,asymptotic,abs_err,
 rel_err); JSON documents carry schema_version 1.  Exit codes: 0 on
 success, 2 on invalid usage or argument values, 1 on unexpected failure.
@@ -28,8 +28,6 @@ DEFAULT_SEED = 20250819
 DEFAULT_SAMPLES = 1_000_000
 # compare peaks at about 186 MB at 2^18 angles, CSV or JSON, both streamed
 MAX_GRID = 1 << 18
-# bench holds about 76 bytes per evaluation (638 MB peak at 2^23)
-MAX_BATCH = 1 << 23
 
 EVAL_HEADER = ("n", "k", "theta", "legendre", "projector")
 
@@ -189,21 +187,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set]]:
     _add_common(sub, reg)
     sub.set_defaults(func=_cmd_oracle)
 
-    sub = subs.add_parser("bench", help="recurrence versus leading form timing (json)")
-    reg = flags["bench"] = set()
-    _add(sub, reg, "--n", type=_int_type(1, "--n"), default=2, help="sphere dimension")
-    _add(sub, reg, "--ks", type=_degree_list(1), default=[16, 64, 256, 1024, 4096],
-         help="comma separated degrees")
-    _add_window(sub, reg)
-    _add(sub, reg, "--budget", type=_positive_float, default=1e-2,
-         help="relative error budget for the switch-over degree")
-    _add(sub, reg, "--batch", type=_int_type(100_000, "--batch", MAX_BATCH), default=1 << 17,
-         help="evaluations per timing repetition")
-    _add(sub, reg, "--reps", type=_int_type(1, "--reps"), default=5,
-         help="timing repetitions per degree")
-    _add_common(sub, reg)
-    sub.set_defaults(func=_cmd_bench)
-
     return parser, flags
 
 
@@ -333,24 +316,6 @@ def _cmd_oracle(args) -> int:
         "seed": args.seed,
     }
     _emit(args, lambda fh: harness.json_summary("oracle", config, payload, fh))
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    window = AngleWindow(c=args.window_c, delta=args.delta)
-    report = harness.crossover_benchmark(
-        args.n, args.ks, window, error_budget=args.budget, batch=args.batch, reps=args.reps
-    )
-    config = {
-        "n": args.n,
-        "ks": sorted(int(k) for k in args.ks),
-        "C": args.window_c,
-        "delta": args.delta,
-        "budget": args.budget,
-        "batch": args.batch,
-        "reps": args.reps,
-    }
-    _emit(args, lambda fh: harness.json_summary("bench", config, report.as_dict(), fh))
     return 0
 
 

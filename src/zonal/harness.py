@@ -1,4 +1,4 @@
-"""Measurement harness: error sweeps, scaling fits, and the crossover bench.
+"""Measurement harness: error sweeps, scaling fits, and the geometric oracle.
 
 Errors are always measured against the local oscillation envelope: the
 figure of merit for a degree is max |exact - leading| / amplitude over a
@@ -13,8 +13,7 @@ import itertools
 import json
 import math
 import sys
-import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,14 +23,11 @@ from .special import ZonalIndex, dim_eigenspace, legendre_normalized, projector_
 
 __all__ = [
     "ScalingFit",
-    "CrossRow",
-    "CrossoverReport",
     "ConvergenceRow",
     "relative_bracket_error",
     "bracket_errors_on_grid",
     "fit_error_scaling",
     "c_constant_convergence",
-    "crossover_benchmark",
     "geometric_oracle",
     "format_float",
     "compare_rows",
@@ -184,88 +180,6 @@ def c_constant_convergence(n: int, ks) -> list[ConvergenceRow]:
         lead = c_constant_leading(idx)
         rows.append(ConvergenceRow(k=int(k), numeric=value, leading=lead, ratio=value / lead))
     return rows
-
-
-@dataclass(frozen=True)
-class CrossRow:
-    k: int
-    exact_ns: float
-    asymptotic_ns: float
-    max_rel_err: float
-
-
-@dataclass(frozen=True)
-class CrossoverReport:
-    """Per-degree timings plus the recommended switch-over degree."""
-
-    n: int
-    window: AngleWindow
-    error_budget: float
-    rows: tuple[CrossRow, ...]
-    k_star: int | None
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "C": self.window.c,
-            "delta": self.window.delta,
-            "error_budget": self.error_budget,
-            "rows": [asdict(r) for r in self.rows],
-            "k_star": self.k_star,
-        }
-
-
-def _median_ns_per_eval(fn, batch: int, reps: int) -> float:
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter_ns()
-        fn()
-        times.append((time.perf_counter_ns() - t0) / batch)
-    return float(np.median(times))
-
-
-def crossover_benchmark(
-    n: int,
-    ks,
-    window: AngleWindow | None = None,
-    error_budget: float = 1e-2,
-    batch: int = 1 << 17,
-    reps: int = 5,
-) -> CrossoverReport:
-    """Time the recurrence against the leading form on large angle batches.
-
-    Each degree is timed on >= batch evaluations per repetition (median of
-    reps wall-clock readings divided by the batch size, reported in ns per
-    evaluation).  The exact path costs k steps in C per angle below
-    ``special.K_EXPANSION`` and, from there on, a Darboux sum of at most
-    ``special.MAX_TERMS`` terms per angle inside the window, so its cost
-    stops growing with the degree; the leading form, one term, is cheaper
-    still.  The report recommends the smallest sampled degree at which the
-    leading form is both faster and inside the error budget.
-    """
-    window = window or AngleWindow()
-    if batch < 100_000:
-        raise ValueError(f"crossover_benchmark: batch must be >= 100000, got {batch}")
-    if not error_budget > 0.0:
-        raise ValueError("crossover_benchmark: error_budget must be positive")
-    if reps < 1:
-        raise ValueError(f"crossover_benchmark: reps must be >= 1, got {reps}")
-    rows = []
-    for k in sorted(int(k) for k in ks):
-        idx = ZonalIndex(n=n, k=k)
-        thetas = window.grid(k, batch)
-        coss = np.cos(thetas)
-        exact_ns = _median_ns_per_eval(lambda: legendre_normalized(idx, coss), batch, reps)
-        asym_ns = _median_ns_per_eval(lambda: legendre_leading(idx, thetas), batch, reps)
-        err = relative_bracket_error(idx, window, batch)
-        rows.append(CrossRow(k=k, exact_ns=exact_ns, asymptotic_ns=asym_ns, max_rel_err=err))
-    k_star = next(
-        (r.k for r in rows if r.asymptotic_ns < r.exact_ns and r.max_rel_err <= error_budget),
-        None,
-    )
-    return CrossoverReport(
-        n=n, window=window, error_budget=error_budget, rows=tuple(rows), k_star=k_star
-    )
 
 
 def geometric_oracle(n: int, ks, samples: int, pairs: int, seed: int) -> dict:

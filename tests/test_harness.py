@@ -13,7 +13,6 @@ from zonal.harness import (
     bracket_errors_on_grid,
     c_constant_convergence,
     compare_rows,
-    crossover_benchmark,
     fit_error_scaling,
     format_float,
     geometric_oracle,
@@ -111,39 +110,6 @@ def test_c_constant_convergence_rows():
         assert row.leading == lead
         assert row.ratio == row.numeric / lead
         assert 0.8 < row.ratio < 1.5
-
-
-def test_crossover_benchmark_validation():
-    with pytest.raises(ValueError):
-        crossover_benchmark(2, (4,), batch=50_000)
-    with pytest.raises(ValueError):
-        crossover_benchmark(2, (4,), error_budget=0.0)
-    with pytest.raises(ValueError):
-        crossover_benchmark(2, (4,), error_budget=math.nan)
-    with pytest.raises(ValueError):
-        crossover_benchmark(2, (4,), reps=0)
-
-
-def test_crossover_benchmark_report():
-    report = crossover_benchmark(2, (2048, 4), batch=100_000, reps=3)
-    assert [r.k for r in report.rows] == [4, 2048]
-    small, large = report.rows
-    # from K_EXPANSION the exact path sums a Darboux series whose cost does
-    # not grow with the degree; the one-term leading form is still cheaper,
-    # by 1.5-3.3x in 42 readings of this call
-    assert large.exact_ns < 10.0 * small.exact_ns
-    assert large.asymptotic_ns < large.exact_ns / 1.25
-    assert large.max_rel_err < small.max_rel_err
-    assert small.max_rel_err > 1e-2  # k=4 can never satisfy the default budget
-    assert report.k_star == 2048
-    doc = report.as_dict()
-    assert doc["k_star"] == 2048
-    assert len(doc["rows"]) == 2
-
-
-def test_crossover_benchmark_unreachable_budget():
-    report = crossover_benchmark(2, (4, 2048), error_budget=1e-6, batch=100_000, reps=2)
-    assert report.k_star is None
 
 
 def test_format_float_round_trip():
