@@ -1,11 +1,12 @@
 """Zonal kernels on the n-sphere in the value-one normalization.
 
 The central object is the degree-k zonal polynomial normalized to 1 at
-argument 1, evaluated by scipy's compiled recurrence in that normalization
-and, for n >= 2 at high degree away from the poles, by its complete Darboux
-expansion where that is exact to rounding.  Everything else in the package
-(asymptotic brackets, the projector kernel, the geometric cross-checks) is
-expressed against it.
+argument 1.  It is evaluated by one method per regime: on the circle (n = 1)
+by the closed form cos(k theta), for n >= 2 at high degree away from the
+poles by its complete Darboux expansion where that is exact to rounding,
+and everywhere else by scipy's compiled recurrence in that normalization.
+Everything else in the package (asymptotic brackets, the projector kernel,
+the geometric cross-checks) is expressed against it.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import binom, eval_chebyt, eval_gegenbauer, poch
+from scipy.special import binom, eval_gegenbauer, poch
 
 __all__ = [
     "ZonalIndex",
@@ -36,9 +37,12 @@ ARG_SLACK = 1e-12
 K_EXPANSION = 32
 # most terms of the expansion summed at one angle
 MAX_TERMS = 20
-# angles per pass of the expansion, so its temporaries stay small
+# angles per pass of the closed form and the expansion, so their temporaries stay small
 CHUNK = 4096
 _EPS = np.finfo(float).eps
+_SQRT_HALF = math.sqrt(0.5)
+# 2^27 + 1, Dekker's splitting factor for doubles
+_DEKKER = 134217729.0
 # B_2j / (2j (2j - 1)), j = 1..6: Stirling's series for log Gamma
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
 
@@ -175,11 +179,55 @@ def _recurrence_scale(n: int, k: int) -> float:
     return scale
 
 
+def _chebyshev(k: int, x: np.ndarray, out: np.ndarray) -> None:
+    """T_k(x) = cos(k theta) at x = cos(theta) in [0, 1], written into out.
+
+    The angle multiplied by k stays below pi/4, so its rounding costs at
+    most half an ulp of a small number.  From x = sqrt(1/2) up, 1 - x is
+    exact (Sterbenz) and theta = 2 asin(sqrt((1 - x)/2)); below it,
+    k theta = k pi/2 - k asin(x), whose quarter turns k mod 4 select
+    cos(ka), sin(ka), -cos(ka) or -sin(ka).  The product k * angle is split
+    exactly into p + e (Dekker 1971), and cos(p + e) = cos p - e sin p,
+    sin(p + e) = sin p + e cos p to rounding.
+    """
+    high = x >= _SQRT_HALF
+    angle = np.where(high, 2.0 * np.arcsin(np.sqrt(0.5 * (1.0 - x))), np.arcsin(x))
+    p = float(k) * angle
+    a_hi, a_lo = _split(angle)
+    k_hi, k_lo = _split(float(k))
+    e = ((k_hi * a_hi - p) + k_hi * a_lo + k_lo * a_hi) + k_lo * a_lo
+    cos_p, sin_p = np.cos(p), np.sin(p)
+    cos_kt = cos_p - e * sin_p
+    low = sin_p + e * cos_p if k % 2 else cos_kt
+    if k % 4 >= 2:
+        low = -low
+    np.copyto(out, np.where(high, cos_kt, low))
+
+
+def _split(a):
+    """a = hi + lo, each half of at most 26 significant bits, so their products are exact."""
+    big = _DEKKER * a
+    hi = big - (big - a)
+    return hi, a - hi
+
+
+def _in_chunks(fn, x: np.ndarray) -> np.ndarray:
+    """fn(xs, out) over a flat copy of x, CHUNK values at a time, so its temporaries stay small."""
+    flat_x = x.ravel()
+    flat = np.empty_like(flat_x)
+    for lo in range(0, flat.size, CHUNK):
+        fn(flat_x[lo:lo + CHUNK], flat[lo:lo + CHUNK])
+    return flat.reshape(x.shape)
+
+
 def _value_one(n: int, k: int, t: np.ndarray) -> np.ndarray:
     """Values at clamped t for an int degree k."""
     x = np.abs(t)
     if n == 1:
-        vals = eval_chebyt(k, x)
+        if k > 2**53:
+            raise ValueError(f"legendre degree k={k} on S^1 is outside the evaluated range: "
+                             "k <= 2^53, so that float(k) is exact")
+        vals = _in_chunks(lambda xs, out: _chebyshev(k, xs, out), x)
     else:
         scale = _recurrence_scale(n, k)
         lam = 0.5 * (n - 1)
@@ -188,17 +236,15 @@ def _value_one(n: int, k: int, t: np.ndarray) -> np.ndarray:
             vals = eval_gegenbauer(k, lam, x)
             vals /= scale
         else:
-            flat_x = x.ravel()
-            flat = np.empty_like(flat_x)
-            for lo in range(0, flat.size, CHUNK):
-                xs, out = flat_x[lo:lo + CHUNK], flat[lo:lo + CHUNK]
+            def expansion(xs, out):
                 inside = xs < plan.bound
                 if inside.any():
                     out[inside] = _darboux(n, k, xs[inside], plan)
                 if not inside.all():
                     rest = ~inside
                     out[rest] = eval_gegenbauer(k, lam, xs[rest]) / scale
-            vals = flat.reshape(x.shape)
+
+            vals = _in_chunks(expansion, x)
     # exact endpoints, whatever scipy's loops round to there
     np.copyto(vals, 1.0, where=x == 1.0)
     if k % 2:
@@ -214,9 +260,10 @@ def legendre_normalized(idx: ZonalIndex, t):
     Parameters
     ----------
     idx : ZonalIndex
-        Sphere dimension and degree.  For n >= 2, binom(k + n - 2, k) must
-        be a finite double (n=100 up to k=52024, n=200 up to k=2574, n=400
-        up to k=687) and k <= 1e8 (n-1)/2; otherwise ValueError.
+        Sphere dimension and degree.  For n = 1, k <= 2^53, so that float(k)
+        is exact.  For n >= 2, binom(k + n - 2, k) must be a finite double
+        (n=100 up to k=52024, n=200 up to k=2574, n=400 up to k=687) and
+        k <= 1e8 (n-1)/2.  Otherwise ValueError.
     t : array_like
         Points in [-1, 1]; values within 1e-12 outside are clamped, NaN is
         rejected.
@@ -231,15 +278,17 @@ def legendre_normalized(idx: ZonalIndex, t):
     -----
     Evaluates at |t| and applies the sign (-1)^k for t < 0, so parity is
     exact; P(1) = 1, P(-1) = (-1)^k and, for odd k, P(0) = 0 are pinned.
-    Two methods, chosen per angle:
+    Three methods, one per regime:
 
-    * scipy's compiled integer-degree loops: ``eval_chebyt`` for n=1, else
+    * for n = 1, the closed form cos(k theta), with the angle kept below
+      pi/4 and k times it split exactly, so its cost does not grow with k.
+    * scipy's compiled integer-degree loop
       ``eval_gegenbauer(k, L, |t|) / binom(k + 2L - 1, k)`` with
-      L = (n-1)/2.  scipy's loop is the value-one ultraspherical recurrence
-      in (t-1) form (a power series for |t| < 1e-5), times that binomial,
-      which the division cancels to within an ulp.  It costs k steps in C
-      per angle and serves n=1, every degree below K_EXPANSION, and the
-      angles near the poles.
+      L = (n-1)/2.  It is the value-one ultraspherical recurrence in (t-1)
+      form (a power series for |t| < 1e-5), times that binomial, which the
+      division cancels to within an ulp.  It costs k steps in C per angle
+      and serves n >= 2 at every degree below K_EXPANSION and at the angles
+      near the poles.
     * for n >= 2 and k >= K_EXPANSION, the complete Darboux expansion in
       powers of 1 / (2 sin theta) on its domain theta_k <= theta <=
       pi - theta_k, with theta_k near 20/k for even n and 1/k to 2/k for
@@ -247,11 +296,12 @@ def legendre_normalized(idx: ZonalIndex, t):
       first below eps of the envelope (odd n: the (n-1)/2 terms of an
       exact sum), so its cost does not grow with k.
 
-    Envelope-relative forward error against 40-digit references: the
-    recurrence stays below 0.25 k eps in the loop and 4.2 k eps in the
-    power series (up to k = 10^6); the expansion below 1.3 k eps (n = 2..20
-    up to k = 10^3, n = 2..11 up to 10^4, n = 3 up to 10^6), the rounding
-    of its phase (k + L) theta.
+    Envelope-relative forward error against 40- to 50-digit references:
+    the closed form stays below 0.5 k eps (k = 1 up to 2^53, near the pole
+    and at the switch x = sqrt(1/2) too); the recurrence below 0.25 k eps
+    in the loop and 4.2 k eps in the power series (up to k = 10^6); the
+    expansion below 1.3 k eps (n = 2..20 up to k = 10^3, n = 2..11 up to
+    10^4, n = 3 up to 10^6), the rounding of its phase (k + L) theta.
     """
     arr = _clamped(t)
     scalar = arr.ndim == 0

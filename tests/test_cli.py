@@ -64,6 +64,24 @@ def test_eval_rejects_degree_out_of_range(capsys):
     code, _, err = run_cli(["eval", "--n", "200", "--k", "25000"], capsys)
     assert code == 2
     assert "outside the evaluated range" in err
+    # on the circle float(k) is exact up to 2^53
+    assert run_cli(["eval", "--n", "1", "--k", str(2**53)], capsys)[0] == 0
+    code, _, err = run_cli(["eval", "--n", "1", "--k", str(2**53 + 1)], capsys)
+    assert code == 2
+    assert "outside the evaluated range" in err and "2^53" in err
+
+
+def test_eval_circle_at_a_huge_degree(capsys):
+    # the closed form's cost does not grow with k; a k-step loop never returns here
+    import mpmath as mp
+
+    k = 10**12
+    code, out, _ = run_cli(["eval", "--n", "1", "--k", str(k), "--theta", "1.0"], capsys)
+    assert code == 0
+    value = float(out.strip().split("\n")[1].split(",")[3])
+    with mp.workdps(50):
+        ref = float(mp.cos(k * mp.acos(mp.mpf(math.cos(1.0)))))
+    assert abs(value - ref) <= k * np.finfo(float).eps
 
 
 def test_eval_rejects_foreign_flag(capsys):

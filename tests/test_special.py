@@ -275,7 +275,9 @@ def _mp_value_one(n, k, t):
 # worst ratio is 4.2 (n=2, k=10^4) and 2.6 (n=3, k=10^5), both in scipy's
 # power series at |t| < 1e-5, and below 0.25 elsewhere.  At n >= 2 these
 # degrees take the Darboux expansion on all but the boundary angles; its
-# worst ratio here is 1.07 (n=3, k=10^6), and 1.3 on other angles.
+# worst ratio here is 1.07 (n=3, k=10^6), and 1.3 on other angles.  n = 1
+# takes the closed form, below 0.5 everywhere; scipy's eval_chebyt, which
+# it replaced, read 327 at k=10^4 and 9,656 at k=10^5 at x = 1 - 2^-52.
 FORWARD_C = 8.0
 
 
@@ -307,6 +309,24 @@ def test_forward_error_grows_like_k_eps():
             assert worst <= FORWARD_C * k * np.finfo(float).eps, (n, k, worst)
 
 
+def test_circle_forward_error_at_the_pole_and_the_switch():
+    # x = |t| next to 1, at the closed form's switch x = sqrt(1/2) between
+    # its two angles, and at 0.5 and 0 on the asin(x) side; k = 10^8 is out
+    # of reach of a k-step loop in test time
+    import mpmath as mp
+
+    half = math.sqrt(0.5)
+    x = np.array([1.0 - 2.0**-52, 1.0 - 2.0**-40, 1.0 - 1e-12, 0.999999,
+                  np.nextafter(half, 0.0), half, np.nextafter(half, 1.0), 0.5, 0.0])
+    t = np.concatenate([x, -x])
+    with mp.workdps(50):
+        for k in (10**3, 10**4, 10**5, 10**6, 10**8):
+            vals = legendre_normalized(ZonalIndex(n=1, k=k), t)
+            refs = np.array([float(_mp_value_one(1, k, ti)) for ti in t])
+            worst = float(np.max(np.abs(vals - refs)))
+            assert worst <= FORWARD_C * k * np.finfo(float).eps, (k, worst)
+
+
 def test_sweep_matches_single_degree_on_the_expansion():
     # window angles, inside the expansion's domain from K_EXPANSION on, so
     # the sweep and the single-degree call both take it there
@@ -319,10 +339,18 @@ def test_sweep_matches_single_degree_on_the_expansion():
             np.testing.assert_array_equal(sweep[j], legendre_normalized(ZonalIndex(n=n, k=j), t))
 
 
+def test_sweep_matches_single_degree_on_the_closed_form():
+    # n = 1 takes the closed form at every degree and every angle
+    t = np.cos(np.linspace(0.0, math.pi, 33))
+    sweep = legendre_sweep(1, 300, t)
+    for j in range(301):
+        np.testing.assert_array_equal(sweep[j], legendre_normalized(ZonalIndex(n=1, k=j), t))
+
+
 def test_array_shape_and_order_keep_values():
-    # the expansion runs over a flat copy of the angles in chunks
+    # the expansion and the closed form run over a flat copy of the angles in chunks
     t = np.cos(np.linspace(0.01, math.pi - 0.01, 10_000)).reshape(100, 100)
-    for n in (2, 3):
+    for n in (1, 2, 3):
         idx = ZonalIndex(n=n, k=300)
         flat = legendre_normalized(idx, t.ravel()).reshape(t.shape)
         np.testing.assert_array_equal(legendre_normalized(idx, t), flat)
@@ -331,17 +359,18 @@ def test_array_shape_and_order_keep_values():
 
 
 def test_expansion_memory_is_chunked():
-    # the expansion holds a dozen temporaries per angle; over 4096-angle
-    # chunks the call peaks near 3.2 input sizes (the clamped copy, |t| and
-    # the result), over the whole array at once near 13
+    # the expansion and the closed form hold a dozen temporaries per angle;
+    # over 4096-angle chunks the call peaks near 3.2 input sizes (the
+    # clamped copy, |t| and the result), over the whole array at once near 13
     t = np.cos(np.linspace(0.0, math.pi, 2**18))
-    tracemalloc.start()
-    try:
-        legendre_normalized(ZonalIndex(n=2, k=512), t)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5 * t.nbytes
+    for n in (1, 2):
+        tracemalloc.start()
+        try:
+            legendre_normalized(ZonalIndex(n=n, k=512), t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * t.nbytes, n
 
 
 @pytest.mark.filterwarnings("error")
@@ -389,6 +418,11 @@ def test_degree_range_raises():
     assert err <= 1e-6 * _envelope(2, k, theta)
     with pytest.raises(ValueError, match="outside the evaluated range"):
         legendre_normalized(ZonalIndex(n=2, k=k + 1), math.cos(theta))
+    # on the circle float(k) must be exact, so k <= 2^53
+    assert abs(legendre_normalized(ZonalIndex(n=1, k=2**53), math.cos(theta))) <= 1.0
+    for k in (2**53 + 1, 10**17):
+        with pytest.raises(ValueError, match="outside the evaluated range"):
+            legendre_normalized(ZonalIndex(n=1, k=k), math.cos(theta))
 
 
 def test_argument_clamp():
