@@ -7,14 +7,17 @@ This module samples those slices, builds L2-orthonormal bases of the
 degree-k holomorphic sections by Monte Carlo, evaluates the associated
 reproducing kernel, and pushes it forward along fibers to recover the
 sphere eigenspace projector.  One build pass draws each block of frames
-once for every requested degree and adds each degree's Gram by a
-Hermitian rank-k update (zherk).  The build and the check of its
-standard error evaluate one degree's sections in fixed row slices
-(rng.BLOCK and GRAM_CHECK_ROWS rows), whatever the sample count.  The
-push-forward constant c_k draws no samples: both of its norms are exact
-product-quadrature integrals over the frames.  All randomness flows
-through counter-based substreams so results depend only on (seed, sample
-count).
+once for every requested degree and adds each degree's Gram by Hermitian
+rank-k updates (zherk) over row slices of the block.  The check of the
+Gram's standard error holds its frames as (q, p) and lifts and evaluates
+them one row slice at a time, so neither holds more than one slice of
+one degree's sections, whatever the sample count: at n = 3 and k = 8 the
+build's traced peak is about 19 MB, 8 MB of it the check frames, and
+`zonal oracle --n 3` peaks at about 84 MB, 60 MB of it numpy and scipy.
+The push-forward constant c_k draws no samples: both of its norms are
+exact product-quadrature integrals over the frames, summed in slices of
+sphere nodes.  All randomness flows through counter-based substreams so
+results depend only on (seed, sample count).
 """
 from __future__ import annotations
 
@@ -58,6 +61,34 @@ PIVOT_FLOOR = 1e-8
 GRAM_CHECK_SAMPLES = 1 << 17
 # check frames evaluated per slice; sets the check's memory, not its result
 GRAM_CHECK_ROWS = 1 << 12
+# block frames whose monomials are formed at a time; sets the build's memory,
+# not its result.  Twice the check's slice: glibc's malloc returns free heap
+# memory to the system once it exceeds twice the largest array it has
+# unmapped so far, so with 4096-row build slices the check's per-slice
+# arrays were returned and faulted back in every slice (about 10% of an
+# n = 3 build)
+GRAM_BUILD_ROWS = 1 << 13
+# a block whose monomials take at most this many bytes is not sliced: at
+# n = 2 and k <= 8 the extra calls cost about 3% of a build
+WHOLE_BLOCK_BYTES = 5 << 20
+# no slice is cut shorter than this: OpenBLAS sums zherk's inner dimension
+# in 256-row chunks and halves a last chunk of 256 to 512 rows, so slices
+# that start at multiples of 256 and leave no shorter remainder sum exactly
+# as one call does, and numpy's matmul never meets a one-row slice
+MIN_SLICE_ROWS = 256
+# sphere nodes per slice of the c-constant's (sphere node, fiber node) grid
+C_CONSTANT_NODES = 256
+
+
+def _row_slices(count: int, rows: int) -> list[slice]:
+    """Slices of `rows` rows covering range(count), in order.
+
+    A remainder shorter than MIN_SLICE_ROWS joins the slice before it.
+    """
+    starts = list(range(0, count, rows))
+    if len(starts) > 1 and count - starts[-1] < MIN_SLICE_ROWS:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [count])]
 
 
 def frame_volume(n: int) -> float:
@@ -115,22 +146,38 @@ class FramePoint:
         return self.q + 1j * self.p
 
 
-def _frame_block(n: int, count: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """count Haar frames as arrays Q, P of shape (count, n+1)."""
-    g1 = gen.standard_normal((count, n + 1))
-    g2 = gen.standard_normal((count, n + 1))
-    while True:
+def _orthonormalize(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt on paired rows, in place; True marks a degenerate row."""
+    with np.errstate(divide="ignore", invalid="ignore"):
         nq = np.linalg.norm(g1, axis=1)
         proj = np.einsum("ij,ij->i", g1, g2) / nq**2
-        w = g2 - proj[:, None] * g1
-        nw = np.linalg.norm(w, axis=1)
-        bad = (nq < 1e-12) | (nw < 1e-8 * np.linalg.norm(g2, axis=1))
-        if not np.any(bad):
-            break
+        ng2 = np.linalg.norm(g2, axis=1)
+        g2 -= proj[:, None] * g1
+        nw = np.linalg.norm(g2, axis=1)
+        g1 /= nq[:, None]
+        g2 /= nw[:, None]
+    return (nq < 1e-12) | (nw < 1e-8 * ng2)
+
+
+def _frame_block(n: int, count: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """count Haar frames as arrays Q, P of shape (count, n+1).
+
+    The two Gaussian draws are orthonormalized in place, rng.BLOCK rows at a
+    time; each row's arithmetic does not depend on the slicing.
+    """
+    q = gen.standard_normal((count, n + 1))
+    p = gen.standard_normal((count, n + 1))
+    bad = np.concatenate(
+        [rows.start + np.flatnonzero(_orthonormalize(q[rows], p[rows])) for rows in _row_slices(count, rng.BLOCK)]
+    )
+    while len(bad):
         # measure-zero event; redrawing inside the block keeps determinism
-        g1[bad] = gen.standard_normal((int(bad.sum()), n + 1))
-        g2[bad] = gen.standard_normal((int(bad.sum()), n + 1))
-    return g1 / nq[:, None], w / nw[:, None]
+        g1 = gen.standard_normal((len(bad), n + 1))
+        g2 = gen.standard_normal((len(bad), n + 1))
+        again = _orthonormalize(g1, g2)
+        q[bad], p[bad] = g1, g2
+        bad = bad[again]
+    return q, p
 
 
 def sample_frame(n: int, gen: np.random.Generator) -> FramePoint:
@@ -225,12 +272,21 @@ class ConeBasis:
         return _monomial_matrix(z, self.exponents) @ self.coeff.T
 
 
-def _block_sizes(samples: int) -> list[int]:
-    full, tail = divmod(samples, rng.BLOCK)
-    sizes = [rng.BLOCK] * full
-    if tail:
-        sizes.append(tail)
-    return sizes
+def _block_gram(z: np.ndarray, exponents) -> np.ndarray:
+    """Upper triangle of m^H m for the monomials m of one block of points.
+
+    The monomials are formed GRAM_BUILD_ROWS rows at a time, or all at once
+    if they take at most WHOLE_BLOCK_BYTES, and added by zherk with
+    beta = 1.  On OpenBLAS the sum is the one-call zherk's, bit for bit
+    (see MIN_SLICE_ROWS).
+    """
+    size = len(exponents)
+    rows = len(z) if len(z) * size * 16 <= WHOLE_BLOCK_BYTES else GRAM_BUILD_ROWS
+    gram = np.zeros((size, size), dtype=complex, order="F")
+    for part in _row_slices(len(z), rows):
+        # the monomial matrix is Fortran-ordered, so zherk forms a^H a without a copy
+        gram = blas.zherk(1.0, _monomial_matrix(z[part], exponents), trans=2, beta=1.0, c=gram, overwrite_c=1)
+    return gram
 
 
 def _hermitian(upper: np.ndarray) -> np.ndarray:
@@ -243,11 +299,12 @@ def build_cone_basis(n: int, ks, samples: int, seed: int) -> tuple[ConeBasis, ..
 
     One pass draws Haar frames block by block (one substream per block) and
     scales the lifts down to radius 1.  For each degree in ks it forms the
-    block's coset monomials and adds the upper triangle of their Gram, a
-    Hermitian rank-k update (zherk), so each frame is drawn once for all
-    degrees and one degree's monomials are held at a time.  After the last
-    block each Gram is scaled by the normalized slice volume, made
-    Hermitian, and Cholesky-factorized with a relative pivot floor of 1e-8.
+    block's coset monomials and adds the upper triangle of their Gram by
+    Hermitian rank-k updates (zherk), so each frame is drawn once for all
+    degrees and one slice of one degree's monomials is held at a time.
+    After the last block each Gram is scaled by the normalized slice
+    volume, made Hermitian, and Cholesky-factorized with a relative pivot
+    floor of 1e-8.
     Raises if a Gram is not safely positive definite, which is the
     too-few-samples signature.  Returns one ConeBasis per degree in the
     order of ks; each is the same whatever the other degrees are.
@@ -260,23 +317,18 @@ def build_cone_basis(n: int, ks, samples: int, seed: int) -> tuple[ConeBasis, ..
             raise ValueError(
                 f"build_cone_basis: samples={samples} is below 10x basis size ({10 * len(exponents)}); increase samples"
             )
-    sizes = _block_sizes(samples)
     mass = cone_slice_mass(n, 1.0)
     scale = 1.0 / math.sqrt(2.0)
 
     def one_block(b: int) -> np.ndarray:
         gen = rng.substream(seed, rng.GRAM, b)
-        q, p = _frame_block(n, sizes[b], gen)
+        q, p = _frame_block(n, min(rng.BLOCK, samples - b * rng.BLOCK), gen)
         z = scale * (q + 1j * p)
-        # the monomial matrix is Fortran-ordered, so zherk forms a^H a without a copy
-        return np.concatenate(
-            [blas.zherk(1.0, _monomial_matrix(z, e), trans=2).ravel() for e in families]
-        )
+        return np.concatenate([_block_gram(z, e).ravel() for e in families])
 
-    flat = rng.map_blocks(one_block, len(sizes)) * (mass / samples)
+    flat = rng.map_blocks(one_block, -(-samples // rng.BLOCK)) * (mass / samples)
     grams = np.split(flat, np.cumsum([len(e) ** 2 for e in families])[:-1])
-    q, p = _frame_block(n, min(samples, GRAM_CHECK_SAMPLES), rng.substream(seed, rng.GRAM_CHECK, 0))
-    check = (q + 1j * p) / math.sqrt(2.0)
+    check = _frame_block(n, min(samples, GRAM_CHECK_SAMPLES), rng.substream(seed, rng.GRAM_CHECK, 0))
 
     bases = []
     for k, exponents, upper in zip(ks, families, grams):
@@ -294,33 +346,43 @@ def build_cone_basis(n: int, ks, samples: int, seed: int) -> tuple[ConeBasis, ..
                 f"build_cone_basis: Gram pivot ratio below {PIVOT_FLOOR:g} at samples={samples}; increase samples"
             )
         coeff = solve_triangular(low, np.eye(nbasis), lower=True)
-        basis = ConeBasis(n, k, exponents, coeff, samples, seed, gram_stderr=0.0)
-        bases.append(replace(basis, gram_stderr=_gram_stderr(basis, mass, check)))
-    return tuple(bases)
+        bases.append(ConeBasis(n, k, exponents, coeff, samples, seed, gram_stderr=0.0))
+    stderrs = _gram_stderr(bases, mass, *check)
+    return tuple(replace(b, gram_stderr=e) for b, e in zip(bases, stderrs))
 
 
-def _gram_stderr(basis: ConeBasis, mass: float, z: np.ndarray) -> float:
-    """Largest entrywise stderr of the orthonormalized empirical Gram.
+def _gram_stderr(bases, mass: float, q: np.ndarray, p: np.ndarray) -> list[float]:
+    """Largest entrywise stderr of each basis's orthonormalized empirical Gram.
 
     Estimates the population variance of the section products at the
-    unit-slice check points z, drawn by the build from a substream of their
-    own, and scales it to the build's sample count.  The points are
-    evaluated GRAM_CHECK_ROWS at a time into running sums, the first moment
-    by zherk, so the check holds one slice of sections, not all of them.
+    check frames (q, p), drawn by the build from a substream of their own
+    and lifted to the unit slice, and scales it to each basis's sample
+    count.  The frames are lifted GRAM_CHECK_ROWS at a time, and each
+    basis's sections on the slice go into running sums, the first moment
+    by zherk, so the check holds one slice of one basis's sections.
     """
-    count = len(z)
-    first = np.zeros((basis.size, basis.size), dtype=complex)
-    second = np.zeros((basis.size, basis.size))
-    for start in range(0, count, GRAM_CHECK_ROWS):
-        s = basis.evaluate(z[start : start + GRAM_CHECK_ROWS])
-        # s.T is Fortran-ordered; its zherk is conj(s^H s), and only the modulus is used
-        first += blas.zherk(1.0, s.T)
-        sq = s.real**2 + s.imag**2
-        second += sq.T @ sq
-    mean = mass * _hermitian(first) / count
-    second = mass**2 * second / count
-    var = np.clip(second - np.abs(mean) ** 2, 0.0, None)
-    return float(np.sqrt(var / basis.samples).max())
+    first = [np.zeros((b.size, b.size), dtype=complex) for b in bases]
+    second = [np.zeros((b.size, b.size)) for b in bases]
+    for start in range(0, len(q), GRAM_CHECK_ROWS):
+        rows = slice(start, start + GRAM_CHECK_ROWS)
+        z = (q[rows] + 1j * p[rows]) / math.sqrt(2.0)
+        for basis, mom1, mom2 in zip(bases, first, second):
+            s = basis.evaluate(z)
+            # s.T is Fortran-ordered; its zherk is conj(s^H s), and only the modulus is used
+            mom1 += blas.zherk(1.0, s.T)
+            # |s|^2, squaring the imaginary parts in place: s is not used again
+            sq = np.square(s.real)
+            sq += np.square(s.imag, out=s.imag)
+            # numpy's product, not dgemm or dsyrk, whose sums round differently
+            mom2 += sq.T @ sq
+            # freed before the next sections are evaluated, not when they are assigned
+            del s, sq
+    stderrs = []
+    for basis, mom1, mom2 in zip(bases, first, second):
+        mean = mass * _hermitian(mom1) / len(q)
+        var = np.clip(mass**2 * mom2 / len(q) - np.abs(mean) ** 2, 0.0, None)
+        stderrs.append(float(np.sqrt(var / basis.samples).max()))
+    return stderrs
 
 
 def _require_on_slice(z: np.ndarray, r: float, label: str) -> None:
@@ -452,11 +514,18 @@ def c_constant_numeric(idx: ZonalIndex, *, null_vector: np.ndarray | None = None
 
     nodes, weights = sphere_rule(n, 2 * k)
     sub_nodes, pw = sphere_rule(n - 1, 2 * k)
-    # a . p = (a @ frame(q)) . t at the fiber node p = frame(q) @ t, so the
-    # (q node, fiber node) array of the p themselves is never formed
-    vals = ((nodes @ a)[:, None] + 1j * ((a @ complement_frame(nodes)) @ sub_nodes.T)) ** k
-    total = weights @ np.abs(vals @ pw) ** 2
-    section = weights @ ((vals.real**2 + vals.imag**2) @ pw)
+    # per sphere node: the fiber integral of s and that of |s|^2
+    fiber = np.empty(len(nodes), dtype=complex)
+    fiber_sq = np.empty(len(nodes))
+    for part in _row_slices(len(nodes), C_CONSTANT_NODES):
+        q = nodes[part]
+        # a . p = (a @ frame(q)) . t at the fiber node p = frame(q) @ t, so the
+        # (q node, fiber node) array of the p themselves is never formed
+        vals = ((q @ a)[:, None] + 1j * ((a @ complement_frame(q)) @ sub_nodes.T)) ** k
+        fiber[part] = vals @ pw
+        fiber_sq[part] = (vals.real**2 + vals.imag**2) @ pw
+    total = weights @ np.abs(fiber) ** 2
+    section = weights @ fiber_sq
     denom = cone_slice_mass(n, math.sqrt(2.0)) * section / frame_volume(n)
     return math.sqrt(total / denom)
 

@@ -23,10 +23,12 @@ from zonal.quadric import (
     ConeBasis,
     FramePoint,
     SzegoEvaluator,
+    _block_gram,
     _frame_block,
     _gram_stderr,
     _monomial_matrix,
     _pushforward_raw,
+    _row_slices,
     build_cone_basis,
     c_constant_numeric,
     cone_slice_mass,
@@ -130,6 +132,49 @@ def test_sphere_point_uniform():
     assert np.abs(pts.mean(axis=0)).max() < 4.0 / math.sqrt(3.0 * 2000)
 
 
+def whole_array_frames(g1, g2):
+    # one whole-array Gram-Schmidt pass, as the sliced one must reproduce
+    nq = np.linalg.norm(g1, axis=1)
+    w = g2 - (np.einsum("ij,ij->i", g1, g2) / nq**2)[:, None] * g1
+    return g1 / nq[:, None], w / np.linalg.norm(w, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("count", [1, 1000, rng.BLOCK, 2 * rng.BLOCK, 2 * rng.BLOCK + 5, 3 * rng.BLOCK + 300])
+def test_frame_block_slices_match_whole_array(count):
+    q, p = _frame_block(3, count, np.random.default_rng(count))
+    gen = np.random.default_rng(count)
+    g1 = gen.standard_normal((count, 4))
+    g2 = gen.standard_normal((count, 4))
+    q_ref, p_ref = whole_array_frames(g1, g2)
+    assert q.tobytes() == q_ref.tobytes()
+    assert p.tobytes() == p_ref.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_frame_block_redraws_degenerate_rows():
+    # a zero first g1 row and a second g2 row parallel to its g1 are redrawn
+    # from the same generator, in row order, until neither is degenerate
+    g1 = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0], [3.0, 0.0, 4.0]])
+    g2 = np.array([[1.0, 0.0, 0.0], [2.0, 4.0, 4.0], [0.0, 1.0, 0.0]])
+    first = [np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]), np.array([[1.0, 0.0, 0.0], [0.0, 5.0, 0.0]])]
+    second = [np.array([[0.0, 3.0, 4.0]]), np.array([[1.0, 0.0, 0.0]])]
+    draws = [g1, g2, *first, *second]
+
+    class Stub:
+        def standard_normal(self, size):
+            out = draws.pop(0)
+            assert out.shape == size
+            return out.copy()
+
+    q, p = _frame_block(2, 3, Stub())
+    assert draws == []
+    np.testing.assert_allclose(np.linalg.norm(q, axis=1), 1.0, atol=1e-15)
+    np.testing.assert_allclose(np.linalg.norm(p, axis=1), 1.0, atol=1e-15)
+    np.testing.assert_allclose(np.einsum("ij,ij->i", q, p), 0.0, atol=1e-15)
+    np.testing.assert_array_equal(q, [[0.0, 0.6, 0.8], [1.0, 0.0, 0.0], [0.6, 0.0, 0.8]])
+    np.testing.assert_array_equal(p, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+
+
 def test_sphere_point_redraws_degenerate_draw():
     draws = [np.zeros(3), np.array([3.0, 0.0, 4.0])]
 
@@ -217,15 +262,15 @@ def test_build_matches_exact_gram(basis_cache):
         assert dev <= 6.0 * basis.gram_stderr
 
 
-def check_points(n, samples, seed):
-    # the unit-slice check points the build draws for _gram_stderr
+def check_frames(n, samples, seed):
+    # the check frames the build draws for _gram_stderr
     count = min(samples, GRAM_CHECK_SAMPLES)
-    q, p = _frame_block(n, count, rng.substream(seed, rng.GRAM_CHECK, 0))
-    return (q + 1j * p) / SQRT2
+    return _frame_block(n, count, rng.substream(seed, rng.GRAM_CHECK, 0))
 
 
-def one_pass_gram_stderr(basis, mass, z):
-    # every check point evaluated at once, as the sliced check must reproduce
+def one_pass_gram_stderr(basis, mass, q, p):
+    # every check frame lifted and evaluated at once, as the sliced check must reproduce
+    z = (q + 1j * p) / SQRT2
     s = basis.evaluate(z)
     mean = mass * (s.conj().T @ s) / len(z)
     sq = np.abs(s) ** 2
@@ -248,12 +293,12 @@ def test_sliced_gram_stderr_matches_one_pass(n, k, samples, check_samples):
     (basis,) = build_cone_basis(n, (k,), samples, seed=11)
     if check_samples is not None:
         basis = replace(basis, samples=check_samples)
-    z = check_points(n, basis.samples, seed=11)
+    q, p = check_frames(n, basis.samples, seed=11)
     mass = cone_slice_mass(n, 1.0)
-    streamed = _gram_stderr(basis, mass, z)
+    (streamed,) = _gram_stderr([basis], mass, q, p)
     if check_samples is None:
         assert streamed == basis.gram_stderr
-    np.testing.assert_allclose(streamed, one_pass_gram_stderr(basis, mass, z), rtol=1e-12)
+    np.testing.assert_allclose(streamed, one_pass_gram_stderr(basis, mass, q, p), rtol=1e-12)
 
 
 def reference_build(n, k, samples, seed):
@@ -270,7 +315,7 @@ def reference_build(n, k, samples, seed):
     low = cholesky(0.5 * (gram + gram.conj().T), lower=True)
     coeff = solve_triangular(low, np.eye(len(exponents)), lower=True)
     basis = ConeBasis(n, k, exponents, coeff, samples, seed, gram_stderr=0.0)
-    return coeff, one_pass_gram_stderr(basis, mass, check_points(n, samples, seed))
+    return coeff, one_pass_gram_stderr(basis, mass, *check_frames(n, samples, seed))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -288,15 +333,66 @@ def test_one_pass_build_equals_one_degree_builds(n):
 
 
 def test_build_memory_does_not_grow_with_check_frames():
-    # a check slice is 5 MB; all 131072 check frames at once would be 170 MB
-    # per array, and every degree's block monomials at once 30 MB more
+    # about 19 MB: the 131072 check frames held as (q, p), 8 MB, and one check
+    # slice at k = 8 (81 sections), 5 MB each for its monomials and its
+    # sections. Forming each block's monomials whole (21 MB at k = 8) and
+    # holding the check frames lifted as well reads 34 MB; keeping a slice's
+    # sections until the next slice's are formed reads 27 MB at ks = (8,);
+    # all check frames' sections at once would be 170 MB per array
+    for ks in ((2, 4, 8), (8,)):
+        tracemalloc.start()
+        try:
+            build_cone_basis(3, ks, 200_000, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20, ks
+
+
+def test_build_allocates_nothing_per_block_up_front(monkeypatch):
+    # 10^13 samples are 6.1e8 blocks; a list of their sizes would be 4.9 GB
+    class Refused(Exception):
+        pass
+
+    def refuse(fn, nblocks):
+        assert nblocks == -(-10**13 // rng.BLOCK)
+        raise Refused
+
+    monkeypatch.setattr(rng, "map_blocks", refuse)
     tracemalloc.start()
     try:
-        build_cone_basis(3, (2, 4, 8), 200_000, seed=7)
+        with pytest.raises(Refused):
+            build_cone_basis(3, (2, 4, 8), 10**13, seed=7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 80 * 2**20
+    assert peak < 2**20
+
+
+def test_row_slices():
+    def bounds(count, rows):
+        return [(s.start, s.stop) for s in _row_slices(count, rows)]
+
+    assert bounds(100, 4096) == [(0, 100)]
+    assert bounds(8192, 4096) == [(0, 4096), (4096, 8192)]
+    # a remainder of 256 rows or more is a slice of its own; a shorter one joins the last
+    assert bounds(8192 + 256, 4096) == [(0, 4096), (4096, 8192), (8192, 8448)]
+    assert bounds(8192 + 255, 4096) == [(0, 4096), (4096, 8447)]
+    assert bounds(300, 256) == [(0, 300)]
+
+
+@pytest.mark.parametrize("count", [3392, 8192 + 300, rng.BLOCK, rng.BLOCK + 100])
+def test_block_gram_matches_one_product(count):
+    # at k = 8 (81 sections, 1296 bytes a row) the monomials are whole below
+    # 4045 rows and sliced above; at k = 2 they are whole
+    gen = np.random.default_rng(count)
+    q, p = _frame_block(3, count, gen)
+    z = (q + 1j * p) / SQRT2
+    for k in (2, 8):
+        exponents = monomial_basis(3, k)
+        a = _monomial_matrix(z, exponents)
+        gram = np.triu(_block_gram(z, exponents))
+        np.testing.assert_allclose(gram, np.triu(a.conj().T @ a), rtol=1e-13, atol=1e-13 * count)
 
 
 # ---------------------------------------------------------------- kernel identities
@@ -518,6 +614,23 @@ def test_c_constant_ratio_matches_gamma_closed_form():
             np.testing.assert_allclose(
                 ratio, c_ratio_exact(n, k), rtol=1e-12, err_msg=f"n={n} k={k}"
             )
+
+
+def test_c_constant_memory_is_sliced_by_sphere_nodes():
+    # (3, 12): 4225 sphere nodes by 325 fiber nodes, 22 MB as one complex
+    # grid and 42 MB with its temporaries; about 5.5 MB in slices of 256
+    # sphere nodes, the rules built included
+    idx = ZonalIndex(n=3, k=12)
+    expected = c_constant_numeric(idx)
+    quadrature.sphere_rule.cache_clear()
+    tracemalloc.start()
+    try:
+        value = c_constant_numeric(idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == expected
+    assert peak < 8 * 2**20
 
 
 def test_c_constant_warm_equals_cold():
