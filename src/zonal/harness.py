@@ -8,7 +8,6 @@ with schema_version 1; floats are formatted for full round-trip.
 """
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import math
@@ -172,7 +171,11 @@ class ConvergenceRow:
 
 
 def c_constant_convergence(n: int, ks) -> list[ConvergenceRow]:
-    """Quadrature-exact push-forward constant against its leading form, per degree."""
+    """Closed-form push-forward constant against its leading form, per degree.
+
+    The ratio is the finite-k Gamma ratio sqrt(k^L Gamma(k+L) / Gamma(k+n-1)),
+    L = (n-1)/2, so this tabulates how fast c_k approaches its leading form.
+    """
     rows = []
     for k in ks:
         idx = ZonalIndex(n=n, k=int(k))
@@ -189,8 +192,8 @@ def geometric_oracle(n: int, ks, samples: int, pairs: int, seed: int) -> dict:
     frames.  For every degree: evaluates the fiber push-forward of the
     kernel at `pairs` random sphere pairs plus the diagonal, and compares
     against the push-forward constant squared times the sphere projector.
-    The constant (`c_numeric`) is quadrature-exact and does not depend on
-    `samples` or `seed`; `c_ratio` is its ratio to the leading form.
+    The constant (`c_numeric`) is the closed-form Gamma ratio and does not
+    depend on `samples` or `seed`; `c_ratio` is its ratio to the leading form.
     Residuals are normalized by the diagonal scale C^2 N / vol(S^n), so
     they measure the Monte Carlo noise of the basis alone.  A decay section
     reuses the bases at one separated probe pair.  Everything random is
@@ -293,35 +296,29 @@ def _csv_cell(value) -> str:
     return format_float(value)
 
 
-def write_csv(rows, stream=None, header=CSV_HEADER) -> str | None:
-    """Serialize rows under ``header``, integers as integers, the rest as round-trip floats.
+def write_csv(rows, stream, header=CSV_HEADER) -> None:
+    """Write rows under ``header`` to ``stream``, integers as integers, floats round-trip.
 
-    Given a stream, the rows are written to it in batches of JSON_BATCH
-    lines and never held whole as text, and None is returned; without one,
-    the text is.
+    The rows go out in batches of JSON_BATCH lines and are never held whole
+    as text.
     """
-    out = io.StringIO() if stream is None else stream
-    out.write(",".join(header) + "\n")
+    stream.write(",".join(header) + "\n")
     lines = (",".join(_csv_cell(row[name]) for name in header) + "\n" for row in rows)
     while batch := list(itertools.islice(lines, JSON_BATCH)):
-        out.write("".join(batch))
-    return out.getvalue() if stream is None else None
+        stream.write("".join(batch))
 
 
-def json_summary(kind: str, config: dict, payload: dict, stream=None) -> str | None:
-    """Stable JSON document: schema_version 1, config echo, sorted keys.
+def json_summary(kind: str, config: dict, payload: dict, stream) -> None:
+    """Write a stable JSON document to ``stream``: schema_version 1, config echo, sorted keys.
 
-    Given a stream, the document is written to it in batches of encoder
-    chunks and never held whole in memory, and None is returned; without
-    one, the text is.
+    The document is written in batches of encoder chunks and never held
+    whole in memory.
     """
     doc = {"schema_version": 1, "kind": kind, "config": config}
     doc.update(payload)
-    out = io.StringIO() if stream is None else stream
     # one write per chunk would be one system call per chunk on an
     # unbuffered stdout (PYTHONUNBUFFERED), twice the time of the whole text
     chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
     while batch := list(itertools.islice(chunks, JSON_BATCH)):
-        out.write("".join(batch))
-    out.write("\n")
-    return out.getvalue() if stream is None else None
+        stream.write("".join(batch))
+    stream.write("\n")

@@ -16,8 +16,6 @@ import math
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .special import vol_sphere
-
 __all__ = ["sphere_rule", "complement_frame", "fiber_rule"]
 
 

@@ -14,10 +14,9 @@ them one row slice at a time, so neither holds more than one slice of
 one degree's sections, whatever the sample count: at n = 3 and k = 8 the
 build's traced peak is about 19 MB, 8 MB of it the check frames, and
 `zonal oracle --n 3` peaks at about 84 MB, 60 MB of it numpy and scipy.
-The push-forward constant c_k draws no samples: both of its norms are
-exact product-quadrature integrals over the frames, summed in slices of
-sphere nodes.  All randomness flows through counter-based substreams so
-results depend only on (seed, sample count).
+The push-forward constant c_k draws no samples: it is the closed-form
+Gamma ratio of the paper's identity.  All randomness flows through
+counter-based substreams so results depend only on (seed, sample count).
 """
 from __future__ import annotations
 
@@ -29,7 +28,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, blas, cholesky, solve_triangular
 
 from . import rng
-from .quadrature import complement_frame, fiber_rule, sphere_rule
+from .quadrature import fiber_rule
 from .special import ZonalIndex, vol_sphere
 
 __all__ = [
@@ -76,8 +75,6 @@ WHOLE_BLOCK_BYTES = 5 << 20
 # that start at multiples of 256 and leave no shorter remainder sum exactly
 # as one call does, and numpy's matmul never meets a one-row slice
 MIN_SLICE_ROWS = 256
-# sphere nodes per slice of the c-constant's (sphere node, fiber node) grid
-C_CONSTANT_NODES = 256
 
 
 def _row_slices(count: int, rows: int) -> list[slice]:
@@ -474,60 +471,27 @@ def pushforward_kernel(ev: SzegoEvaluator, q0: np.ndarray, q1: np.ndarray) -> fl
     return raw.real
 
 
-# canonical null direction of the c-constant section
-def _null_direction(n: int) -> np.ndarray:
-    a = np.zeros(n + 1, dtype=complex)
-    a[0] = 1.0
-    a[1] = 1j
-    return a
-
-
-def c_constant_numeric(idx: ZonalIndex, *, null_vector: np.ndarray | None = None) -> float:
+def c_constant_numeric(idx: ZonalIndex) -> float:
     """Norm ratio of the fiber push-forward on a null power section.
 
-    The section is s(z) = (a . z)^k with a null (a . a = 0), by default
-    a = e0 + i e1.  Both norms come from one product quadrature over the
-    frames (q, p): sphere_rule(n, 2k) for q and the fiber rule of degree 2k
-    for p, run over all q nodes at once.  The push-forward norm is the
-    sphere integral of |fiber integral of s|^2; the section norm over the
-    radius-sqrt(2) slice (normalized volume) is the frame integral of |s|^2,
-    scaled by cone_slice_mass(n, sqrt(2)) / frame_volume(n).  Both
-    integrands are polynomials of degree 2k in p, and integrating p out
-    leaves a polynomial of degree at most 2k in q, so each rule has exactly
-    its integrand's degree and the ratio is exact up to rounding.  It does
-    not depend on the choice of a: rotations act transitively on null
-    directions and the section scale cancels.
+    The push-forward of the quadric's degree-k Szego kernel is c_k^2 times
+    the sphere projector, with
+
+        c_k^2 = (n-1)! vol(S^n) vol(S^(n-1)) / (2 sqrt(2) pi^L)
+                * Gamma(k+L) / Gamma(k+n-1),   L = (n-1)/2,
+
+    evaluated here in log-Gamma.  It holds at every k >= 0, including the
+    constant section k = 0, where `c_constant_leading` is undefined.  The
+    tests check it against an independent product quadrature of both norms
+    of (a . z)^k with a . a = 0 (tests/oracles.py).  n is limited to 2 and
+    3, the dimensions that quadrature covers.
     """
     n, k = idx.n, idx.k
     if n not in (2, 3):
         raise ValueError(f"c_constant_numeric: supported n is 2 or 3, got {n}")
-
-    if null_vector is None:
-        a = _null_direction(n)
-    else:
-        a = np.asarray(null_vector, dtype=complex)
-        if a.shape != (n + 1,):
-            raise ValueError(f"c_constant_numeric: null_vector must have length {n + 1}")
-        norm2 = float(np.linalg.norm(a)) ** 2
-        if norm2 == 0.0 or abs(complex(np.sum(a * a))) > 1e-10 * norm2:
-            raise ValueError("c_constant_numeric: null_vector must satisfy a . a = 0")
-
-    nodes, weights = sphere_rule(n, 2 * k)
-    sub_nodes, pw = sphere_rule(n - 1, 2 * k)
-    # per sphere node: the fiber integral of s and that of |s|^2
-    fiber = np.empty(len(nodes), dtype=complex)
-    fiber_sq = np.empty(len(nodes))
-    for part in _row_slices(len(nodes), C_CONSTANT_NODES):
-        q = nodes[part]
-        # a . p = (a @ frame(q)) . t at the fiber node p = frame(q) @ t, so the
-        # (q node, fiber node) array of the p themselves is never formed
-        vals = ((q @ a)[:, None] + 1j * ((a @ complement_frame(q)) @ sub_nodes.T)) ** k
-        fiber[part] = vals @ pw
-        fiber_sq[part] = (vals.real**2 + vals.imag**2) @ pw
-    total = weights @ np.abs(fiber) ** 2
-    section = weights @ fiber_sq
-    denom = cone_slice_mass(n, math.sqrt(2.0)) * section / frame_volume(n)
-    return math.sqrt(total / denom)
+    half = 0.5 * (n - 1)
+    base = math.factorial(n - 1) * frame_volume(n) / (2.0 * math.sqrt(2.0) * math.pi**half)
+    return math.sqrt(base * math.exp(math.lgamma(k + half) - math.lgamma(k + n - 1)))
 
 
 def geodesic_lift(frame: FramePoint, theta: float) -> np.ndarray:

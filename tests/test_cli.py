@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -302,10 +303,11 @@ def test_warm_caches_match_a_fresh_process(tmp_path):
 
     quadrature.sphere_rule.cache_clear()
     config = {"n": 3, "ks": [2, 4], "samples": 20000, "pairs": 2, "seed": 13}
-    texts = [
-        harness.json_summary("oracle", config, harness.geometric_oracle(3, (2, 4), 20000, 2, 13))
-        for _ in range(2)
-    ]
+    texts = []
+    for _ in range(2):
+        stream = io.StringIO()
+        harness.json_summary("oracle", config, harness.geometric_oracle(3, (2, 4), 20000, 2, 13), stream)
+        texts.append(stream.getvalue())
     target = tmp_path / "oracle.json"
     proc = subprocess.run(
         [sys.executable, "-m", "zonal.cli", "oracle", "--n", "3", "--ks", "2,4", "--pairs", "2",
