@@ -235,7 +235,7 @@ def geometric_oracle(n: int, ks, samples: int, pairs: int, seed: int) -> dict:
         degrees.append(
             {
                 "k": k,
-                "gram_stderr": float(basis.gram_stderr),
+                "gram_error": basis.gram_error,
                 "c_numeric": c_num,
                 "c_leading": lead,
                 "c_ratio": c_num / lead,

@@ -8,20 +8,19 @@ degree-k holomorphic sections by Monte Carlo, evaluates the associated
 reproducing kernel, and pushes it forward along fibers to recover the
 sphere eigenspace projector.  One build pass draws each block of frames
 once for every requested degree and adds each degree's Gram by Hermitian
-rank-k updates (zherk) over row slices of the block.  The check of the
-Gram's standard error holds its frames as (q, p) and lifts and evaluates
-them one row slice at a time, so neither holds more than one slice of
-one degree's sections, whatever the sample count: at n = 3 and k = 8 the
-build's traced peak is about 19 MB, 8 MB of it the check frames, and
-`zonal oracle --n 3` peaks at about 84 MB, 60 MB of it numpy and scipy.
-The push-forward constant c_k draws no samples: it is the closed-form
-Gamma ratio of the paper's identity.  All randomness flows through
+rank-k updates (zherk) over row slices of the block, so it holds one slice
+of one degree's monomials whatever the sample count: at n = 3 and k = 8
+the build's traced peak is about 16 MB, and `zonal oracle --n 3` peaks at
+about 82 MB, 60 MB of it numpy and scipy.  Each basis's error is measured
+exactly, against the closed-form inverse Gram of the Szego kernel, and the
+push-forward constant c_k is the closed-form Gamma ratio of the paper's
+identity; neither draws samples.  All randomness flows through
 counter-based substreams so results depend only on (seed, sample count).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -56,16 +55,9 @@ FRAME_TOL = 1e-12
 POINT_TOL = 1e-9
 # relative floor for Cholesky pivots of the estimated Gram
 PIVOT_FLOOR = 1e-8
-# frames drawn by the independent check of the Gram's standard error
-GRAM_CHECK_SAMPLES = 1 << 17
-# check frames evaluated per slice; sets the check's memory, not its result
-GRAM_CHECK_ROWS = 1 << 12
 # block frames whose monomials are formed at a time; sets the build's memory,
-# not its result.  Twice the check's slice: glibc's malloc returns free heap
-# memory to the system once it exceeds twice the largest array it has
-# unmapped so far, so with 4096-row build slices the check's per-slice
-# arrays were returned and faulted back in every slice (about 10% of an
-# n = 3 build)
+# not its result.  A multiple of MIN_SLICE_ROWS, so the slices of a block sum
+# as one zherk call does
 GRAM_BUILD_ROWS = 1 << 13
 # a block whose monomials take at most this many bytes is not sliced: at
 # n = 2 and k <= 8 the extra calls cost about 3% of a build
@@ -194,6 +186,19 @@ def sphere_point(n: int, gen: np.random.Generator) -> np.ndarray:
             return g / norm
 
 
+def _exponent_tuples(slots: int, total: int):
+    """Exponent tuples of `slots` variables with sum `total`, one per multiset."""
+    for combo in combinations_with_replacement(range(slots), total):
+        expo = [0] * slots
+        for slot in combo:
+            expo[slot] += 1
+        yield tuple(expo)
+
+
+def _multinomial(expo) -> int:
+    return math.factorial(sum(expo)) // math.prod(math.factorial(e) for e in expo)
+
+
 def monomial_basis(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """Exponent tuples spanning degree k modulo the cone relation.
 
@@ -204,18 +209,34 @@ def monomial_basis(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """
     if n < 1 or k < 0:
         raise ValueError(f"monomial_basis: expected n >= 1 and k >= 0, got {(n, k)!r}")
-    out = []
-    for first in (0, 1):
-        rest = k - first
-        if rest < 0:
-            continue
-        # multisets of n slots of total degree rest
-        for combo in combinations_with_replacement(range(n), rest):
-            expo = [0] * n
-            for slot in combo:
-                expo[slot] += 1
-            out.append((first, *expo))
+    out = [(first, *rest) for first in (0, 1) if k >= first for rest in _exponent_tuples(n, k - first)]
     return tuple(sorted(out))
+
+
+def _inverse_gram(n: int, k: int) -> np.ndarray:
+    """Inverse of the unit-slice Gram of monomial_basis(n, k), in closed form.
+
+    The degree-k reproducing kernel is N_k / mass(1) (z . conj(w))^k, and
+    (z . conj(w))^k is the sum over |g| = k of (k!/g!) z^g conj(w)^g.
+    Rewriting z_0^2 = -(z_1^2 + ... + z_n^2) turns each z^g into an integer
+    combination of the basis monomials, z^g = sum_a R[g, a] m_a(z), so the
+    kernel is m(z)^T (N_k / mass(1)) R^T D R conj(m(w)) with D = diag(k!/g!),
+    and a kernel m(z)^T A conj(m(w)) reproduces exactly when A is the
+    inverse Gram.  Every partial sum of R^T D R is an integer of modulus at
+    most (n (n+1))^k, so the float64 product is exact up to n = 3, k = 14
+    and n = 2, k = 20.
+    """
+    exponents = monomial_basis(n, k)
+    column = {e: a for a, e in enumerate(exponents)}
+    powers = list(_exponent_tuples(n + 1, k))
+    reduce = np.zeros((len(powers), len(exponents)))
+    for row, g in zip(reduce, powers):
+        half, first = divmod(g[0], 2)
+        # z_0^g0 = z_0^first (-1)^half (z_1^2 + ... + z_n^2)^half, expanded multinomially
+        for b in _exponent_tuples(n, half):
+            row[column[(first, *(gj + 2 * bj for gj, bj in zip(g[1:], b)))]] += (-1) ** half * _multinomial(b)
+    weights = np.array([_multinomial(g) for g in powers], dtype=float)
+    return (reduce.T * weights) @ reduce * (len(exponents) / cone_slice_mass(n, 1.0))
 
 
 def _monomial_matrix(z: np.ndarray, exponents) -> np.ndarray:
@@ -247,8 +268,12 @@ class ConeBasis:
     coeff is lower triangular; row a of coeff gives section a as a
     combination of the raw monomials, orthonormal for the normalized volume
     of the radius-1 slice at the recorded sample count and seed.
-    gram_stderr is the largest entrywise standard error of the
-    orthonormalized family's empirical Gram at that sample count.
+    gram_error is the spectral norm ||I - L^H G^-1 L||, with L = coeff^-1
+    the Cholesky factor of the sampled Gram and G^-1 the exact inverse
+    Gram.  It bounds the sampled kernel's error rigorously: for any two
+    linear functionals of the sections, such as point values or fiber
+    integrals, with vectors u and v of section values, the sampled kernel
+    u^T conj(v) lies within gram_error |u| |v| of the exact one.
     """
 
     n: int
@@ -257,7 +282,7 @@ class ConeBasis:
     coeff: np.ndarray
     samples: int
     seed: int
-    gram_stderr: float
+    gram_error: float
 
     @property
     def size(self) -> int:
@@ -301,7 +326,9 @@ def build_cone_basis(n: int, ks, samples: int, seed: int) -> tuple[ConeBasis, ..
     degrees and one slice of one degree's monomials is held at a time.
     After the last block each Gram is scaled by the normalized slice
     volume, made Hermitian, and Cholesky-factorized with a relative pivot
-    floor of 1e-8.
+    floor of 1e-8, and its factor L gives gram_error, the largest distance
+    from 1 of an eigenvalue of L^H G^-1 L with G^-1 the closed-form
+    inverse Gram (`_inverse_gram`).
     Raises if a Gram is not safely positive definite, which is the
     too-few-samples signature.  Returns one ConeBasis per degree in the
     order of ks; each is the same whatever the other degrees are.
@@ -325,7 +352,6 @@ def build_cone_basis(n: int, ks, samples: int, seed: int) -> tuple[ConeBasis, ..
 
     flat = rng.map_blocks(one_block, -(-samples // rng.BLOCK)) * (mass / samples)
     grams = np.split(flat, np.cumsum([len(e) ** 2 for e in families])[:-1])
-    check = _frame_block(n, min(samples, GRAM_CHECK_SAMPLES), rng.substream(seed, rng.GRAM_CHECK, 0))
 
     bases = []
     for k, exponents, upper in zip(ks, families, grams):
@@ -343,43 +369,9 @@ def build_cone_basis(n: int, ks, samples: int, seed: int) -> tuple[ConeBasis, ..
                 f"build_cone_basis: Gram pivot ratio below {PIVOT_FLOOR:g} at samples={samples}; increase samples"
             )
         coeff = solve_triangular(low, np.eye(nbasis), lower=True)
-        bases.append(ConeBasis(n, k, exponents, coeff, samples, seed, gram_stderr=0.0))
-    stderrs = _gram_stderr(bases, mass, *check)
-    return tuple(replace(b, gram_stderr=e) for b, e in zip(bases, stderrs))
-
-
-def _gram_stderr(bases, mass: float, q: np.ndarray, p: np.ndarray) -> list[float]:
-    """Largest entrywise stderr of each basis's orthonormalized empirical Gram.
-
-    Estimates the population variance of the section products at the
-    check frames (q, p), drawn by the build from a substream of their own
-    and lifted to the unit slice, and scales it to each basis's sample
-    count.  The frames are lifted GRAM_CHECK_ROWS at a time, and each
-    basis's sections on the slice go into running sums, the first moment
-    by zherk, so the check holds one slice of one basis's sections.
-    """
-    first = [np.zeros((b.size, b.size), dtype=complex) for b in bases]
-    second = [np.zeros((b.size, b.size)) for b in bases]
-    for start in range(0, len(q), GRAM_CHECK_ROWS):
-        rows = slice(start, start + GRAM_CHECK_ROWS)
-        z = (q[rows] + 1j * p[rows]) / math.sqrt(2.0)
-        for basis, mom1, mom2 in zip(bases, first, second):
-            s = basis.evaluate(z)
-            # s.T is Fortran-ordered; its zherk is conj(s^H s), and only the modulus is used
-            mom1 += blas.zherk(1.0, s.T)
-            # |s|^2, squaring the imaginary parts in place: s is not used again
-            sq = np.square(s.real)
-            sq += np.square(s.imag, out=s.imag)
-            # numpy's product, not dgemm or dsyrk, whose sums round differently
-            mom2 += sq.T @ sq
-            # freed before the next sections are evaluated, not when they are assigned
-            del s, sq
-    stderrs = []
-    for basis, mom1, mom2 in zip(bases, first, second):
-        mean = mass * _hermitian(mom1) / len(q)
-        var = np.clip(mass**2 * mom2 / len(q) - np.abs(mean) ** 2, 0.0, None)
-        stderrs.append(float(np.sqrt(var / basis.samples).max()))
-    return stderrs
+        error = np.abs(1.0 - np.linalg.eigvalsh(low.conj().T @ _inverse_gram(n, k) @ low)).max()
+        bases.append(ConeBasis(n, k, exponents, coeff, samples, seed, gram_error=float(error)))
+    return tuple(bases)
 
 
 def _require_on_slice(z: np.ndarray, r: float, label: str) -> None:
@@ -446,10 +438,11 @@ def _pushforward_raw(
     s = basis.evaluate((qs[:, None, :] + 1j * nodes).reshape(-1, n + 1))
     fibers = w @ s.reshape(2, len(w), basis.size)
     raw = ev.prefactor * complex(np.sum(fibers[0] * fibers[1].conj()))
-    # a Monte Carlo Gram leaves imaginary noise of order gram_stderr times
-    # the fiber-integral magnitudes; only an excess beyond that is a bug
+    # the exact kernel pushes forward to a real value, and the sampled one
+    # lies within gram_error times the fiber integrals' norms of it (see
+    # ConeBasis); only an excess beyond that and rounding is a bug
     scale = ev.prefactor * float(np.linalg.norm(fibers[0]) * np.linalg.norm(fibers[1]))
-    allowance = 1e-8 * (1.0 + abs(raw.real)) + 10.0 * basis.size * basis.gram_stderr * scale
+    allowance = 1e-8 * (1.0 + abs(raw.real)) + basis.gram_error * scale
     return raw, allowance
 
 
@@ -460,8 +453,8 @@ def pushforward_kernel(ev: SzegoEvaluator, q0: np.ndarray, q1: np.ndarray) -> fl
     q0-perp and p' in the unit sphere of q1-perp with polynomial-exact
     product rules.  The result equals the sphere projector kernel at
     q0 . q1 times the squared push-forward norm constant.  Returns the real
-    part; the imaginary part must vanish up to the basis Gram noise
-    (exactly, for a quadrature-exact basis) or the call raises.
+    part; the imaginary part must stay within the basis's gram_error bound
+    (rounding alone, for an exact basis) or the call raises.
     """
     raw, allowance = _pushforward_raw(ev, q0, q1)
     if abs(raw.imag) > allowance:
@@ -592,8 +585,10 @@ def offdiagonal_decay_probe(
     """Normalized kernel magnitude at a fixed separated pair, per degree.
 
     For each degree-k basis (unit-slice evaluators), computes
-    |K(x, x')| / sqrt(K(x, x) K(x', x')) and flags values below ten times
-    the basis gram_stderr as noise-floor entries.  Reports the fitted
+    |K(x, x')| / sqrt(K(x, x) K(x', x')), which lies within
+    gram_error (1 + value) / (1 - gram_error) of the exact kernel's, and
+    flags values below the basis gram_error, where they are consistent with
+    zero, as noise-floor entries.  Reports the fitted
     exponential decay rate over the clean prefix, whether the clean prefix
     is strictly decreasing, and whether successive ratios shrink.
     """
@@ -623,7 +618,7 @@ def offdiagonal_decay_probe(
         normalized = off / math.sqrt(d0 * d1)
         ks.append(basis.k)
         values.append(normalized)
-        flags.append(normalized < 10.0 * basis.gram_stderr)
+        flags.append(normalized < basis.gram_error)
 
     first_floor = next((i for i, f in enumerate(flags) if f), len(flags))
     clean = values[:first_floor]

@@ -14,9 +14,9 @@ __all__ = ["substream", "map_blocks", "BLOCK"]
 # samples per block; also the unit of substream assignment
 BLOCK = 1 << 14
 
-# purpose tags (first spawn-key component)
+# purpose tags (first spawn-key component); 2 and 3 belong to retired
+# streams, and the others keep their values so that their draws stay the same
 GRAM = 1
-GRAM_CHECK = 2
 PAIR_DRAW = 4
 PROBE = 5
 

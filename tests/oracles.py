@@ -19,6 +19,7 @@ from zonal.quadric import ConeBasis, monomial_basis
 VOL_S1 = 2.0 * math.pi
 VOL_S2 = 4.0 * math.pi
 VOL_S3 = 2.0 * math.pi**2
+VOL_S4 = 8.0 * math.pi**2 / 3.0
 
 
 def slice_mass(n: int, r: float = 1.0) -> float:
@@ -29,8 +30,9 @@ def slice_mass(n: int, r: float = 1.0) -> float:
     sqrt(2); scaling to radius r multiplies by (r / sqrt(2))^(2n - 1), and
     the fiber normalization divides by 2 pi.
     """
-    vol_n = {2: VOL_S2, 3: VOL_S3}[n]
-    vol_f = {2: VOL_S1, 3: VOL_S2}[n]
+    # S^0 is two points: at n = 1 the slice is two circles
+    vol_n = {1: VOL_S1, 2: VOL_S2, 3: VOL_S3, 4: VOL_S4}[n]
+    vol_f = {1: 2.0, 2: VOL_S1, 3: VOL_S2, 4: VOL_S3}[n]
     vol_sqrt2 = math.sqrt(2.0) * vol_n * vol_f
     return vol_sqrt2 * (r / math.sqrt(2.0)) ** (2 * n - 1) / (2.0 * math.pi)
 
@@ -166,8 +168,44 @@ def exact_cone_basis(n: int, k: int) -> ConeBasis:
         coeff=coeff,
         samples=0,
         seed=0,
-        gram_stderr=0.0,
+        gram_error=0.0,
     )
+
+
+def slice_draws(n: int, count: int, seed: int, chunk: int = 1 << 14):
+    """count Haar points (q + ip)/sqrt(2) of the unit slice, chunk at a time.
+
+    (q, p) is Gram-Schmidt on a pair of Gaussian vectors, drawn from numpy's
+    default generator at `seed`, not from zonal.rng's substreams.
+    """
+    gen = np.random.default_rng(seed)
+    for start in range(0, count, chunk):
+        g1 = gen.standard_normal((min(chunk, count - start), n + 1))
+        g2 = gen.standard_normal(g1.shape)
+        q = g1 / np.linalg.norm(g1, axis=1)[:, None]
+        w = g2 - np.einsum("ij,ij->i", q, g2)[:, None] * q
+        yield (q + 1j * w / np.linalg.norm(w, axis=1)[:, None]) / math.sqrt(2.0)
+
+
+def gram_stderr(basis: ConeBasis, seed: int, count: int = 1 << 17) -> float:
+    """Largest entrywise standard error of a sampled basis's orthonormalized Gram.
+
+    The statistical counterpart of the build's rigorous gram_error: the
+    variance of the section products over `count` fresh Haar frames, drawn
+    from numpy's default generator at `seed`, scaled to the basis's sample
+    count.  It bounds typical entries, not every pair of points.
+    """
+    mass = slice_mass(basis.n, 1.0)
+    first = np.zeros((basis.size, basis.size), dtype=complex)
+    second = np.zeros((basis.size, basis.size))
+    for z in slice_draws(basis.n, count, seed):
+        s = basis.evaluate(z)
+        first += s.conj().T @ s
+        sq = np.abs(s) ** 2
+        second += sq.T @ sq
+    mean = mass * first / count
+    var = np.clip(mass**2 * second / count - np.abs(mean) ** 2, 0.0, None)
+    return float(np.sqrt(var / basis.samples).max())
 
 
 @lru_cache(maxsize=None)

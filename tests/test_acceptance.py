@@ -3,7 +3,6 @@
 Every criterion states its tolerance and a wall-clock budget; both are
 asserted.  Run `pytest -s tests/test_acceptance.py` to see the lines.
 """
-import json
 import math
 import os
 import subprocess

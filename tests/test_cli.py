@@ -6,7 +6,6 @@ import subprocess
 import sys
 
 import numpy as np
-import pytest
 
 from zonal import harness
 from zonal.cli import MAX_GRID, build_parser, main
@@ -277,7 +276,7 @@ def test_out_writes_file_only(tmp_path, capsys):
 def test_thread_count_never_changes_bytes(tmp_path):
     # determinism contract: identical output whether or not the caller pins
     # BLAS threads.  At n=3, k=8 the basis has 81 members, where threaded
-    # zgemm/zpotrf round coeff and gram_stderr differently per thread count
+    # zgemm/zpotrf round coeff and gram_error differently per thread count
     outputs = []
     for threads in (None, "1"):
         target = tmp_path / f"oracle_{threads}.json"

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import decay_exact
+from oracles import decay_exact, eval_monomials, fiber_nodes, gram_stderr
+from zonal import rng
 from zonal.asymptotics import AngleWindow, c_constant_leading
 from zonal.harness import (
     CSV_HEADER,
@@ -20,6 +21,7 @@ from zonal.harness import (
     relative_bracket_error,
     write_csv,
 )
+from zonal.quadric import SzegoEvaluator, _pushforward_raw, build_cone_basis, sphere_point
 from zonal.special import ZonalIndex
 
 
@@ -213,12 +215,48 @@ def test_geometric_oracle_report():
 @pytest.mark.parametrize("samples", [30_000, 200_000])
 def test_geometric_oracle_decay_matches_closed_form(n, samples):
     # the probe pair sits at probe_pair's default angle 0.9; the decay values
-    # carry the basis's Gram noise, so gram_stderr must bound their error
-    out = geometric_oracle(n, (2, 4, 8), samples=samples, pairs=1, seed=7)
+    # carry the basis's Gram noise, and its entrywise standard error bounds
+    # their error more tightly here than the rigorous gram_error does
+    ks = (2, 4, 8)
+    out = geometric_oracle(n, ks, samples=samples, pairs=1, seed=7)
     assert out["decay"]["distance"] == pytest.approx(math.sqrt(2.0) * math.sin(0.45), rel=1e-12)
-    stderr = {deg["k"]: deg["gram_stderr"] for deg in out["degrees"]}
-    for k, value in zip(out["decay"]["ks"], out["decay"]["values"]):
-        assert abs(value - decay_exact(0.9, k)) <= 2.0 * stderr[k]
+    bases = build_cone_basis(n, ks, samples, seed=7)
+    for basis, value in zip(bases, out["decay"]["values"]):
+        assert abs(value - decay_exact(0.9, basis.k)) <= 2.0 * gram_stderr(basis, seed=7)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_geometric_oracle_within_gram_error(n, seed):
+    # the exact kernel pushes forward to the real value c_k^2 P_k, and the
+    # sampled one lies within gram_error prefactor |F0| |F1| of it, with F
+    # the fiber integrals of the sections (here by the oracle's own rule).
+    # The decay value lies within gram_error (1 + value) / (1 - gram_error)
+    # of the exact kernel's.  Both bounds hold at every seed
+    ks = (2, 4, 8)
+    out = geometric_oracle(n, ks, samples=30_000, pairs=4, seed=seed)
+    bases = build_cone_basis(n, ks, 30_000, seed)
+    for deg, basis in zip(out["degrees"], bases):
+        error = deg["gram_error"]
+        assert error == basis.gram_error
+        ev = SzegoEvaluator(basis=basis, radius=math.sqrt(2.0))
+        gen = rng.substream(seed, rng.PAIR_DRAW, basis.k)
+        for row in deg["pairs"]:
+            q0, q1 = sphere_point(n, gen), sphere_point(n, gen)
+            assert row["dot"] == float(np.dot(q0, q1))
+            fibers = []
+            for q in (q0, q1):
+                nodes, weights = fiber_nodes(q, basis.k)
+                fibers.append(weights @ eval_monomials(q + 1j * nodes, basis.exponents) @ basis.coeff.T)
+            bound = error * ev.prefactor * np.linalg.norm(fibers[0]) * np.linalg.norm(fibers[1])
+            rounding = 1e-12 * (1.0 + abs(row["predicted"]))
+            assert abs(row["pushforward"] - row["predicted"]) <= bound + rounding
+            assert abs(_pushforward_raw(ev, q0, q1)[0].imag) <= bound + rounding
+    for deg, value, flag in zip(out["degrees"], out["decay"]["values"], out["decay"]["below_floor"]):
+        error = deg["gram_error"]
+        assert abs(value - decay_exact(0.9, deg["k"])) <= error * (1.0 + value) / (1.0 - error) + 1e-12
+        # a value below gram_error is consistent with zero
+        assert flag == (value < error)
 
 
 def test_geometric_oracle_deterministic():
