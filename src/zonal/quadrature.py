@@ -14,7 +14,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 __all__ = ["sphere_rule", "complement_frame", "fiber_rule"]
 
@@ -39,6 +38,8 @@ def sphere_rule(m: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
         nodes = np.column_stack([np.cos(ang), np.sin(ang)])
         weights = np.full(count, 2.0 * math.pi / count)
     else:
+        from scipy.special import roots_jacobi
+
         npolar = (degree + 2) // 2
         t, tw = roots_jacobi(npolar, 0.5 * (m - 2), 0.5 * (m - 2))
         sub_nodes, sub_w = sphere_rule(m - 1, degree)

@@ -11,11 +11,12 @@ once for every requested degree and adds each degree's Gram by Hermitian
 rank-k updates (zherk) over row slices of the block, so it holds one slice
 of one degree's monomials whatever the sample count: at n = 3 and k = 8
 the build's traced peak is about 16 MB, and `zonal oracle --n 3` peaks at
-about 82 MB, 60 MB of it numpy and scipy.  Each basis's error is measured
-exactly, against the closed-form inverse Gram of the Szego kernel, and the
-push-forward constant c_k is the closed-form Gamma ratio of the paper's
-identity; neither draws samples.  All randomness flows through
-counter-based substreams so results depend only on (seed, sample count).
+about 81 MB, 59 MB of it numpy and scipy, which only the build imports.
+Each basis's error is measured exactly, against the closed-form inverse
+Gram of the Szego kernel, and must stay below 1/2; the push-forward
+constant c_k is the closed-form Gamma ratio of the paper's identity.
+Neither draws samples.  All randomness flows through counter-based
+substreams so results depend only on (seed, sample count).
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy.linalg import LinAlgError, blas, cholesky, solve_triangular
 
 from . import rng
 from .quadrature import fiber_rule
@@ -302,6 +302,8 @@ def _block_gram(z: np.ndarray, exponents) -> np.ndarray:
     beta = 1.  On OpenBLAS the sum is the one-call zherk's, bit for bit
     (see MIN_SLICE_ROWS).
     """
+    from scipy.linalg import blas
+
     size = len(exponents)
     rows = len(z) if len(z) * size * 16 <= WHOLE_BLOCK_BYTES else GRAM_BUILD_ROWS
     gram = np.zeros((size, size), dtype=complex, order="F")
@@ -309,11 +311,6 @@ def _block_gram(z: np.ndarray, exponents) -> np.ndarray:
         # the monomial matrix is Fortran-ordered, so zherk forms a^H a without a copy
         gram = blas.zherk(1.0, _monomial_matrix(z[part], exponents), trans=2, beta=1.0, c=gram, overwrite_c=1)
     return gram
-
-
-def _hermitian(upper: np.ndarray) -> np.ndarray:
-    """Hermitian matrix whose upper triangle (diagonal included) is upper's."""
-    return upper + np.triu(upper, 1).conj().T
 
 
 def build_cone_basis(n: int, ks, samples: int, seed: int) -> tuple[ConeBasis, ...]:
@@ -330,9 +327,12 @@ def build_cone_basis(n: int, ks, samples: int, seed: int) -> tuple[ConeBasis, ..
     from 1 of an eigenvalue of L^H G^-1 L with G^-1 the closed-form
     inverse Gram (`_inverse_gram`).
     Raises if a Gram is not safely positive definite, which is the
-    too-few-samples signature.  Returns one ConeBasis per degree in the
-    order of ks; each is the same whatever the other degrees are.
+    too-few-samples signature, or if a gram_error reaches 1/2, where its
+    bounds say nothing.  Returns one ConeBasis per degree in the order of
+    ks; each is the same whatever the other degrees are.
     """
+    from scipy.linalg import cholesky, solve_triangular
+
     families = [monomial_basis(n, k) for k in ks]
     if not families:
         raise ValueError("build_cone_basis: ks is empty; need at least one degree")
@@ -356,10 +356,11 @@ def build_cone_basis(n: int, ks, samples: int, seed: int) -> tuple[ConeBasis, ..
     bases = []
     for k, exponents, upper in zip(ks, families, grams):
         nbasis = len(exponents)
-        gram = _hermitian(upper.reshape(nbasis, nbasis))
+        upper = upper.reshape(nbasis, nbasis)
+        gram = upper + np.triu(upper, 1).conj().T
         try:
             low = cholesky(gram, lower=True)
-        except LinAlgError as exc:
+        except np.linalg.LinAlgError as exc:
             raise ValueError(
                 f"build_cone_basis: Gram at samples={samples} is not positive definite; increase samples"
             ) from exc
@@ -370,6 +371,9 @@ def build_cone_basis(n: int, ks, samples: int, seed: int) -> tuple[ConeBasis, ..
             )
         coeff = solve_triangular(low, np.eye(nbasis), lower=True)
         error = np.abs(1.0 - np.linalg.eigvalsh(low.conj().T @ _inverse_gram(n, k) @ low)).max()
+        if error >= 0.5:
+            raise ValueError(f"build_cone_basis: gram_error {error:.3g} at k={k}, samples={samples} is at least "
+                             "1/2, where its bounds exceed the values they bound; increase samples")
         bases.append(ConeBasis(n, k, exponents, coeff, samples, seed, gram_error=float(error)))
     return tuple(bases)
 

@@ -6,7 +6,8 @@ by the closed form cos(k theta), for n >= 2 at high degree away from the
 poles by its complete Darboux expansion where that is exact to rounding,
 and everywhere else by scipy's compiled recurrence in that normalization.
 Everything else in the package (asymptotic brackets, the projector kernel,
-the geometric cross-checks) is expressed against it.
+the geometric cross-checks) is expressed against it.  Only the recurrence
+imports scipy, so the closed form and the expansion run on numpy alone.
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import binom, eval_gegenbauer, poch
 
 __all__ = [
     "ZonalIndex",
@@ -45,6 +45,7 @@ _SQRT_HALF = math.sqrt(0.5)
 _DEKKER = 134217729.0
 # B_2j / (2j (2j - 1)), j = 1..6: Stirling's series for log Gamma
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
+_INV_SQRT_PI_128 = 0x906EBA8214DB688D71D48A7F6BFEC344  # floor(2^128 / sqrt(pi))
 
 
 def _is_int(value) -> bool:
@@ -89,6 +90,15 @@ def _gamma_ratio(k: int, lam: float) -> float:
     return math.exp(-log)
 
 
+def _scaled_half_pochhammer(n: int) -> float:
+    """4^L (1/2)_L, L = (n-1)/2, correctly rounded: (2m)!/m! at L = m, and
+    2 4^m m!/sqrt(pi) at L = m + 1/2 with 1/sqrt(pi) to 128 bits."""
+    m, half = divmod(n - 1, 2)
+    if half:
+        return 2 * 4**m * math.factorial(m) * _INV_SQRT_PI_128 / 2**128
+    return float(math.factorial(2 * m) // math.factorial(m))
+
+
 class _Plan(NamedTuple):
     scale: float
     coef: list[float]
@@ -126,11 +136,9 @@ def _darboux_plan(n: int, k: int) -> _Plan | None:
         largest = max(largest, abs(coef[m]) ** (1.0 / m))
     if sigma >= 2.0:
         return None
-    # sigma >= |a_1| = L |L - 1| / (k + L + 1), so here k > L^2 / 2 - 2L, where
-    # binom(k + 2L - 1, k) is a finite double only for L < 90: the scale of a
-    # degree that passed _recurrence_scale is finite (4^L overflows from
-    # L = 512, (1/2)_L from 172)
-    scale = 4.0**lam * poch(0.5, lam) * _gamma_ratio(k, lam)
+    # sigma >= |a_1| = L |L - 1| / (k + L + 1), so k > L^2 / 2 - 2L, where a degree
+    # passing _check_range has L < 90 and a finite scale
+    scale = _scaled_half_pochhammer(n) * _gamma_ratio(k, lam)
     sigma = max(sigma, scale ** (1.0 / lam))
     if sigma >= 2.0:
         return None
@@ -169,14 +177,29 @@ def _darboux(n: int, k: int, x: np.ndarray, plan: _Plan) -> np.ndarray:
     return acc
 
 
-def _recurrence_scale(n: int, k: int) -> float:
-    """binom(k + n - 2, k), which scipy's loop multiplies its value-one recurrence by."""
-    scale = binom(k + n - 2.0, k)
-    # past either limit scipy returns NaN or rescales its loop by 2 L / k
-    if not math.isfinite(scale) or (k and 0.5 * (n - 1) / k < 1e-8):
+def _check_range(n: int, k: int) -> None:
+    """Raise unless binom(k + n - 2, k) is a finite double and k <= 1e8 (n - 1) / 2.
+
+    Past either limit scipy's loop returns NaN or rescales itself by 2 L / k.
+    (N/r)^r <= binom(N, r) <= (e N/r)^r, N = k + n - 2, r = min(k, n - 2), settles
+    degrees far from overflow; nearer, scipy's binom decides, off by about k eps.
+    """
+    r = min(k, n - 2)
+    low = r * (math.log(k + n - 2) - math.log(r)) if r else 0.0
+    if low + r >= 709.0 and low <= 710.0:
+        from scipy.special import binom
+
+        low = 0.0 if math.isfinite(binom(k + n - 2.0, k)) else math.inf
+    if low > 710.0 or (k and 0.5 * (n - 1) / k < 1e-8):
         raise ValueError(f"legendre degree k={k} on S^{n} is outside the evaluated range: "
                          "binom(k + n - 2, k) must be a finite double and k <= 1e8 (n - 1) / 2")
-    return scale
+
+
+def _recurrence(n: int, k: int, x: np.ndarray) -> np.ndarray:
+    """scipy's compiled value-one loop at x = |t|, imported on first use."""
+    from scipy.special import binom, eval_gegenbauer
+
+    return eval_gegenbauer(k, 0.5 * (n - 1), x) / binom(k + n - 2.0, k)
 
 
 def _chebyshev(k: int, x: np.ndarray, out: np.ndarray) -> None:
@@ -229,12 +252,10 @@ def _value_one(n: int, k: int, t: np.ndarray) -> np.ndarray:
                              "k <= 2^53, so that float(k) is exact")
         vals = _in_chunks(lambda xs, out: _chebyshev(k, xs, out), x)
     else:
-        scale = _recurrence_scale(n, k)
-        lam = 0.5 * (n - 1)
+        _check_range(n, k)
         plan = _darboux_plan(n, k) if k >= K_EXPANSION else None
         if plan is None:
-            vals = eval_gegenbauer(k, lam, x)
-            vals /= scale
+            vals = _recurrence(n, k, x)
         else:
             def expansion(xs, out):
                 inside = xs < plan.bound
@@ -242,7 +263,7 @@ def _value_one(n: int, k: int, t: np.ndarray) -> np.ndarray:
                     out[inside] = _darboux(n, k, xs[inside], plan)
                 if not inside.all():
                     rest = ~inside
-                    out[rest] = eval_gegenbauer(k, lam, xs[rest]) / scale
+                    out[rest] = _recurrence(n, k, xs[rest])
 
             vals = _in_chunks(expansion, x)
     # exact endpoints, whatever scipy's loops round to there

@@ -8,6 +8,7 @@ produced by this module and are asserted against fresh recomputation in the
 tests, so silent drift on either side fails loudly.
 """
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -20,6 +21,8 @@ VOL_S1 = 2.0 * math.pi
 VOL_S2 = 4.0 * math.pi
 VOL_S3 = 2.0 * math.pi**2
 VOL_S4 = 8.0 * math.pi**2 / 3.0
+# slice points whose monomials exact_gram forms at a time
+GRAM_ROWS = 1 << 13
 
 
 def slice_mass(n: int, r: float = 1.0) -> float:
@@ -38,19 +41,21 @@ def slice_mass(n: int, r: float = 1.0) -> float:
 
 
 def complement(q: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of q-perp, rows, via a QR factorization."""
+    """Orthonormal bases of q-perp, rows, via QR factorizations.
+
+    For q of shape (..., d) the bases have shape (..., d - 1, d).
+    """
     q = np.asarray(q, dtype=float)
-    m = np.eye(q.size)
-    full = np.linalg.qr(np.column_stack([q, m]), mode="reduced")[0]
-    basis = full[:, 1 : q.size].T
-    return basis
+    d = q.shape[-1]
+    stacked = np.concatenate([q[..., :, None], np.broadcast_to(np.eye(d), q.shape[:-1] + (d, d))], axis=-1)
+    full = np.linalg.qr(stacked, mode="reduced")[0]
+    return np.swapaxes(full[..., 1:d], -1, -2)
 
 
-def circle_nodes(u: np.ndarray, v: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+def circle_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Trapezoid rule on the unit circle, exact below `count` in degree."""
     t = 2.0 * math.pi * np.arange(count) / count
-    nodes = np.outer(np.cos(t), u) + np.outer(np.sin(t), v)
-    weights = np.full(count, 2.0 * math.pi / count)
-    return nodes, weights
+    return np.column_stack([np.cos(t), np.sin(t)]), np.full(count, 2.0 * math.pi / count)
 
 
 def sphere_nodes_s2(degree: int) -> tuple[np.ndarray, np.ndarray]:
@@ -111,25 +116,29 @@ def sphere_nodes(n: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fiber_nodes(q: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rule on the unit sphere of q-perp, exact for polynomials to degree."""
+    """Rule on the unit sphere of q-perp, exact for polynomials to degree.
+
+    For q of shape (..., d) the nodes have shape (..., F, d); the F weights
+    are shared by every fiber.
+    """
     basis = complement(q)
-    if basis.shape[0] == 2:
-        return circle_nodes(basis[0], basis[1], degree + 1)
-    inner, w = sphere_nodes_s2(degree)
+    inner, w = circle_nodes(degree + 1) if basis.shape[-2] == 2 else sphere_nodes_s2(degree)
     return inner @ basis, w
 
 
 def eval_monomials(z: np.ndarray, exponents) -> np.ndarray:
     """Monomial values, one row per point, one column per exponent tuple."""
     z = np.asarray(z, dtype=complex)
-    out = np.empty((z.shape[0], len(exponents)), dtype=complex)
-    for j, expo in enumerate(exponents):
-        acc = np.ones(z.shape[0], dtype=complex)
+    powers = {}
+    out = np.empty((len(exponents), z.shape[0]), dtype=complex)
+    for row, expo in zip(out, exponents):
+        row[:] = 1.0
         for axis, power in enumerate(expo):
             if power:
-                acc = acc * z[:, axis] ** power
-        out[:, j] = acc
-    return out
+                if (axis, power) not in powers:
+                    powers[axis, power] = z[:, axis] ** power
+                row *= powers[axis, power]
+    return out.T
 
 
 @lru_cache(maxsize=None)
@@ -145,10 +154,15 @@ def exact_gram(n: int, k: int) -> np.ndarray:
     snodes, sweights = sphere_nodes(n, 2 * k)
     gram = np.zeros((size, size), dtype=complex)
     scale = 1.0 / math.sqrt(2.0)
-    for q, wq in zip(snodes, sweights):
+    # sphere nodes a batch at a time, with all their fibers in one product
+    fiber_count = len(fiber_nodes(snodes[0], 2 * k)[1])
+    batch = max(1, GRAM_ROWS // fiber_count)
+    for lo in range(0, len(sweights), batch):
+        q, wq = snodes[lo : lo + batch], sweights[lo : lo + batch]
         pnodes, pweights = fiber_nodes(q, 2 * k)
-        vals = eval_monomials(scale * (q[None, :] + 1j * pnodes), exponents)
-        gram += wq * (vals.conj().T @ (pweights[:, None] * vals))
+        vals = eval_monomials((scale * (q[:, None, :] + 1j * pnodes)).reshape(-1, n + 1), exponents)
+        weights = np.outer(wq, pweights).ravel()
+        gram += vals.conj().T @ (weights[:, None] * vals)
     vol_n = {2: VOL_S2, 3: VOL_S3}[n]
     vol_f = {2: VOL_S1, 3: VOL_S2}[n]
     gram *= slice_mass(n, 1.0) / (vol_n * vol_f)
@@ -225,6 +239,35 @@ def exact_c_constant(n: int, k: int) -> float:
     vol_f = {2: VOL_S1, 3: VOL_S2}[n]
     denom = slice_mass(n, math.sqrt(2.0)) * raw / (vol_n * vol_f)
     return math.sqrt(num / denom)
+
+
+def sphere_volume(m: int) -> float:
+    """vol(S^m) by the recursion vol(S^m) = 2 pi vol(S^(m-2)) / (m - 1)."""
+    vol = 2.0 if m % 2 == 0 else 2.0 * math.pi
+    for j in range(2 + m % 2, m + 1, 2):
+        vol *= 2.0 * math.pi / (j - 1)
+    return vol
+
+
+def rational_c_constant(n: int, k: int) -> float:
+    """Push-forward norm ratio of (a . z)^k, a = e0 + i e1, from a rational series.
+
+    Over the unit sphere of q-perp, p . b has even moments
+    (b . b)^j (1/2)_j / (n/2)_j, and with b the part of a orthogonal to q,
+    b . b = -(a . q)^2.  The fiber mean of (a . (q + ip))^k is therefore
+    gamma_k (a . q)^k with gamma_k = sum_j binom(k, 2j) (1/2)_j / (n/2)_j,
+    summed here in fractions, and
+
+        c_k^2 = 2^(-(2n-1)/2 - k) gamma_k vol(S^(n-1))^2 vol(S^n) / mass(1)
+              = sqrt(2) pi 2^-k gamma_k vol(S^(n-1))
+
+    with mass(1) as in slice_mass.  No quadrature and no Gamma function.
+    """
+    gamma, term = Fraction(0), Fraction(1)
+    for j in range(k // 2 + 1):
+        gamma += math.comb(k, 2 * j) * term
+        term *= Fraction(2 * j + 1, n + 2 * j)
+    return math.sqrt(math.sqrt(2.0) * math.pi * sphere_volume(n - 1) * float(gamma / 2**k))
 
 
 def c_ratio_exact(n: int, k: int) -> float:

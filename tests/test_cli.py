@@ -9,6 +9,7 @@ import numpy as np
 
 from zonal import harness
 from zonal.cli import MAX_GRID, build_parser, main
+from zonal.special import ZonalIndex, legendre_normalized
 
 # the BLAS thread variables the package defaults to 1 when none is set
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -185,6 +186,53 @@ def test_oracle_rejects_csv_and_bad_dimension(capsys):
     for ks in ("0,2", "2,2", "4,2,4"):
         code, out, err = run_cli(["oracle", "--ks", ks], capsys)
         assert code == 2 and out == "" and "argument --ks" in err
+
+
+def test_oracle_rejects_a_basis_with_gram_error_at_least_half(capsys):
+    # the sample floor of 10x the basis size admits gram_error 0.918 here,
+    # where the decay bound gram_error (1 + v) / (1 - gram_error) exceeds 1 + v
+    code, out, err = run_cli(["oracle", "--n", "3", "--ks", "12", "--samples", "1690"], capsys)
+    assert code == 2 and out == ""
+    assert "gram_error 0.918" in err
+
+
+IMPORT_FOOTPRINT = """
+import json, sys
+import numpy as np
+import zonal.cli
+from zonal import harness, special
+from zonal.asymptotics import AngleWindow
+from zonal.special import ZonalIndex
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+imported = scipy_modules()
+t = np.cos(np.array([0.3, 1.2, 2.9]))
+for n in (1, 2, 3):
+    idx = ZonalIndex(n, 25_013)
+    special.legendre_normalized(idx, t)
+    special.projector_kernel(idx, t)
+    harness.bracket_errors_on_grid(ZonalIndex(n, 256), AngleWindow(), 1 << 17)
+called = scipy_modules()
+low = special.legendre_normalized(ZonalIndex(3, 8), t)
+print(json.dumps({"imported": imported, "called": called, "low": low.tolist(),
+                  "special": "scipy.special" in sys.modules}))
+"""
+
+
+def test_import_and_kernel_calls_load_no_scipy():
+    # the closed form (n = 1) and the expansion (n >= 2, k >= K_EXPANSION, away
+    # from the poles) run on numpy alone; only the recurrence imports scipy
+    proc = subprocess.run([sys.executable, "-c", IMPORT_FOOTPRINT], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["imported"] == [] and doc["called"] == []
+    assert doc["special"]
+    t = np.cos(np.array([0.3, 1.2, 2.9]))
+    low = legendre_normalized(ZonalIndex(3, 8), t)
+    assert doc["low"] == low.tolist()
+    np.testing.assert_allclose(low, np.sin(9 * np.arccos(t)) / (9 * np.sqrt(1 - t * t)), rtol=0, atol=1e-14)
 
 
 def test_oracle_small_report(capsys):

@@ -14,6 +14,7 @@ from oracles import (
     exact_cone_basis,
     exact_gram,
     fiber_nodes,
+    rational_c_constant,
     slice_draws,
     szego_kernel_exact,
 )
@@ -250,6 +251,11 @@ def test_build_rejects_too_few_samples():
     # an empty degree list is named, not left to numpy's concatenate
     with pytest.raises(ValueError, match="ks is empty"):
         build_cone_basis(2, (), 30_000, seed=5)
+    # at the floor of 10 x 81 sections the k=8 basis reads gram_error 0.834,
+    # where gram_error / (1 - gram_error) > 1 and its bounds say nothing
+    assert build_cone_basis(3, (2, 4), 810, seed=1)[1].gram_error < 0.5
+    with pytest.raises(ValueError, match=r"gram_error 0\.834 at k=8, samples=810 is at least 1/2"):
+        build_cone_basis(3, (2, 4, 8), 810, seed=1)
 
 
 def gram_error(low, n, k):
@@ -629,6 +635,25 @@ def test_c_constant_ratio_matches_gamma_closed_form():
             ratio = C_EXACT[(n, k)] / c_constant_leading(idx)
             np.testing.assert_allclose(
                 ratio, c_ratio_exact(n, k), rtol=1e-12, err_msg=f"n={n} k={k}"
+            )
+
+
+def test_rational_c_constant_matches_gamma_closed_form():
+    # the rational series against the Gamma ratio beyond the quadrature
+    # oracle's n = 2, 3: within 0.94e-15 k measured, for n = 2..11
+    for n in range(2, 12):
+        for k in range(1, 101):
+            ratio = rational_c_constant(n, k) / c_constant_leading(ZonalIndex(n=n, k=k))
+            np.testing.assert_allclose(ratio, c_ratio_exact(n, k), rtol=4e-15 * k, err_msg=f"n={n} k={k}")
+
+
+def test_rational_c_constant_matches_package():
+    # within 0.65e-15 max(k, 1) measured, the lgamma difference's rounding
+    for n in (2, 3):
+        for k in range(201):
+            np.testing.assert_allclose(
+                c_constant_numeric(ZonalIndex(n=n, k=k)), rational_c_constant(n, k),
+                rtol=4e-15 * max(k, 1), err_msg=f"n={n} k={k}",
             )
 
 

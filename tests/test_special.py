@@ -1,5 +1,7 @@
 import math
+import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,8 +12,10 @@ from scipy.special import binom, eval_gegenbauer, eval_jacobi, eval_legendre
 from zonal.special import (
     K_EXPANSION,
     ZonalIndex,
+    _check_range,
     _darboux_plan,
     _gamma_ratio,
+    _scaled_half_pochhammer,
     dim_eigenspace,
     gegenbauer_jacobi,
     gegenbauer_norm_constant,
@@ -423,6 +427,55 @@ def test_degree_range_raises():
     for k in (2**53 + 1, 10**17):
         with pytest.raises(ValueError, match="outside the evaluated range"):
             legendre_normalized(ZonalIndex(n=1, k=k), math.cos(theta))
+
+
+def _accepted(n, k):
+    try:
+        _check_range(n, k)
+    except ValueError:
+        return False
+    return True
+
+
+def test_range_guard_matches_scipy_binom_finiteness():
+    # the guard's bounds on binom(k + n - 2, k) leave scipy's binom to decide
+    # near the overflow threshold; below the 1e8 (n-1)/2 degree limit the two
+    # agree on the last accepted degree and on either side of it
+    def finite(n, k):
+        return math.isfinite(binom(k + n - 2.0, k))
+
+    for n in range(2, 1201):
+        lo, hi = 0, 10**7 * (n - 1)
+        if finite(n, hi):
+            assert _accepted(n, hi) and _accepted(n, hi // 3), n
+            continue
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if finite(n, mid) else (lo, mid)
+        for k in (lo // 2, lo - 1, lo, hi, hi + 1, 2 * hi):
+            assert _accepted(n, k) == finite(n, k), (n, k)
+
+
+def test_range_guard_is_fast_far_past_the_threshold():
+    # an exact integer binom(2 10^6 - 2, 10^6) alone takes tens of seconds
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="outside the evaluated range"):
+        legendre_normalized(ZonalIndex(10**6, 10**6), 0.3)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_scaled_half_pochhammer_is_correctly_rounded():
+    # 4^L (1/2)_L, L = (n-1)/2, over every L the expansion's scale can reach
+    import mpmath as mp
+
+    with mp.workprec(400):
+        for n in range(2, 181):
+            m, half = divmod(n - 1, 2)
+            if half:
+                ref = float(2 * 4**m * mp.factorial(m) / mp.sqrt(mp.pi))
+            else:
+                ref = float(4**m * math.prod(Fraction(2 * j + 1, 2) for j in range(m)))
+            assert _scaled_half_pochhammer(n) == ref, n
 
 
 def test_argument_clamp():
