@@ -6,12 +6,12 @@ slice is exactly the set q + ip of orthonormal pairs (q, p) in R^(n+1).
 This module samples those slices, builds L2-orthonormal bases of the
 degree-k holomorphic sections by Monte Carlo, evaluates the associated
 reproducing kernel, and pushes it forward along fibers to recover the
-sphere eigenspace projector.  One build pass draws each block of frames
-once for every requested degree and adds each degree's Gram by Hermitian
-rank-k updates (zherk) over row slices of the block, so it holds one slice
-of one degree's monomials whatever the sample count: at n = 3 and k = 8
-the build's traced peak is about 16 MB, and `zonal oracle --n 3` peaks at
-about 81 MB, 59 MB of it numpy and scipy, which only the build imports.
+sphere eigenspace projector.  One build pass draws each block of rng.BLOCK
+frames once for every requested degree and adds each degree's block Gram
+by one Hermitian rank-k update (zherk), so it holds one block of one
+degree's monomials whatever the sample count: at n = 3 and k = 8 the
+build's traced peak is about 15 MB, and `zonal oracle --n 3` peaks at
+about 80 MB, 59 MB of it numpy and scipy, which only the build imports.
 Each basis's error is measured exactly, against the closed-form inverse
 Gram of the Szego kernel, and must stay below 1/2; the push-forward
 constant c_k is the closed-form Gamma ratio of the paper's identity.
@@ -55,29 +55,6 @@ FRAME_TOL = 1e-12
 POINT_TOL = 1e-9
 # relative floor for Cholesky pivots of the estimated Gram
 PIVOT_FLOOR = 1e-8
-# block frames whose monomials are formed at a time; sets the build's memory,
-# not its result.  A multiple of MIN_SLICE_ROWS, so the slices of a block sum
-# as one zherk call does
-GRAM_BUILD_ROWS = 1 << 13
-# a block whose monomials take at most this many bytes is not sliced: at
-# n = 2 and k <= 8 the extra calls cost about 3% of a build
-WHOLE_BLOCK_BYTES = 5 << 20
-# no slice is cut shorter than this: OpenBLAS sums zherk's inner dimension
-# in 256-row chunks and halves a last chunk of 256 to 512 rows, so slices
-# that start at multiples of 256 and leave no shorter remainder sum exactly
-# as one call does, and numpy's matmul never meets a one-row slice
-MIN_SLICE_ROWS = 256
-
-
-def _row_slices(count: int, rows: int) -> list[slice]:
-    """Slices of `rows` rows covering range(count), in order.
-
-    A remainder shorter than MIN_SLICE_ROWS joins the slice before it.
-    """
-    starts = list(range(0, count, rows))
-    if len(starts) > 1 and count - starts[-1] < MIN_SLICE_ROWS:
-        starts.pop()
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [count])]
 
 
 def frame_volume(n: int) -> float:
@@ -151,14 +128,12 @@ def _orthonormalize(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
 def _frame_block(n: int, count: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """count Haar frames as arrays Q, P of shape (count, n+1).
 
-    The two Gaussian draws are orthonormalized in place, rng.BLOCK rows at a
-    time; each row's arithmetic does not depend on the slicing.
+    The two Gaussian draws are orthonormalized in place, all rows in one
+    pass; callers draw one frame or one block of at most rng.BLOCK.
     """
     q = gen.standard_normal((count, n + 1))
     p = gen.standard_normal((count, n + 1))
-    bad = np.concatenate(
-        [rows.start + np.flatnonzero(_orthonormalize(q[rows], p[rows])) for rows in _row_slices(count, rng.BLOCK)]
-    )
+    bad = np.flatnonzero(_orthonormalize(q, p))
     while len(bad):
         # measure-zero event; redrawing inside the block keeps determinism
         g1 = gen.standard_normal((len(bad), n + 1))
@@ -294,33 +269,15 @@ class ConeBasis:
         return _monomial_matrix(z, self.exponents) @ self.coeff.T
 
 
-def _block_gram(z: np.ndarray, exponents) -> np.ndarray:
-    """Upper triangle of m^H m for the monomials m of one block of points.
-
-    The monomials are formed GRAM_BUILD_ROWS rows at a time, or all at once
-    if they take at most WHOLE_BLOCK_BYTES, and added by zherk with
-    beta = 1.  On OpenBLAS the sum is the one-call zherk's, bit for bit
-    (see MIN_SLICE_ROWS).
-    """
-    from scipy.linalg import blas
-
-    size = len(exponents)
-    rows = len(z) if len(z) * size * 16 <= WHOLE_BLOCK_BYTES else GRAM_BUILD_ROWS
-    gram = np.zeros((size, size), dtype=complex, order="F")
-    for part in _row_slices(len(z), rows):
-        # the monomial matrix is Fortran-ordered, so zherk forms a^H a without a copy
-        gram = blas.zherk(1.0, _monomial_matrix(z[part], exponents), trans=2, beta=1.0, c=gram, overwrite_c=1)
-    return gram
-
-
 def build_cone_basis(n: int, ks, samples: int, seed: int) -> tuple[ConeBasis, ...]:
     """Estimate the Gram of each degree's monomial basis on the unit slice and invert it.
 
-    One pass draws Haar frames block by block (one substream per block) and
-    scales the lifts down to radius 1.  For each degree in ks it forms the
-    block's coset monomials and adds the upper triangle of their Gram by
-    Hermitian rank-k updates (zherk), so each frame is drawn once for all
-    degrees and one slice of one degree's monomials is held at a time.
+    One pass draws Haar frames rng.BLOCK at a time (one substream per
+    block) and scales the lifts down to radius 1.  For each degree in ks it
+    forms the block's coset monomials and takes the upper triangle of their
+    Gram by one Hermitian rank-k update (zherk), so each frame is drawn once
+    for all degrees and one block of one degree's monomials is held at a
+    time.
     After the last block each Gram is scaled by the normalized slice
     volume, made Hermitian, and Cholesky-factorized with a relative pivot
     floor of 1e-8, and its factor L gives gram_error, the largest distance
@@ -331,7 +288,7 @@ def build_cone_basis(n: int, ks, samples: int, seed: int) -> tuple[ConeBasis, ..
     bounds say nothing.  Returns one ConeBasis per degree in the order of
     ks; each is the same whatever the other degrees are.
     """
-    from scipy.linalg import cholesky, solve_triangular
+    from scipy.linalg import blas, cholesky, solve_triangular
 
     families = [monomial_basis(n, k) for k in ks]
     if not families:
@@ -348,7 +305,8 @@ def build_cone_basis(n: int, ks, samples: int, seed: int) -> tuple[ConeBasis, ..
         gen = rng.substream(seed, rng.GRAM, b)
         q, p = _frame_block(n, min(rng.BLOCK, samples - b * rng.BLOCK), gen)
         z = scale * (q + 1j * p)
-        return np.concatenate([_block_gram(z, e).ravel() for e in families])
+        # the monomial matrix is Fortran-ordered, so zherk forms a^H a without a copy
+        return np.concatenate([blas.zherk(1.0, _monomial_matrix(z, e), trans=2).ravel() for e in families])
 
     flat = rng.map_blocks(one_block, -(-samples // rng.BLOCK)) * (mass / samples)
     grams = np.split(flat, np.cumsum([len(e) ** 2 for e in families])[:-1])

@@ -11,8 +11,8 @@ import numpy as np
 
 __all__ = ["substream", "map_blocks", "BLOCK"]
 
-# samples per block; also the unit of substream assignment
-BLOCK = 1 << 14
+# samples per block: the unit of substream assignment and of each Gram update
+BLOCK = 1 << 13
 
 # purpose tags (first spawn-key component); 2 and 3 belong to retired
 # streams, and the others keep their values so that their draws stay the same

@@ -178,12 +178,17 @@ def _darboux(n: int, k: int, x: np.ndarray, plan: _Plan) -> np.ndarray:
 
 
 def _check_range(n: int, k: int) -> None:
-    """Raise unless binom(k + n - 2, k) is a finite double and k <= 1e8 (n - 1) / 2.
+    """Raise unless n <= 2^53, binom(k + n - 2, k) is a finite double and k <= 1e8 (n - 1) / 2.
 
-    Past either limit scipy's loop returns NaN or rescales itself by 2 L / k.
+    Past n = 2^53, L = (n - 1) / 2 is no longer an exact double, and from
+    about 10^308 not a double at all.  Past either other limit scipy's loop
+    returns NaN or rescales itself by 2 L / k.
     (N/r)^r <= binom(N, r) <= (e N/r)^r, N = k + n - 2, r = min(k, n - 2), settles
     degrees far from overflow; nearer, scipy's binom decides, off by about k eps.
     """
+    if n > 2**53:
+        raise ValueError("legendre dimension n is outside the evaluated range: "
+                         "n <= 2^53, so that L = (n - 1) / 2 is an exact double")
     r = min(k, n - 2)
     low = r * (math.log(k + n - 2) - math.log(r)) if r else 0.0
     if low + r >= 709.0 and low <= 710.0:
@@ -282,9 +287,9 @@ def legendre_normalized(idx: ZonalIndex, t):
     ----------
     idx : ZonalIndex
         Sphere dimension and degree.  For n = 1, k <= 2^53, so that float(k)
-        is exact.  For n >= 2, binom(k + n - 2, k) must be a finite double
-        (n=100 up to k=52024, n=200 up to k=2574, n=400 up to k=687) and
-        k <= 1e8 (n-1)/2.  Otherwise ValueError.
+        is exact.  For n >= 2, n <= 2^53, binom(k + n - 2, k) must be a
+        finite double (n=100 up to k=52024, n=200 up to k=2574, n=400 up to
+        k=687) and k <= 1e8 (n-1)/2.  Otherwise ValueError.
     t : array_like
         Points in [-1, 1]; values within 1e-12 outside are clamped, NaN is
         rejected.

@@ -21,8 +21,8 @@ VOL_S1 = 2.0 * math.pi
 VOL_S2 = 4.0 * math.pi
 VOL_S3 = 2.0 * math.pi**2
 VOL_S4 = 8.0 * math.pi**2 / 3.0
-# slice points whose monomials exact_gram forms at a time
-GRAM_ROWS = 1 << 13
+# fiber points per batch of fibered_batches
+BATCH_POINTS = 1 << 13
 
 
 def slice_mass(n: int, r: float = 1.0) -> float:
@@ -126,6 +126,19 @@ def fiber_nodes(q: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
     return inner @ basis, w
 
 
+def fibered_batches(n: int, sphere_degree: int, fiber_degree: int):
+    """Sphere nodes and weights with their fiber rules, BATCH_POINTS fiber points a batch.
+
+    Yields (q, wq, pnodes, pweights): a batch of nodes q of the S^n rule of
+    sphere_degree, their weights, and fiber_nodes(q, fiber_degree).
+    """
+    snodes, sweights = sphere_nodes(n, sphere_degree)
+    batch = max(1, BATCH_POINTS // len(fiber_nodes(snodes[0], fiber_degree)[1]))
+    for lo in range(0, len(sweights), batch):
+        q = snodes[lo : lo + batch]
+        yield (q, sweights[lo : lo + batch], *fiber_nodes(q, fiber_degree))
+
+
 def eval_monomials(z: np.ndarray, exponents) -> np.ndarray:
     """Monomial values, one row per point, one column per exponent tuple."""
     z = np.asarray(z, dtype=complex)
@@ -151,15 +164,10 @@ def exact_gram(n: int, k: int) -> np.ndarray:
     """
     exponents = monomial_basis(n, k)
     size = len(exponents)
-    snodes, sweights = sphere_nodes(n, 2 * k)
     gram = np.zeros((size, size), dtype=complex)
     scale = 1.0 / math.sqrt(2.0)
-    # sphere nodes a batch at a time, with all their fibers in one product
-    fiber_count = len(fiber_nodes(snodes[0], 2 * k)[1])
-    batch = max(1, GRAM_ROWS // fiber_count)
-    for lo in range(0, len(sweights), batch):
-        q, wq = snodes[lo : lo + batch], sweights[lo : lo + batch]
-        pnodes, pweights = fiber_nodes(q, 2 * k)
+    # all fibers of a batch of sphere nodes in one product
+    for q, wq, pnodes, pweights in fibered_batches(n, 2 * k, 2 * k):
         vals = eval_monomials((scale * (q[:, None, :] + 1j * pnodes)).reshape(-1, n + 1), exponents)
         weights = np.outer(wq, pweights).ravel()
         gram += vals.conj().T @ (weights[:, None] * vals)
@@ -227,14 +235,12 @@ def exact_c_constant(n: int, k: int) -> float:
     """Push-forward norm ratio of (a . z)^k with a = e0 + i e1, no Monte Carlo."""
     a = np.zeros(n + 1, dtype=complex)
     a[0], a[1] = 1.0, 1j
-    snodes, sweights = sphere_nodes(n, 4 * k + 2)
     num = 0.0
     raw = 0.0
-    for q, wq in zip(snodes, sweights):
-        pnodes, pweights = fiber_nodes(q, 2 * k)
-        vals = (np.dot(a, q) + 1j * (pnodes @ a)) ** k
-        num += wq * abs(np.dot(pweights, vals)) ** 2
-        raw += wq * float(pweights @ np.abs(vals) ** 2)
+    for q, wq, pnodes, pweights in fibered_batches(n, 4 * k + 2, 2 * k):
+        vals = ((q @ a)[:, None] + 1j * (pnodes @ a)) ** k
+        num += float(wq @ np.abs(vals @ pweights) ** 2)
+        raw += float(wq @ (np.abs(vals) ** 2 @ pweights))
     vol_n = {2: VOL_S2, 3: VOL_S3}[n]
     vol_f = {2: VOL_S1, 3: VOL_S2}[n]
     denom = slice_mass(n, math.sqrt(2.0)) * raw / (vol_n * vol_f)
@@ -311,9 +317,9 @@ def szego_kernel_exact(n: int, k: int, z: np.ndarray, w: np.ndarray):
 
 
 # Frozen outputs of exact_c_constant (full precision) at every degree the
-# oracle CLI accepts.  Regenerating the n = 3, k >= 5 entries takes about
-# 45 s; test_c_constant_oracle_reproduces_frozen_values recomputes the rest
-# each run and compares.
+# oracle CLI accepts.  Regenerating all of them takes about 3 s, the n = 3,
+# k >= 5 entries nearly all of it; test_c_constant_oracle_reproduces_frozen_values
+# recomputes the rest each run and compares.
 C_EXACT = {
     (2, 0): 5.283508001182123,
     (2, 1): 3.7360043360892603,

@@ -72,6 +72,14 @@ def test_eval_rejects_degree_out_of_range(capsys):
     assert "outside the evaluated range" in err and "2^53" in err
 
 
+def test_eval_rejects_dimension_out_of_range(capsys):
+    # past n = 2^53, L = (n - 1)/2 is no exact double, and 10^400 is no double at all
+    for n in (2**53 + 1, 10**400):
+        code, _, err = run_cli(["eval", "--n", str(n), "--k", "0"], capsys)
+        assert code == 2
+        assert "outside the evaluated range" in err and "2^53" in err
+
+
 def test_eval_circle_at_a_huge_degree(capsys):
     # the closed form's cost does not grow with k; a k-step loop never returns here
     import mpmath as mp

@@ -23,12 +23,10 @@ from zonal.asymptotics import c_constant_leading
 from zonal.quadric import (
     FramePoint,
     SzegoEvaluator,
-    _block_gram,
     _frame_block,
     _inverse_gram,
     _monomial_matrix,
     _pushforward_raw,
-    _row_slices,
     build_cone_basis,
     c_constant_numeric,
     cone_slice_mass,
@@ -133,13 +131,14 @@ def test_sphere_point_uniform():
 
 
 def whole_array_frames(g1, g2):
-    # one whole-array Gram-Schmidt pass, as the sliced one must reproduce
+    # one whole-array Gram-Schmidt pass, written independently of _frame_block
     nq = np.linalg.norm(g1, axis=1)
     w = g2 - (np.einsum("ij,ij->i", g1, g2) / nq**2)[:, None] * g1
     return g1 / nq[:, None], w / np.linalg.norm(w, axis=1)[:, None]
 
 
-@pytest.mark.parametrize("count", [1, 1000, rng.BLOCK, 2 * rng.BLOCK, 2 * rng.BLOCK + 5, 3 * rng.BLOCK + 300])
+# one frame, a few, and several build blocks' worth, all orthonormalized in one pass
+@pytest.mark.parametrize("count", [1, 1000, 1 << 14, 2 << 14, (2 << 14) + 5, (3 << 14) + 300])
 def test_frame_block_slices_match_whole_array(count):
     q, p = _frame_block(3, count, np.random.default_rng(count))
     gen = np.random.default_rng(count)
@@ -332,23 +331,25 @@ def reference_build(n, k, samples, seed):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_one_pass_build_equals_one_degree_builds(n):
+    # 2 rng.BLOCK + 1 samples end in a one-row block, which zherk adds like any other
     ks = (2, 4, 8)
-    together = build_cone_basis(n, ks, 40_000, seed=3)
-    assert [b.k for b in together] == list(ks)
-    for k, basis in zip(ks, together):
-        (alone,) = build_cone_basis(n, (k,), 40_000, seed=3)
-        assert basis.coeff.tobytes() == alone.coeff.tobytes()
-        assert basis.gram_error == alone.gram_error
-        coeff, error = reference_build(n, k, 40_000, seed=3)
-        np.testing.assert_allclose(basis.coeff, coeff, rtol=1e-12)
-        np.testing.assert_allclose(basis.gram_error, error, rtol=1e-12)
+    for samples in (40_000, 2 * rng.BLOCK + 1):
+        together = build_cone_basis(n, ks, samples, seed=3)
+        assert [b.k for b in together] == list(ks)
+        for k, basis in zip(ks, together):
+            (alone,) = build_cone_basis(n, (k,), samples, seed=3)
+            assert basis.coeff.tobytes() == alone.coeff.tobytes()
+            assert basis.gram_error == alone.gram_error
+            coeff, error = reference_build(n, k, samples, seed=3)
+            np.testing.assert_allclose(basis.coeff, coeff, rtol=1e-12, err_msg=f"samples={samples}")
+            np.testing.assert_allclose(basis.gram_error, error, rtol=1e-12, err_msg=f"samples={samples}")
 
 
 def test_build_memory_does_not_grow_with_check_frames():
-    # the build holds one 8192-row slice of one degree's block monomials: at
-    # k = 8 (81 sections) about 16 MB, 11 MB of it the slice's monomials, 4 MB
-    # their coordinate powers and 2 MB the block's frames and lifts.  Forming
-    # each block's monomials whole reads 30 MB
+    # the build holds one rng.BLOCK (8192-row) block of one degree's
+    # monomials: at k = 8 (81 sections) about 15 MB, 11 MB of it the
+    # monomials, 4 MB their coordinate powers and 1 MB the block's frames and
+    # lifts.  Blocks of 16384 rows formed whole read 30 MB
     for ks in ((2, 4, 8), (8,)):
         tracemalloc.start()
         try:
@@ -360,7 +361,7 @@ def test_build_memory_does_not_grow_with_check_frames():
 
 
 def test_build_allocates_nothing_per_block_up_front(monkeypatch):
-    # 10^13 samples are 6.1e8 blocks; a list of their sizes would be 4.9 GB
+    # 10^13 samples are 1.2e9 blocks; a list of their sizes would be 9.8 GB
     class Refused(Exception):
         pass
 
@@ -377,32 +378,6 @@ def test_build_allocates_nothing_per_block_up_front(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-
-
-def test_row_slices():
-    def bounds(count, rows):
-        return [(s.start, s.stop) for s in _row_slices(count, rows)]
-
-    assert bounds(100, 4096) == [(0, 100)]
-    assert bounds(8192, 4096) == [(0, 4096), (4096, 8192)]
-    # a remainder of 256 rows or more is a slice of its own; a shorter one joins the last
-    assert bounds(8192 + 256, 4096) == [(0, 4096), (4096, 8192), (8192, 8448)]
-    assert bounds(8192 + 255, 4096) == [(0, 4096), (4096, 8447)]
-    assert bounds(300, 256) == [(0, 300)]
-
-
-@pytest.mark.parametrize("count", [3392, 8192 + 300, rng.BLOCK, rng.BLOCK + 100])
-def test_block_gram_matches_one_product(count):
-    # at k = 8 (81 sections, 1296 bytes a row) the monomials are whole below
-    # 4045 rows and sliced above; at k = 2 they are whole
-    gen = np.random.default_rng(count)
-    q, p = _frame_block(3, count, gen)
-    z = (q + 1j * p) / SQRT2
-    for k in (2, 8):
-        exponents = monomial_basis(3, k)
-        a = _monomial_matrix(z, exponents)
-        gram = np.triu(_block_gram(z, exponents))
-        np.testing.assert_allclose(gram, np.triu(a.conj().T @ a), rtol=1e-13, atol=1e-13 * count)
 
 
 # ---------------------------------------------------------------- kernel identities
@@ -618,7 +593,7 @@ def test_c_constant_matches_quadrature_oracle():
 
 
 def test_c_constant_oracle_reproduces_frozen_values():
-    # the quadrature entries of C_EXACT that take under a second to recompute
+    # the quadrature entries of C_EXACT that recompute in about 50 ms
     cheap = [(2, k) for k in range(13)] + [(3, k) for k in range(5)]
     for n, k in cheap:
         np.testing.assert_allclose(

@@ -429,6 +429,14 @@ def test_degree_range_raises():
             legendre_normalized(ZonalIndex(n=1, k=k), math.cos(theta))
 
 
+def test_dimension_range_raises():
+    # L = (n - 1)/2 is an exact double up to n = 2^53; float(10^400) overflows
+    assert legendre_normalized(ZonalIndex(n=2**53, k=1), 0.3) == pytest.approx(0.3, rel=1e-15)
+    for n, k in ((2**53 + 1, 0), (10**400, 0), (10**400, 3)):
+        with pytest.raises(ValueError, match=r"outside the evaluated range: n <= 2\^53"):
+            legendre_normalized(ZonalIndex(n=n, k=k), 0.3)
+
+
 def _accepted(n, k):
     try:
         _check_range(n, k)
