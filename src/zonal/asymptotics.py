@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special import ZonalIndex, vol_sphere
+from .special import ZonalIndex, _scaled_half_pochhammer, vol_sphere
 
 __all__ = [
     "DELTA_MAX",
@@ -102,16 +102,38 @@ def _checked_theta(theta):
     return arr
 
 
-def _checked_degree(idx: ZonalIndex) -> ZonalIndex:
+def _checked_degree(idx: ZonalIndex) -> None:
     if idx.k < 1:
         raise ValueError(f"asymptotics need degree k >= 1, got k={idx.k}")
-    return idx
 
 
 def phase_alpha(idx: ZonalIndex, theta):
     """Common oscillation phase k theta + (theta/2 - pi/4)(n - 1)."""
     arr = np.asarray(theta, dtype=float)
     return idx.k * arr + (0.5 * arr - 0.25 * math.pi) * (idx.n - 1)
+
+
+def _leading(idx: ZonalIndex, theta, factor) -> AsymptoticValue:
+    """factor(n, k) times the first Darboux term, k^(-L) in place of k!/Gamma(k + L + 1).
+
+    amplitude = factor 4^L (1/2)_L (2 k sin theta)^(-L), L = (n-1)/2, the scale of
+    special._darboux_plan; ValueError unless it is a finite positive double at its largest.
+    """
+    _checked_degree(idx)
+    arr = _checked_theta(theta)
+    lam = 0.5 * (idx.n - 1)
+    try:
+        amp = 0.5 / (idx.k * np.sin(arr))
+        scale = _scaled_half_pochhammer(idx.n) * factor(idx.n, idx.k)
+        peak = scale * float(amp.max(initial=0.5 / idx.k)) ** lam
+    except OverflowError:
+        peak = math.inf
+    if not 0.0 < peak < math.inf:
+        raise ValueError(f"leading amplitude at n={idx.n}, k={idx.k} is not a finite positive double")
+    # in place: each 2^17-angle temporary costs about as much as the arithmetic
+    amp **= lam
+    amp *= scale
+    return AsymptoticValue(amplitude=amp, phase=phase_alpha(idx, arr))
 
 
 def legendre_leading(idx: ZonalIndex, theta) -> AsymptoticValue:
@@ -121,15 +143,7 @@ def legendre_leading(idx: ZonalIndex, theta) -> AsymptoticValue:
     For n=1 this collapses to cos(k theta) exactly; for n=2 it is the
     classical sqrt(2 / (pi k sin theta)) envelope.
     """
-    _checked_degree(idx)
-    arr = _checked_theta(theta)
-    n, k = idx.n, idx.k
-    amp = (
-        2.0 ** (0.5 * (n + 1))
-        / vol_sphere(n - 1)
-        * (math.pi / (k * np.sin(arr))) ** (0.5 * (n - 1))
-    )
-    return AsymptoticValue(amplitude=amp, phase=phase_alpha(idx, arr))
+    return _leading(idx, theta, lambda n, k: 1.0)
 
 
 def projector_leading(idx: ZonalIndex, theta) -> AsymptoticValue:
@@ -140,15 +154,7 @@ def projector_leading(idx: ZonalIndex, theta) -> AsymptoticValue:
     which is the Legendre envelope times the leading eigenspace dimension
     2 k^(n-1) / (n-1)! over vol(S^n).
     """
-    _checked_degree(idx)
-    arr = _checked_theta(theta)
-    n, k = idx.n, idx.k
-    amp = (
-        2.0 ** (0.5 * (n + 3))
-        / (math.factorial(n - 1) * vol_sphere(n) * vol_sphere(n - 1))
-        * (math.pi * k / np.sin(arr)) ** (0.5 * (n - 1))
-    )
-    return AsymptoticValue(amplitude=amp, phase=phase_alpha(idx, arr))
+    return _leading(idx, theta, lambda n, k: 2 * k ** (n - 1) / math.factorial(n - 1) / vol_sphere(n))
 
 
 def gegenbauer_leading(idx: ZonalIndex, theta) -> AsymptoticValue:
@@ -156,13 +162,7 @@ def gegenbauer_leading(idx: ZonalIndex, theta) -> AsymptoticValue:
 
     amplitude = (pi k)^(-1/2) (cos(theta/2) sin(theta/2))^(-(n-1)/2).
     """
-    _checked_degree(idx)
-    arr = _checked_theta(theta)
-    n, k = idx.n, idx.k
-    amp = (math.pi * k) ** -0.5 * (np.cos(0.5 * arr) * np.sin(0.5 * arr)) ** (
-        -0.5 * (n - 1)
-    )
-    return AsymptoticValue(amplitude=amp, phase=phase_alpha(idx, arr))
+    return _leading(idx, theta, lambda n, k: k ** (0.5 * n - 1) / math.gamma(0.5 * n))
 
 
 def c_constant_leading(idx: ZonalIndex) -> float:

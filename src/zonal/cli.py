@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import harness
+from . import harness, quadric
 from .asymptotics import DELTA_MAX, AngleWindow
 from .special import ZonalIndex, legendre_normalized, projector_kernel
 
@@ -273,9 +273,6 @@ def _cmd_scaling(args) -> int:
         _emit(args, lambda fh: harness.write_csv(fit.worst_rows, fh))
     else:
         doc = fit.as_dict()
-        if math.isnan(doc["slope"]):
-            doc["slope"] = None
-            doc["intercept"] = None
         config = {
             "n": args.n,
             "k_min": args.k_min,
@@ -294,12 +291,11 @@ def _cmd_oracle(args) -> int:
         raise CliError("--n: the oracle push-forward supports n = 2 or 3")
     if max(args.ks) > 12:
         raise CliError("--ks: oracle degrees are capped at 12")
-    payload = harness.geometric_oracle(
-        args.n, args.ks, samples=args.samples, pairs=args.pairs, seed=args.seed
-    )
+    bases = quadric.build_cone_basis(args.n, args.ks, args.samples, args.seed)
+    payload = harness.geometric_oracle(bases, pairs=args.pairs, seed=args.seed)
     config = {
         "n": args.n,
-        "ks": sorted(int(k) for k in args.ks),
+        "ks": sorted(args.ks),
         "samples": args.samples,
         "pairs": args.pairs,
         "seed": args.seed,

@@ -98,8 +98,8 @@ class ScalingFit:
             "ks": list(self.ks),
             "errors": list(self.errors),
             "points": [list(point) for point in self.points],
-            "slope": self.slope,
-            "intercept": self.intercept,
+            "slope": None if math.isnan(self.slope) else self.slope,
+            "intercept": None if math.isnan(self.intercept) else self.intercept,
             "r_squared": self.r_squared,
             "exact": self.exact,
         }
@@ -185,35 +185,36 @@ def c_constant_convergence(n: int, ks) -> list[ConvergenceRow]:
     return rows
 
 
-def geometric_oracle(n: int, ks, samples: int, pairs: int, seed: int) -> dict:
+def geometric_oracle(bases, pairs: int, seed: int) -> dict:
     """Cross-checks of the geometric chain on Monte Carlo bases, per degree.
 
-    Builds the cone bases of all degrees in one pass over `samples` Haar
-    frames.  For every degree: evaluates the fiber push-forward of the
-    kernel at `pairs` random sphere pairs plus the diagonal, and compares
-    against the push-forward constant squared times the sphere projector.
+    Takes the cone bases of one sphere dimension, as `quadric.build_cone_basis`
+    returns them, and reports them in increasing degree.  For every degree:
+    evaluates the fiber push-forward of the kernel at `pairs` random sphere
+    pairs plus the diagonal, and compares against the push-forward constant
+    squared times the sphere projector.
     The constant (`c_numeric`) is the closed-form Gamma ratio and does not
-    depend on `samples` or `seed`; `c_ratio` is its ratio to the leading form.
+    depend on the bases or `seed`; `c_ratio` is its ratio to the leading form.
     Residuals are normalized by the diagonal scale C^2 N / vol(S^n), so
     they measure the Monte Carlo noise of the basis alone.  A decay section
     reuses the bases at one separated probe pair.  Everything random is
     driven by counter-based substreams of `seed`, so the result is a
     function of the arguments alone.
     """
-    ks = sorted(int(k) for k in ks)
-    if not ks:
-        raise ValueError("geometric_oracle: need at least one degree")
+    bases = sorted(bases, key=lambda b: b.k)
+    if not bases:
+        raise ValueError("geometric_oracle: need at least one basis")
     if pairs < 1:
         raise ValueError(f"geometric_oracle: pairs must be >= 1, got {pairs}")
-    bases = quadric.build_cone_basis(n, ks, samples, seed)
+    n = bases[0].n
     degrees = []
-    for k, basis in zip(ks, bases):
-        idx = ZonalIndex(n=n, k=k)
+    for basis in bases:
+        idx = ZonalIndex(n=n, k=basis.k)
         ev = quadric.SzegoEvaluator(basis=basis, radius=math.sqrt(2.0))
         c_num = quadric.c_constant_numeric(idx)
         lead = c_constant_leading(idx)
         scale = c_num**2 * dim_eigenspace(idx) / vol_sphere(n)
-        gen = rng.substream(seed, rng.PAIR_DRAW, k)
+        gen = rng.substream(seed, rng.PAIR_DRAW, idx.k)
         rows = []
         for _ in range(pairs):
             q0 = quadric.sphere_point(n, gen)
@@ -234,7 +235,7 @@ def geometric_oracle(n: int, ks, samples: int, pairs: int, seed: int) -> dict:
         residuals = [row["residual"] for row in rows]
         degrees.append(
             {
-                "k": k,
+                "k": idx.k,
                 "gram_error": basis.gram_error,
                 "c_numeric": c_num,
                 "c_leading": lead,
@@ -256,7 +257,7 @@ def geometric_oracle(n: int, ks, samples: int, pairs: int, seed: int) -> dict:
         "monotone_until_floor": report.monotone_until_floor,
         "superpolynomial": report.superpolynomial,
     }
-    return {"n": n, "samples": samples, "pairs": pairs, "degrees": degrees, "decay": decay}
+    return {"n": n, "samples": bases[0].samples, "pairs": pairs, "degrees": degrees, "decay": decay}
 
 
 def format_float(x) -> str:
@@ -296,16 +297,21 @@ def _csv_cell(value) -> str:
     return format_float(value)
 
 
+def _write_batched(stream, pieces) -> None:
+    # JSON_BATCH strings per write: one write per string would be one system
+    # call each on an unbuffered stdout (PYTHONUNBUFFERED), twice the time
+    while batch := list(itertools.islice(pieces, JSON_BATCH)):
+        stream.write("".join(batch))
+
+
 def write_csv(rows, stream, header=CSV_HEADER) -> None:
     """Write rows under ``header`` to ``stream``, integers as integers, floats round-trip.
 
     The rows go out in batches of JSON_BATCH lines and are never held whole
     as text.
     """
-    stream.write(",".join(header) + "\n")
     lines = (",".join(_csv_cell(row[name]) for name in header) + "\n" for row in rows)
-    while batch := list(itertools.islice(lines, JSON_BATCH)):
-        stream.write("".join(batch))
+    _write_batched(stream, itertools.chain([",".join(header) + "\n"], lines))
 
 
 def json_summary(kind: str, config: dict, payload: dict, stream) -> None:
@@ -314,11 +320,6 @@ def json_summary(kind: str, config: dict, payload: dict, stream) -> None:
     The document is written in batches of encoder chunks and never held
     whole in memory.
     """
-    doc = {"schema_version": 1, "kind": kind, "config": config}
-    doc.update(payload)
-    # one write per chunk would be one system call per chunk on an
-    # unbuffered stdout (PYTHONUNBUFFERED), twice the time of the whole text
+    doc = {"schema_version": 1, "kind": kind, "config": config, **payload}
     chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
-    while batch := list(itertools.islice(chunks, JSON_BATCH)):
-        stream.write("".join(batch))
-    stream.write("\n")
+    _write_batched(stream, itertools.chain(chunks, ["\n"]))

@@ -93,6 +93,8 @@ def _gamma_ratio(k: int, lam: float) -> float:
 def _scaled_half_pochhammer(n: int) -> float:
     """4^L (1/2)_L, L = (n-1)/2, correctly rounded: (2m)!/m! at L = m, and
     2 4^m m!/sqrt(pi) at L = m + 1/2 with 1/sqrt(pi) to 128 bits."""
+    if n >= 270:  # past DBL_MAX, refused before the factorials cost time
+        raise OverflowError(f"4^L (1/2)_L overflows a double at n={n}")
     m, half = divmod(n - 1, 2)
     if half:
         return 2 * 4**m * math.factorial(m) * _INV_SQRT_PI_128 / 2**128

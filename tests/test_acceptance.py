@@ -23,7 +23,7 @@ from zonal.harness import (
     geometric_oracle,
     relative_bracket_error,
 )
-from zonal.quadric import SzegoEvaluator, probe_pair, offdiagonal_decay_probe, sample_frame
+from zonal.quadric import SzegoEvaluator, build_cone_basis, probe_pair, offdiagonal_decay_probe, sample_frame
 from zonal.special import (
     ZonalIndex,
     dim_eigenspace,
@@ -110,8 +110,8 @@ def test_criterion_4_gaussian_coefficient_identity():
 def test_criterion_5_geometric_oracle_equivalence():
     t0 = time.perf_counter()
     ks = (2, 4, 6, 8)
-    full = geometric_oracle(2, ks, samples=1_000_000, pairs=20, seed=SEED)
-    quarter = geometric_oracle(2, ks, samples=250_000, pairs=20, seed=SEED)
+    full = geometric_oracle(build_cone_basis(2, ks, 1_000_000, SEED), pairs=20, seed=SEED)
+    quarter = geometric_oracle(build_cone_basis(2, ks, 250_000, SEED), pairs=20, seed=SEED)
     worst = max(d["max_residual"] for d in full["degrees"])
     mean_full = sum(d["mean_residual"] for d in full["degrees"]) / len(ks)
     mean_quarter = sum(d["mean_residual"] for d in quarter["degrees"]) / len(ks)

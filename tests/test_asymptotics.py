@@ -239,6 +239,17 @@ def test_leading_forms_reject_bad_inputs():
             fn(ZonalIndex(n=2, k=5), 0.0)
         with pytest.raises(ValueError):
             fn(ZonalIndex(n=2, k=5), math.pi)
+    # amplitudes past DBL_MAX at the angle nearest a pole, or below the least
+    # double, are refused rather than returned as inf, 0 or NaN
+    for fn in (projector_leading, gegenbauer_leading):
+        for n in (200, 400):
+            with pytest.raises(ValueError):
+                fn(ZonalIndex(n=n, k=10**4), np.array([1e-3, 1.0]))
+    for n, k in ((400, 4), (1000, 4), (100, 10**8)):
+        with pytest.raises(ValueError):
+            legendre_leading(ZonalIndex(n=n, k=k), 1.0)
+    # the constant 4^L (1/2)_L is a double below n = 270; there the product decides
+    assert np.isfinite(projector_leading(ZonalIndex(n=200, k=4), 1.0).amplitude)
 
 
 def test_sign_structure_at_large_degree():

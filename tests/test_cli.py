@@ -9,6 +9,7 @@ import numpy as np
 
 from zonal import harness
 from zonal.cli import MAX_GRID, build_parser, main
+from zonal.quadric import build_cone_basis
 from zonal.special import ZonalIndex, legendre_normalized
 
 # the BLAS thread variables the package defaults to 1 when none is set
@@ -78,6 +79,20 @@ def test_eval_rejects_dimension_out_of_range(capsys):
         code, _, err = run_cli(["eval", "--n", str(n), "--k", "0"], capsys)
         assert code == 2
         assert "outside the evaluated range" in err and "2^53" in err
+
+
+def test_leading_forms_reject_dimension_out_of_range(capsys):
+    # from n = 270 the amplitude's constant 4^L (1/2)_L is no double, and it is
+    # refused before any factorial is formed, even at n = 10^8
+    for argv in (
+        ["compare", "--n", "400", "--k", "4"],
+        ["compare", "--n", "1000", "--k", "4"],
+        ["compare", "--n", "100000000", "--k", "4"],
+        ["scaling", "--n", "1000", "--k-min", "4", "--k-max", "8"],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert "not a finite positive double" in err
 
 
 def test_eval_circle_at_a_huge_degree(capsys):
@@ -361,7 +376,8 @@ def test_warm_caches_match_a_fresh_process(tmp_path):
     texts = []
     for _ in range(2):
         stream = io.StringIO()
-        harness.json_summary("oracle", config, harness.geometric_oracle(3, (2, 4), 20000, 2, 13), stream)
+        payload = harness.geometric_oracle(build_cone_basis(3, (2, 4), 20000, 13), 2, 13)
+        harness.json_summary("oracle", config, payload, stream)
         texts.append(stream.getvalue())
     target = tmp_path / "oracle.json"
     proc = subprocess.run(

@@ -187,13 +187,14 @@ def test_json_summary_stream_matches_one_shot(rows):
 
 def test_geometric_oracle_validation():
     with pytest.raises(ValueError):
-        geometric_oracle(2, (), samples=30_000, pairs=2, seed=1)
+        geometric_oracle((), pairs=2, seed=1)
     with pytest.raises(ValueError):
-        geometric_oracle(2, (2,), samples=30_000, pairs=0, seed=1)
+        geometric_oracle(build_cone_basis(2, (2,), 30_000, seed=1), pairs=0, seed=1)
 
 
 def test_geometric_oracle_report():
-    out = geometric_oracle(2, (2, 3), samples=30_000, pairs=3, seed=123)
+    # degrees are reported in increasing order whatever the order of the bases
+    out = geometric_oracle(build_cone_basis(2, (3, 2), 30_000, seed=123), pairs=3, seed=123)
     assert set(out) == {"n", "samples", "pairs", "degrees", "decay"}
     assert out["n"] == 2 and out["samples"] == 30_000 and out["pairs"] == 3
     assert [d["k"] for d in out["degrees"]] == [2, 3]
@@ -218,9 +219,9 @@ def test_geometric_oracle_decay_matches_closed_form(n, samples):
     # carry the basis's Gram noise, and its entrywise standard error bounds
     # their error more tightly here than the rigorous gram_error does
     ks = (2, 4, 8)
-    out = geometric_oracle(n, ks, samples=samples, pairs=1, seed=7)
-    assert out["decay"]["distance"] == pytest.approx(math.sqrt(2.0) * math.sin(0.45), rel=1e-12)
     bases = build_cone_basis(n, ks, samples, seed=7)
+    out = geometric_oracle(bases, pairs=1, seed=7)
+    assert out["decay"]["distance"] == pytest.approx(math.sqrt(2.0) * math.sin(0.45), rel=1e-12)
     for basis, value in zip(bases, out["decay"]["values"]):
         assert abs(value - decay_exact(0.9, basis.k)) <= 2.0 * gram_stderr(basis, seed=7)
 
@@ -234,8 +235,8 @@ def test_geometric_oracle_within_gram_error(n, seed):
     # The decay value lies within gram_error (1 + value) / (1 - gram_error)
     # of the exact kernel's.  Both bounds hold at every seed
     ks = (2, 4, 8)
-    out = geometric_oracle(n, ks, samples=30_000, pairs=4, seed=seed)
     bases = build_cone_basis(n, ks, 30_000, seed)
+    out = geometric_oracle(bases, pairs=4, seed=seed)
     for deg, basis in zip(out["degrees"], bases):
         error = deg["gram_error"]
         assert error == basis.gram_error
@@ -260,6 +261,6 @@ def test_geometric_oracle_within_gram_error(n, seed):
 
 
 def test_geometric_oracle_deterministic():
-    a = geometric_oracle(2, (2,), samples=30_000, pairs=2, seed=7)
-    b = geometric_oracle(2, (2,), samples=30_000, pairs=2, seed=7)
+    a = geometric_oracle(build_cone_basis(2, (2,), 30_000, seed=7), pairs=2, seed=7)
+    b = geometric_oracle(build_cone_basis(2, (2,), 30_000, seed=7), pairs=2, seed=7)
     assert a == b
