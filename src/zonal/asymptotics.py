@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special import ZonalIndex, _scaled_half_pochhammer, vol_sphere
+from .special import ZonalIndex, _is_int, _scaled_half_pochhammer, vol_sphere
 
 __all__ = [
     "DELTA_MAX",
@@ -197,7 +197,7 @@ def gaussian_leading_coefficient(n: int, theta) -> complex:
 
     (sqrt(2) pi)^(n-1) * sin(theta)^((n-1)/2) * exp(i (theta/2 - pi/4)(n-1)).
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"gaussian_leading_coefficient: expected n >= 1, got {n!r}")
     th = float(_checked_theta(theta))
     return (
@@ -223,7 +223,7 @@ def gaussian_coefficient_numeric(n: int, theta) -> complex:
     rule at discretization error below 1e-13 across (0.05, pi - 0.05); an
     angle outside that range raises before anything is allocated.
     """
-    if not isinstance(n, (int, np.integer)) or not 1 <= n <= 4:
+    if not _is_int(n) or not 1 <= n <= 4:
         raise ValueError(f"gaussian_coefficient_numeric: supported n is 1..4, got {n!r}")
     th = float(_checked_theta(theta))
     if not 0.05 < th < math.pi - 0.05:

@@ -203,9 +203,11 @@ def _config_argv(command: str, path: str, registry: set) -> list[str]:
             raise CliError("--config: key 'config' cannot be set from a config file")
         if flag not in registry:
             raise CliError(f"--config: unknown key {key!r} for subcommand {command!r}")
-        if isinstance(value, list):
-            value = ",".join(str(v) for v in value)
-        out.extend([flag, str(value)])
+        items = value if isinstance(value, list) else [value]
+        if not all(isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in items):
+            raise CliError(f"--config: key {key!r} must be a number, a string or a list of them, "
+                           f"got {json.dumps(value)}")
+        out.extend([flag, ",".join(str(v) for v in items)])
     return out
 
 

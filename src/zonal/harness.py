@@ -210,7 +210,6 @@ def geometric_oracle(bases, pairs: int, seed: int) -> dict:
     degrees = []
     for basis in bases:
         idx = ZonalIndex(n=n, k=basis.k)
-        ev = quadric.SzegoEvaluator(basis=basis, radius=math.sqrt(2.0))
         c_num = quadric.c_constant_numeric(idx)
         lead = c_constant_leading(idx)
         scale = c_num**2 * dim_eigenspace(idx) / vol_sphere(n)
@@ -219,7 +218,7 @@ def geometric_oracle(bases, pairs: int, seed: int) -> dict:
         for _ in range(pairs):
             q0 = quadric.sphere_point(n, gen)
             q1 = quadric.sphere_point(n, gen)
-            push = quadric.pushforward_kernel(ev, q0, q1)
+            push = quadric.pushforward_kernel(basis, q0, q1)
             t = float(np.dot(q0, q1))
             pred = c_num**2 * float(projector_kernel(idx, t))
             rows.append(
@@ -231,7 +230,7 @@ def geometric_oracle(bases, pairs: int, seed: int) -> dict:
                 }
             )
         q_diag = quadric.sphere_point(n, gen)
-        diag = quadric.pushforward_kernel(ev, q_diag, q_diag)
+        diag = quadric.pushforward_kernel(basis, q_diag, q_diag)
         residuals = [row["residual"] for row in rows]
         degrees.append(
             {

@@ -189,7 +189,6 @@ def exact_cone_basis(n: int, k: int) -> ConeBasis:
         exponents=monomial_basis(n, k),
         coeff=coeff,
         samples=0,
-        seed=0,
         gram_error=0.0,
     )
 

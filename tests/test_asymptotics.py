@@ -181,6 +181,11 @@ def test_gaussian_domain_errors():
         gaussian_coefficient_numeric(2, 0.0)
     with pytest.raises(ValueError):
         gaussian_leading_coefficient(0, 1.0)
+    # True is an int to Python but not a dimension, as for ZonalIndex
+    with pytest.raises(ValueError, match="True"):
+        gaussian_leading_coefficient(True, 1.0)
+    with pytest.raises(ValueError, match="True"):
+        gaussian_coefficient_numeric(True, 1.0)
 
 
 def test_gaussian_numeric_rejects_unvalidated_angles():

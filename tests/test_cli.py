@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from zonal import harness
 from zonal.cli import MAX_GRID, build_parser, main
@@ -212,8 +213,8 @@ def test_oracle_rejects_csv_and_bad_dimension(capsys):
 
 
 def test_oracle_rejects_a_basis_with_gram_error_at_least_half(capsys):
-    # the sample floor of 10x the basis size admits gram_error 0.918 here,
-    # where the decay bound gram_error (1 + v) / (1 - gram_error) exceeds 1 + v
+    # 1690 frames for the 169 sections at k=12 read gram_error 0.918, where
+    # the decay bound gram_error (1 + v) / (1 - gram_error) exceeds 1 + v
     code, out, err = run_cli(["oracle", "--n", "3", "--ks", "12", "--samples", "1690"], capsys)
     assert code == 2 and out == ""
     assert "gram_error 0.918" in err
@@ -330,6 +331,20 @@ def test_config_file_rejections(tmp_path, capsys):
     assert run_cli(["eval", "--config", str(not_object)], capsys)[0] == 2
     missing = tmp_path / "missing.json"
     assert run_cli(["eval", "--k", "2", "--config", str(missing)], capsys)[0] == 2
+
+
+@pytest.mark.parametrize("value", [None, True, {"k": 3}, [1, None], [[1]]],
+                         ids=["null", "bool", "object", "list-with-null", "nested-list"])
+def test_config_file_refuses_values_no_flag_takes(tmp_path, monkeypatch, capsys, value):
+    # str() would turn null into the file name "None"; no flag takes a
+    # boolean, an object or a nested list either
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"out": value, "k": 3}))
+    code, out, err = run_cli(["eval", "--config", str(config)], capsys)
+    assert code == 2 and out == ""
+    assert "--config: key 'out'" in err
+    assert list(tmp_path.iterdir()) == [config]
 
 
 def test_out_writes_file_only(tmp_path, capsys):

@@ -252,7 +252,7 @@ def test_geometric_oracle_within_gram_error(n, seed):
             bound = error * ev.prefactor * np.linalg.norm(fibers[0]) * np.linalg.norm(fibers[1])
             rounding = 1e-12 * (1.0 + abs(row["predicted"]))
             assert abs(row["pushforward"] - row["predicted"]) <= bound + rounding
-            assert abs(_pushforward_raw(ev, q0, q1)[0].imag) <= bound + rounding
+            assert abs(_pushforward_raw(basis, q0, q1)[0].imag) <= bound + rounding
     for deg, value, flag in zip(out["degrees"], out["decay"]["values"], out["decay"]["below_floor"]):
         error = deg["gram_error"]
         assert abs(value - decay_exact(0.9, deg["k"])) <= error * (1.0 + value) / (1.0 - error) + 1e-12

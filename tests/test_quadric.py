@@ -242,19 +242,33 @@ def test_build_determinism():
 
 
 def test_build_rejects_too_few_samples():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"gram_error 0\.539 at k=2, samples=40 "):
         build_cone_basis(2, (2,), 40, seed=5)
-    # every degree keeps its own floor: 10 x 17 sections at k=8, 10 x 5 at k=2
-    with pytest.raises(ValueError, match=r"below 10x basis size \(170\)"):
+    # every degree is judged by its own bound: the 17 sections at k=8 fail
+    with pytest.raises(ValueError, match=r"gram_error 0\.778 at k=8, samples=100 "):
         build_cone_basis(2, (2, 8), 100, seed=5)
     # an empty degree list is named, not left to numpy's concatenate
     with pytest.raises(ValueError, match="ks is empty"):
         build_cone_basis(2, (), 30_000, seed=5)
-    # at the floor of 10 x 81 sections the k=8 basis reads gram_error 0.834,
-    # where gram_error / (1 - gram_error) > 1 and its bounds say nothing
+    # 810 frames, 10 per section of the 81 at k=8, read gram_error 0.834
+    # there, where gram_error / (1 - gram_error) > 1 and its bounds say nothing
     assert build_cone_basis(3, (2, 4), 810, seed=1)[1].gram_error < 0.5
     with pytest.raises(ValueError, match=r"gram_error 0\.834 at k=8, samples=810 is at least 1/2"):
         build_cone_basis(3, (2, 4, 8), 810, seed=1)
+
+
+def test_build_accepts_by_the_bound_alone():
+    # 49 frames for 5 sections is below a sample-count floor of 10 x N, yet
+    # the bound reads 0.411 and admits the basis (40 frames read 0.539 and
+    # are refused, in test_build_rejects_too_few_samples)
+    (basis,) = build_cone_basis(2, (2,), 49, seed=5)
+    assert round(basis.gram_error, 3) == 0.411
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_build_rejects_nonpositive_samples(samples):
+    with pytest.raises(ValueError, match=rf"expected samples >= 1, got {samples}"):
+        build_cone_basis(2, (2,), samples, seed=5)
 
 
 def gram_error(low, n, k):
@@ -503,21 +517,20 @@ def test_diagonal_matches_dimension():
 
 def test_pushforward_frozen_pairs():
     for (n, k), (q0, q1, expected) in PUSH_PAIRS.items():
-        ev = SzegoEvaluator(basis=exact_cone_basis(n, k), radius=SQRT2)
-        value = pushforward_kernel(ev, np.array(q0), np.array(q1))
+        value = pushforward_kernel(exact_cone_basis(n, k), np.array(q0), np.array(q1))
         np.testing.assert_allclose(value, expected, rtol=1e-10)
 
 
 def test_pushforward_matches_projector():
     gen = np.random.default_rng(41)
     for n, k in [(2, 2), (2, 3), (3, 2)]:
-        ev = SzegoEvaluator(basis=exact_cone_basis(n, k), radius=SQRT2)
+        basis = exact_cone_basis(n, k)
         c2 = C_EXACT[(n, k)] ** 2
         idx = ZonalIndex(n=n, k=k)
         for _ in range(5):
             q0 = sphere_point(n, gen)
             q1 = sphere_point(n, gen)
-            value = pushforward_kernel(ev, q0, q1)
+            value = pushforward_kernel(basis, q0, q1)
             expected = c2 * float(projector_kernel(idx, float(q0 @ q1)))
             np.testing.assert_allclose(value, expected, rtol=1e-9, atol=1e-12)
 
@@ -525,25 +538,26 @@ def test_pushforward_matches_projector():
 def test_pushforward_antipodal_parity():
     gen = np.random.default_rng(43)
     for n, k in [(2, 2), (2, 3)]:
-        ev = SzegoEvaluator(basis=exact_cone_basis(n, k), radius=SQRT2)
+        basis = exact_cone_basis(n, k)
         q0 = sphere_point(n, gen)
         q1 = sphere_point(n, gen)
-        plus = pushforward_kernel(ev, q0, q1)
-        minus = pushforward_kernel(ev, q0, -q1)
+        plus = pushforward_kernel(basis, q0, q1)
+        minus = pushforward_kernel(basis, q0, -q1)
         np.testing.assert_allclose(minus, (-1.0) ** k * plus, rtol=1e-10)
 
 
 def test_pushforward_imaginary_residue_tiny():
-    ev = SzegoEvaluator(basis=exact_cone_basis(2, 3), radius=SQRT2)
+    basis = exact_cone_basis(2, 3)
     gen = np.random.default_rng(47)
     for _ in range(5):
-        raw, _ = _pushforward_raw(ev, sphere_point(2, gen), sphere_point(2, gen))
+        raw, _ = _pushforward_raw(basis, sphere_point(2, gen), sphere_point(2, gen))
         assert abs(raw.imag) < 1e-10 * (1.0 + abs(raw.real))
 
 
 def test_pushforward_fiber_rule_has_the_kernel_degree():
     # the kernel has degree k in each fiber variable, so the degree-k fiber
-    # rule must match an independent double fiber integral of higher degree
+    # rule must match an independent double fiber integral of higher degree,
+    # scaled by the radius-sqrt(2) evaluator's prefactor
     gen = np.random.default_rng(53)
     for n in (2, 3):
         for k in range(1, 9):
@@ -551,7 +565,7 @@ def test_pushforward_fiber_rule_has_the_kernel_degree():
             ev = SzegoEvaluator(basis=basis, radius=SQRT2)
             q0 = sphere_point(n, gen)
             for q1 in (sphere_point(n, gen), sphere_point(n, gen), q0):
-                raw, _ = _pushforward_raw(ev, q0, q1)
+                raw, _ = _pushforward_raw(basis, q0, q1)
                 fibers = []
                 for q in (q0, q1):
                     nodes, weights = fiber_nodes(q, k + 4)
@@ -562,18 +576,16 @@ def test_pushforward_fiber_rule_has_the_kernel_degree():
 
 
 def test_pushforward_validation(basis_cache):
-    ev = SzegoEvaluator(basis=exact_cone_basis(2, 2), radius=SQRT2)
+    basis = exact_cone_basis(2, 2)
     e0 = np.array([1.0, 0.0, 0.0])
     e1 = np.array([0.0, 1.0, 0.0])
     with pytest.raises(ValueError):
-        pushforward_kernel(SzegoEvaluator(basis=exact_cone_basis(2, 2), radius=1.0), e0, e1)
+        pushforward_kernel(basis, 2.0 * e0, e1)
     with pytest.raises(ValueError):
-        pushforward_kernel(ev, 2.0 * e0, e1)
-    with pytest.raises(ValueError):
-        pushforward_kernel(ev, np.array([1.0, 0.0, 0.0, 0.0]), e1)
+        pushforward_kernel(basis, np.array([1.0, 0.0, 0.0, 0.0]), e1)
     (n1,) = build_cone_basis(1, (2,), 1000, seed=1)
     with pytest.raises(ValueError):
-        pushforward_kernel(SzegoEvaluator(basis=n1, radius=SQRT2), e0[:2], e1[:2])
+        pushforward_kernel(n1, e0[:2], e1[:2])
 
 
 # ---------------------------------------------------------------- norm constant
