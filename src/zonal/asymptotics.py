@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special import ZonalIndex, _is_int, _scaled_half_pochhammer, vol_sphere
+from .special import ZonalIndex, _is_int, vol_sphere
 
 __all__ = [
     "DELTA_MAX",
@@ -113,56 +113,61 @@ def phase_alpha(idx: ZonalIndex, theta):
     return idx.k * arr + (0.5 * arr - 0.25 * math.pi) * (idx.n - 1)
 
 
-def _leading(idx: ZonalIndex, theta, factor) -> AsymptoticValue:
-    """factor(n, k) times the first Darboux term, k^(-L) in place of k!/Gamma(k + L + 1).
+def _leading(idx: ZonalIndex, theta, form) -> AsymptoticValue:
+    """Leading form with amplitude c (b / sin theta)^L, L = (n-1)/2, for (c, b) = form(k, L).
 
-    amplitude = factor 4^L (1/2)_L (2 k sin theta)^(-L), L = (n-1)/2, the scale of
-    special._darboux_plan; ValueError unless it is a finite positive double at its largest.
+    c is the amplitude at n = 1 and b holds every other constant.  For L > 0
+    c joins b as c^(1/L), so the power forms the amplitude itself and no
+    factor leaves the double range first; ValueError unless the amplitude
+    at its largest is a normal positive double.
     """
     _checked_degree(idx)
     arr = _checked_theta(theta)
     lam = 0.5 * (idx.n - 1)
-    try:
-        amp = 0.5 / (idx.k * np.sin(arr))
-        scale = _scaled_half_pochhammer(idx.n) * factor(idx.n, idx.k)
-        peak = scale * float(amp.max(initial=0.5 / idx.k)) ** lam
-    except OverflowError:
-        peak = math.inf
-    if not 0.0 < peak < math.inf:
-        raise ValueError(f"leading amplitude at n={idx.n}, k={idx.k} is not a finite positive double")
+    c, b = form(idx.k, lam)
+    if lam:
+        c, b = 1.0, b * c ** (1.0 / lam)
+    with np.errstate(over="ignore"):
+        amp = b / np.sin(arr)
+        peak = c * amp.max(initial=b) ** lam
+    if not np.finfo(float).tiny <= peak < math.inf:
+        raise ValueError(f"leading amplitude at n={idx.n}, k={idx.k} is not a finite positive double at full precision")
     # in place: each 2^17-angle temporary costs about as much as the arithmetic
     amp **= lam
-    amp *= scale
+    amp *= c
     return AsymptoticValue(amplitude=amp, phase=phase_alpha(idx, arr))
 
 
 def legendre_leading(idx: ZonalIndex, theta) -> AsymptoticValue:
     """Leading high-degree form of the value-one zonal polynomial.
 
-    amplitude = 2^((n+1)/2) / vol(S^(n-1)) * (pi / (k sin theta))^((n-1)/2).
+    amplitude = 4^L (1/2)_L (2 k sin theta)^(-L), L = (n-1)/2, the large-k limit
+    of special._darboux_plan's scale; b = (2/k) ((1/2)_L)^(1/L) goes through
+    lgamma, so it stays a double where 4^L (1/2)_L overflows (n >= 270).
     For n=1 this collapses to cos(k theta) exactly; for n=2 it is the
     classical sqrt(2 / (pi k sin theta)) envelope.
     """
-    return _leading(idx, theta, lambda n, k: 1.0)
+    return _leading(idx, theta, lambda k, lam: (  # at n = 1 the log is 0 and the power ignores b
+        1.0, 2.0 / k * math.exp((math.lgamma(lam + 0.5) - 0.5 * math.log(math.pi)) / (lam or 1.0))))
 
 
 def projector_leading(idx: ZonalIndex, theta) -> AsymptoticValue:
     """Leading form of the eigenspace projector kernel at cos-angle theta.
 
-    amplitude = 2^((n+3)/2) / ((n-1)! vol(S^n) vol(S^(n-1)))
-                * (pi k / sin theta)^((n-1)/2),
-    which is the Legendre envelope times the leading eigenspace dimension
-    2 k^(n-1) / (n-1)! over vol(S^n).
+    amplitude = (1/pi) (k / (2 pi sin theta))^((n-1)/2): by Legendre's
+    duplication formula, the Legendre envelope times the leading eigenspace
+    dimension 2 k^(n-1) / (n-1)! over vol(S^n).
     """
-    return _leading(idx, theta, lambda n, k: 2 * k ** (n - 1) / math.factorial(n - 1) / vol_sphere(n))
+    return _leading(idx, theta, lambda k, lam: (1.0 / math.pi, k / (2.0 * math.pi)))
 
 
 def gegenbauer_leading(idx: ZonalIndex, theta) -> AsymptoticValue:
     """Leading form in the Jacobi normalization.
 
-    amplitude = (pi k)^(-1/2) (cos(theta/2) sin(theta/2))^(-(n-1)/2).
+    amplitude = (pi k)^(-1/2) (cos(theta/2) sin(theta/2))^(-(n-1)/2), which is
+    the Legendre envelope times k^(n/2 - 1) / Gamma(n/2).
     """
-    return _leading(idx, theta, lambda n, k: k ** (0.5 * n - 1) / math.gamma(0.5 * n))
+    return _leading(idx, theta, lambda k, lam: (k**-0.5 / math.gamma(0.5), 2.0))
 
 
 def c_constant_leading(idx: ZonalIndex) -> float:

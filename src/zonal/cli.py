@@ -3,7 +3,9 @@
 Four subcommands (eval, compare, scaling, oracle) share --out and
 --config; eval, compare and scaling add --format (csv or json), and the
 Monte Carlo oracle alone draws random numbers, adds --samples and --seed,
-and writes JSON only.  --grid is capped so that a run stays below 1 GB of
+and writes JSON only.  The oracle refuses an n or a degree outside
+quadric's validated domain (ORACLE_DIMENSIONS, ORACLE_MAX_DEGREE) before
+it builds any basis.  --grid is capped so that a run stays below 1 GB of
 memory.  A config file is a flat JSON object whose keys are flag names of
 the chosen subcommand; explicit command line flags always win over config
 values.
@@ -164,9 +166,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set]]:
 
     sub = subs.add_parser("oracle", help="Monte Carlo geometric oracle report (json)")
     reg = flags["oracle"] = set()
-    _add(sub, reg, "--n", type=_int_type(2, "--n"), default=2, help="sphere dimension (2 or 3)")
+    _add(sub, reg, "--n", type=_int_type(2, "--n"), default=2, help=f"sphere dimension in {quadric.ORACLE_DIMENSIONS}")
     _add(sub, reg, "--ks", type=_degree_list(1), default=[2, 4, 8],
-         help="comma separated degrees")
+         help=f"comma separated degrees, at most {quadric.ORACLE_MAX_DEGREE}")
     _add(sub, reg, "--pairs", type=_int_type(1, "--pairs"), default=8,
          help="random sphere pairs per degree")
     _add(sub, reg, "--samples", type=_int_type(1, "--samples"), default=DEFAULT_SAMPLES,
@@ -289,10 +291,7 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.n not in (2, 3):
-        raise CliError("--n: the oracle push-forward supports n = 2 or 3")
-    if max(args.ks) > 12:
-        raise CliError("--ks: oracle degrees are capped at 12")
+    quadric.require_oracle_domain("oracle", args.n, args.ks)
     bases = quadric.build_cone_basis(args.n, args.ks, args.samples, args.seed)
     payload = harness.geometric_oracle(bases, pairs=args.pairs, seed=args.seed)
     config = {

@@ -12,7 +12,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -189,30 +189,26 @@ def geometric_oracle(bases, pairs: int, seed: int) -> dict:
     """Cross-checks of the geometric chain on Monte Carlo bases, per degree.
 
     Takes the cone bases of one sphere dimension, as `quadric.build_cone_basis`
-    returns them, and reports them in increasing degree.  For every degree:
-    evaluates the fiber push-forward of the kernel at `pairs` random sphere
-    pairs plus the diagonal, and compares against the push-forward constant
-    squared times the sphere projector.
-    The constant (`c_numeric`) is the closed-form Gamma ratio and does not
-    depend on the bases or `seed`; `c_ratio` is its ratio to the leading form.
-    Residuals are normalized by the diagonal scale C^2 N / vol(S^n), so
-    they measure the Monte Carlo noise of the basis alone.  A decay section
-    reuses the bases at one separated probe pair.  Everything random is
-    driven by counter-based substreams of `seed`, so the result is a
-    function of the arguments alone.
+    returns them, checks and orders them once (`quadric.ordered_bases`)
+    before any push-forward, and reports them in increasing degree.  For
+    every degree: evaluates the fiber push-forward of the kernel at `pairs`
+    random sphere pairs plus the diagonal, and compares against the
+    push-forward constant squared times the sphere projector.  The
+    constant's fields are the degree's `c_constant_convergence` row and
+    depend on neither the bases nor `seed`.  Residuals are normalized by the
+    diagonal scale C^2 N / vol(S^n), so they measure the Monte Carlo noise
+    of the basis alone.  The decay section is the bases' `quadric.DecayReport`
+    at one separated probe pair.  Everything random is driven by
+    counter-based substreams of `seed`, so the result is a function of the
+    arguments alone.
     """
-    bases = sorted(bases, key=lambda b: b.k)
-    if not bases:
-        raise ValueError("geometric_oracle: need at least one basis")
+    n, bases = quadric.ordered_bases(bases, "geometric_oracle")
     if pairs < 1:
         raise ValueError(f"geometric_oracle: pairs must be >= 1, got {pairs}")
-    n = bases[0].n
     degrees = []
-    for basis in bases:
+    for basis, c in zip(bases, c_constant_convergence(n, [b.k for b in bases])):
         idx = ZonalIndex(n=n, k=basis.k)
-        c_num = quadric.c_constant_numeric(idx)
-        lead = c_constant_leading(idx)
-        scale = c_num**2 * dim_eigenspace(idx) / vol_sphere(n)
+        scale = c.numeric**2 * dim_eigenspace(idx) / vol_sphere(n)
         gen = rng.substream(seed, rng.PAIR_DRAW, idx.k)
         rows = []
         for _ in range(pairs):
@@ -220,7 +216,7 @@ def geometric_oracle(bases, pairs: int, seed: int) -> dict:
             q1 = quadric.sphere_point(n, gen)
             push = quadric.pushforward_kernel(basis, q0, q1)
             t = float(np.dot(q0, q1))
-            pred = c_num**2 * float(projector_kernel(idx, t))
+            pred = c.numeric**2 * float(projector_kernel(idx, t))
             rows.append(
                 {
                     "dot": t,
@@ -236,27 +232,17 @@ def geometric_oracle(bases, pairs: int, seed: int) -> dict:
             {
                 "k": idx.k,
                 "gram_error": basis.gram_error,
-                "c_numeric": c_num,
-                "c_leading": lead,
-                "c_ratio": c_num / lead,
+                "c_numeric": c.numeric,
+                "c_leading": c.leading,
+                "c_ratio": c.ratio,
                 "pairs": rows,
                 "max_residual": max(residuals),
                 "mean_residual": sum(residuals) / len(residuals),
                 "diagonal_residual": abs(diag - scale) / scale,
             }
         )
-    x, x_prime = quadric.probe_pair(n, seed)
-    report = quadric.offdiagonal_decay_probe(bases, x, x_prime)
-    decay = {
-        "distance": report.distance,
-        "ks": list(report.ks),
-        "values": list(report.values),
-        "below_floor": list(report.below_floor),
-        "decay_rate": None if math.isnan(report.decay_rate) else report.decay_rate,
-        "monotone_until_floor": report.monotone_until_floor,
-        "superpolynomial": report.superpolynomial,
-    }
-    return {"n": n, "samples": bases[0].samples, "pairs": pairs, "degrees": degrees, "decay": decay}
+    report = quadric.offdiagonal_decay_probe(bases, *quadric.probe_pair(n, seed))
+    return {"n": n, "samples": bases[0].samples, "pairs": pairs, "degrees": degrees, "decay": asdict(report)}
 
 
 def format_float(x) -> str:

@@ -35,6 +35,8 @@ __all__ = [
     "ConeBasis",
     "SzegoEvaluator",
     "DecayReport",
+    "require_oracle_domain",
+    "ordered_bases",
     "frame_volume",
     "cone_slice_mass",
     "sample_frame",
@@ -53,6 +55,21 @@ __all__ = [
 
 FRAME_TOL = 1e-12
 POINT_TOL = 1e-9
+# The geometric oracle's validated domain.  n: tests/oracles holds sphere
+# rules for these dimensions alone.  k: tests/oracles.C_EXACT checks c_k up
+# to this degree, tighter than _inverse_gram's exactness bound (n (n+1))^k < 2^53.
+ORACLE_DIMENSIONS = (2, 3)
+ORACLE_MAX_DEGREE = 12
+
+
+def require_oracle_domain(label: str, n: int, ks=()) -> None:
+    """ValueError naming the bound and its reason unless n and ks lie in the oracle's domain."""
+    if n not in ORACLE_DIMENSIONS:
+        raise ValueError(f"{label}: n = {n} is outside {ORACLE_DIMENSIONS}, "
+                         "the dimensions tests/oracles has sphere rules for")
+    if max(ks, default=0) > ORACLE_MAX_DEGREE:
+        raise ValueError(f"{label}: degree {max(ks)} exceeds {ORACLE_MAX_DEGREE}, "
+                         "the last degree at which tests/oracles.C_EXACT checks c_k")
 
 
 def frame_volume(n: int) -> float:
@@ -327,6 +344,17 @@ def build_cone_basis(n: int, ks, samples: int, seed: int) -> tuple[ConeBasis, ..
     return tuple(bases)
 
 
+def ordered_bases(bases, label: str) -> tuple[int, list[ConeBasis]]:
+    """(n, the bases in increasing degree); ValueError if there are none or they mix sphere dimensions."""
+    bases = sorted(bases, key=lambda b: b.k)
+    dims = sorted({basis.n for basis in bases})
+    if not dims:
+        raise ValueError(f"{label}: need at least one basis")
+    if len(dims) > 1:
+        raise ValueError(f"{label}: bases mix sphere dimensions n = {' and '.join(map(str, dims))}")
+    return dims[0], bases
+
+
 def _require_on_slice(z: np.ndarray, r: float, label: str) -> None:
     norms2 = np.sum(np.abs(z) ** 2, axis=-1)
     cone = np.abs(np.sum(z * z, axis=-1))
@@ -372,8 +400,7 @@ class SzegoEvaluator:
 def _pushforward_raw(basis: ConeBasis, q0: np.ndarray, q1: np.ndarray) -> tuple[complex, float]:
     """Complex double fiber integral plus its imaginary-noise allowance."""
     n, k = basis.n, basis.k
-    if n not in (2, 3):
-        raise ValueError(f"pushforward_kernel: supported n is 2 or 3, got {n}")
+    require_oracle_domain("pushforward_kernel", n)
     q0 = np.asarray(q0, dtype=float)
     q1 = np.asarray(q1, dtype=float)
     for label, q in (("q0", q0), ("q1", q1)):
@@ -385,8 +412,7 @@ def _pushforward_raw(basis: ConeBasis, q0: np.ndarray, q1: np.ndarray) -> tuple[
     nodes, w = fiber_rule(qs, k)
     s = basis.evaluate((qs[:, None, :] + 1j * nodes).reshape(-1, n + 1))
     fibers = w @ s.reshape(2, len(w), basis.size)
-    # SzegoEvaluator's prefactor at radius sqrt(2), the slice of q + ip
-    prefactor = math.sqrt(2.0) ** -(2 * k + 2 * n - 1)
+    prefactor = SzegoEvaluator(basis, math.sqrt(2.0)).prefactor  # the slice of q + ip
     raw = prefactor * complex(np.sum(fibers[0] * fibers[1].conj()))
     # the exact kernel pushes forward to a real value, and the sampled one
     # lies within gram_error times the fiber integrals' norms of it (see
@@ -427,12 +453,11 @@ def c_constant_numeric(idx: ZonalIndex) -> float:
     evaluated here in log-Gamma.  It holds at every k >= 0, including the
     constant section k = 0, where `c_constant_leading` is undefined.  The
     tests check it against an independent product quadrature of both norms
-    of (a . z)^k with a . a = 0 (tests/oracles.py).  n is limited to 2 and
-    3, the dimensions that quadrature covers.
+    of (a . z)^k with a . a = 0 (tests/oracles.py), so n is limited to
+    ORACLE_DIMENSIONS, the dimensions that quadrature covers.
     """
     n, k = idx.n, idx.k
-    if n not in (2, 3):
-        raise ValueError(f"c_constant_numeric: supported n is 2 or 3, got {n}")
+    require_oracle_domain("c_constant_numeric", n)
     half = 0.5 * (n - 1)
     base = math.factorial(n - 1) * frame_volume(n) / (2.0 * math.sqrt(2.0) * math.pi**half)
     return math.sqrt(base * math.exp(math.lgamma(k + half) - math.lgamma(k + n - 1)))
@@ -520,12 +545,11 @@ def probe_pair(n: int, seed: int, angle: float = 0.9) -> tuple[np.ndarray, np.nd
 class DecayReport:
     """Off-diagonal kernel decay across degrees at one fixed pair."""
 
-    n: int
     distance: float
     ks: tuple[int, ...]
     values: tuple[float, ...]
     below_floor: tuple[bool, ...]
-    decay_rate: float
+    decay_rate: float | None
     monotone_until_floor: bool
     superpolynomial: bool | None
 
@@ -540,16 +564,13 @@ def offdiagonal_decay_probe(
     |K(x, x')| / sqrt(K(x, x) K(x', x')), which lies within
     gram_error (1 + value) / (1 - gram_error) of the exact kernel's, and
     flags values below the basis gram_error, where they are consistent with
-    zero, as noise-floor entries.  Reports the fitted
-    exponential decay rate over the clean prefix, whether the clean prefix
-    is strictly decreasing, and whether successive ratios shrink.
+    zero, as noise-floor entries.  Reports the fitted exponential decay
+    rate over the clean prefix (None below two clean values), whether the
+    clean prefix is strictly decreasing, and whether successive ratios
+    shrink (None below three).  The bases must be non-empty and share one
+    sphere dimension (`ordered_bases`).
     """
-    if not bases:
-        raise ValueError("offdiagonal_decay_probe: need at least one basis")
-    n = bases[0].n
-    if any(b.n != n for b in bases):
-        raise ValueError("offdiagonal_decay_probe: bases mix sphere dimensions")
-    bases = sorted(bases, key=lambda b: b.k)
+    _, bases = ordered_bases(bases, "offdiagonal_decay_probe")
     x = np.asarray(x, dtype=complex)
     xp = np.asarray(x_prime, dtype=complex)
     _require_on_slice(x[None, :], 1.0, "offdiagonal_decay_probe x")
@@ -578,23 +599,11 @@ def offdiagonal_decay_probe(
     first_floor = next((i for i, f in enumerate(flags) if f), len(flags))
     clean = values[:first_floor]
     monotone = all(b < a for a, b in zip(clean, clean[1:]))
+    rate = None
     if len(clean) >= 2:
-        fit = np.polyfit(np.array(ks[:first_floor], dtype=float), np.log(clean), 1)
-        rate = float(fit[0])
-    else:
-        rate = math.nan
+        rate = float(np.polyfit(np.array(ks[:first_floor], dtype=float), np.log(clean), 1)[0])
+    superpoly = None
     if len(clean) >= 3:
         ratios = [b / a for a, b in zip(clean, clean[1:])]
         superpoly = all(r2 < r1 for r1, r2 in zip(ratios, ratios[1:]))
-    else:
-        superpoly = None
-    return DecayReport(
-        n=n,
-        distance=dist,
-        ks=tuple(ks),
-        values=tuple(values),
-        below_floor=tuple(flags),
-        decay_rate=rate,
-        monotone_until_floor=monotone,
-        superpolynomial=superpoly,
-    )
+    return DecayReport(dist, tuple(ks), tuple(values), tuple(flags), rate, monotone, superpoly)

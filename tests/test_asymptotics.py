@@ -257,6 +257,60 @@ def test_leading_forms_reject_bad_inputs():
     assert np.isfinite(projector_leading(ZonalIndex(n=200, k=4), 1.0).amplitude)
 
 
+def leading_amplitude_mp(kind, n, k, theta):
+    # each form's defining product at 40 digits: the Legendre envelope
+    # 4^L (1/2)_L (2 k sin theta)^(-L) times the form's own factor
+    import mpmath as mp
+
+    with mp.workdps(40):
+        n, k, lam = mp.mpf(n), mp.mpf(k), mp.mpf(n - 1) / 2
+        legendre = 4**lam * mp.rf(mp.mpf(1) / 2, lam) * (2 * k * mp.sin(theta)) ** -lam
+        factor = {
+            "legendre": 1,
+            "projector": 2 * k ** (n - 1) / mp.factorial(n - 1) / (2 * mp.pi ** ((n + 1) / 2) / mp.gamma((n + 1) / 2)),
+            "gegenbauer": k ** (n / 2 - 1) / mp.gamma(n / 2),
+        }[kind]
+        return float(legendre * factor)
+
+
+def test_leading_forms_reach_every_finite_amplitude():
+    # at theta = pi/2 each amplitude is a double although one factor of it is
+    # not: (0.5/k)^L underflows at (104, 10^6), k^(n-1) overflows at
+    # (60, 10^6), and 4^L (1/2)_L at n = 300.  Measured within 5e-14
+    forms = {"legendre": legendre_leading, "projector": projector_leading, "gegenbauer": gegenbauer_leading}
+    for kind, n, expected in (
+        ("legendre", 104, 2.787e-228),
+        ("projector", 60, 9.048e152),
+        ("gegenbauer", 120, 4.599e14),
+        ("gegenbauer", 300, 5.694e41),
+    ):
+        idx = ZonalIndex(n=n, k=10**6)
+        amplitude = float(forms[kind](idx, math.pi / 2).amplitude)
+        reference = leading_amplitude_mp(kind, n, 10**6, math.pi / 2)
+        np.testing.assert_allclose(amplitude, reference, rtol=1e-12, err_msg=f"{kind} n={n}")
+        np.testing.assert_allclose(amplitude, expected, rtol=1e-3)
+    np.testing.assert_allclose(
+        float(gegenbauer_leading(ZonalIndex(n=120, k=10**6), math.pi / 2).amplitude),
+        2.0**59.5 / math.sqrt(math.pi * 10**6), rtol=1e-14,
+    )
+    # about 1e-592: not a double, so still refused
+    with pytest.raises(ValueError):
+        legendre_leading(ZonalIndex(n=300, k=10**6), math.pi / 2)
+
+
+def test_leading_forms_match_mpmath_across_dimensions():
+    # within L + 8 ulp up to n = 40, off the poles
+    theta = np.array([0.3, 1.0, 2.5])
+    forms = {"legendre": legendre_leading, "projector": projector_leading, "gegenbauer": gegenbauer_leading}
+    for kind, fn in forms.items():
+        for n in (2, 3, 4, 5, 7, 12, 40):
+            for k in (3, 256, 10**6):
+                amplitude = np.asarray(fn(ZonalIndex(n=n, k=k), theta).amplitude)
+                reference = [leading_amplitude_mp(kind, n, k, t) for t in theta]
+                np.testing.assert_allclose(amplitude, reference, rtol=(0.5 * (n - 1) + 8) * 2.3e-16,
+                                           err_msg=f"{kind} n={n} k={k}")
+
+
 def test_sign_structure_at_large_degree():
     # the projector leading form is the legendre one scaled by a positive
     # factor, so their oscillation signs agree across the window

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from zonal import harness
+from zonal import harness, quadric
 from zonal.cli import MAX_GRID, build_parser, main
 from zonal.quadric import build_cone_basis
 from zonal.special import ZonalIndex, legendre_normalized
@@ -210,6 +210,20 @@ def test_oracle_rejects_csv_and_bad_dimension(capsys):
     for ks in ("0,2", "2,2", "4,2,4"):
         code, out, err = run_cli(["oracle", "--ks", ks], capsys)
         assert code == 2 and out == "" and "argument --ks" in err
+
+
+def test_oracle_refuses_outside_its_domain_before_any_basis(capsys, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("basis build reached")
+
+    monkeypatch.setattr(quadric, "build_cone_basis", no_build)
+    for argv, reason in (
+        (["oracle", "--n", "4"], "the dimensions tests/oracles has sphere rules for"),
+        (["oracle", "--ks", "13"], "the last degree at which tests/oracles.C_EXACT checks c_k"),
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert reason in err
 
 
 def test_oracle_rejects_a_basis_with_gram_error_at_least_half(capsys):

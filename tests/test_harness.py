@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import decay_exact, eval_monomials, fiber_nodes, gram_stderr
-from zonal import rng
+from oracles import decay_exact, eval_monomials, exact_cone_basis, fiber_nodes, gram_stderr
+from zonal import quadric, rng
 from zonal.asymptotics import AngleWindow, c_constant_leading
 from zonal.harness import (
     CSV_HEADER,
@@ -192,6 +192,18 @@ def test_geometric_oracle_validation():
         geometric_oracle(build_cone_basis(2, (2,), 30_000, seed=1), pairs=0, seed=1)
 
 
+def test_geometric_oracle_checks_bases_before_any_pushforward(monkeypatch):
+    def no_pushforward(*args):
+        raise AssertionError("push-forward reached")
+
+    monkeypatch.setattr(quadric, "pushforward_kernel", no_pushforward)
+    with pytest.raises(ValueError, match="need at least one basis"):
+        geometric_oracle((), pairs=2, seed=1)
+    mixed = [exact_cone_basis(2, 2), exact_cone_basis(3, 2)]
+    with pytest.raises(ValueError, match="mix sphere dimensions n = 2 and 3"):
+        geometric_oracle(mixed, pairs=2, seed=1)
+
+
 def test_geometric_oracle_report():
     # degrees are reported in increasing order whatever the order of the bases
     out = geometric_oracle(build_cone_basis(2, (3, 2), 30_000, seed=123), pairs=3, seed=123)
@@ -207,7 +219,8 @@ def test_geometric_oracle_report():
         assert deg["diagonal_residual"] < 0.1
         assert 0.9 < deg["c_ratio"] < 1.1
     decay = out["decay"]
-    assert decay["ks"] == [2, 3]
+    # the probe's report as it is: its tuples serialize as JSON lists
+    assert decay["ks"] == (2, 3)
     assert decay["monotone_until_floor"] is True
     assert decay["superpolynomial"] is None  # two degrees cannot show curvature
 

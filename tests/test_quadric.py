@@ -821,7 +821,6 @@ def test_decay_probe_structure():
     bases = [exact_cone_basis(2, k) for k in (2, 3, 4, 5, 6, 7, 8)]
     x, xp = probe_pair(2, seed=77)
     report = offdiagonal_decay_probe(bases, x, xp)
-    assert report.n == 2
     assert report.ks == (2, 3, 4, 5, 6, 7, 8)
     np.testing.assert_allclose(report.distance, SQRT2 * math.sin(0.45), rtol=1e-12)
     assert not any(report.below_floor)
