@@ -9,7 +9,7 @@ script in ``cli`` fronts all of it.
 
 import os
 
-# Threaded BLAS splits the zgemm/zpotrf of large cone bases differently per
+# Threaded BLAS splits the products of large cone bases differently per
 # thread count, which moves the oracle's last digits.  One thread unless the
 # caller chose otherwise; this acts only if numpy is not imported yet.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):

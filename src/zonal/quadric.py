@@ -7,11 +7,12 @@ This module samples those slices, builds L2-orthonormal bases of the
 degree-k holomorphic sections by Monte Carlo, evaluates the associated
 reproducing kernel, and pushes it forward along fibers to recover the
 sphere eigenspace projector.  One build pass draws each block of rng.BLOCK
-frames once for every requested degree and adds each degree's block Gram
-by one Hermitian rank-k update (zherk), so it holds one block of one
-degree's monomials whatever the sample count: at n = 3 and k = 8 the
-build's traced peak is about 15 MB, and `zonal oracle --n 3` peaks at
-about 80 MB, 59 MB of it numpy and scipy, which only the build imports.
+frames once for every requested degree and adds, for each degree, the
+real Gram of each exponent-parity class of its monomials (the exact Gram
+is zero between classes), so it holds one block of one degree's monomials
+whatever the sample count: at n = 3 and k = 8 the build's traced peak is
+about 15 MB, and `zonal oracle --n 3` peaks at about 73 MB, most of it
+the numpy and scipy imports (scipy for the quadrature rules' nodes).
 Each basis's error is measured exactly, against the closed-form inverse
 Gram of the Szego kernel, and must stay below 1/2; the push-forward
 constant c_k is the closed-form Gamma ratio of the paper's identity.
@@ -255,15 +256,16 @@ def _monomial_matrix(z: np.ndarray, exponents) -> np.ndarray:
 class ConeBasis:
     """Monte Carlo orthonormal basis of degree-k sections on the unit slice.
 
-    coeff is lower triangular; row a of coeff gives section a as a
-    combination of the raw monomials, orthonormal for the normalized volume
-    of the radius-1 slice as estimated from `samples` Haar frames.
-    gram_error is the spectral norm ||I - L^H G^-1 L||, with L = coeff^-1
-    the Cholesky factor of the sampled Gram and G^-1 the exact inverse
-    Gram.  It bounds the sampled kernel's error rigorously: for any two
-    linear functionals of the sections, such as point values or fiber
-    integrals, with vectors u and v of section values, the sampled kernel
-    u^T conj(v) lies within gram_error |u| |v| of the exact one.
+    coeff is real, lower triangular and zero between monomials of different
+    exponent parity; row a of coeff gives section a as a combination of the
+    raw monomials, orthonormal for the normalized volume of the radius-1
+    slice as estimated from `samples` Haar frames, each with its images
+    under sign flips and conjugation.  gram_error is ||I - L^T G^-1 L||_2,
+    with L = coeff^-1 the Cholesky factor of the sampled Gram and G^-1 the
+    exact inverse Gram.  It bounds the sampled kernel's error rigorously:
+    for any two linear functionals of the sections, such as point values or
+    fiber integrals, with vectors u and v of section values, the sampled
+    kernel u^T conj(v) lies within gram_error |u| |v| of the exact one.
     """
 
     n: int
@@ -286,60 +288,73 @@ class ConeBasis:
 def build_cone_basis(n: int, ks, samples: int, seed: int) -> tuple[ConeBasis, ...]:
     """Estimate the Gram of each degree's monomial basis on the unit slice and invert it.
 
-    One pass draws Haar frames rng.BLOCK at a time (one substream per
-    block) and scales the lifts down to radius 1.  For each degree in ks it
-    forms the block's coset monomials and takes the upper triangle of their
-    Gram by one Hermitian rank-k update (zherk), so each frame is drawn once
-    for all degrees and one block of one degree's monomials is held at a
-    time.
-    After the last block each Gram is scaled by the normalized slice
-    volume, made Hermitian and Cholesky-factorized, and its factor L gives
-    gram_error, the largest distance from 1 of an eigenvalue of
-    L^H G^-1 L with G^-1 the closed-form inverse Gram (`_inverse_gram`).
-    That bound alone decides acceptance: a degree is refused when its
-    Gram is not positive definite or its gram_error reaches 1/2, where
-    the bounds say nothing, and only an accepted L is inverted.  Below 1/2
-    the sampled Gram's condition number is under 3 times the exact one's,
-    so its pivots stay far from zero.  Raises ValueError for either
-    refusal and for samples < 1.  Returns one ConeBasis per degree in the
-    order of ks; each is the same whatever the other degrees are.
+    The Haar frame measure is unchanged by each sign flip z_j -> -z_j and by
+    conjugation, so the exact Gram is real and zero between monomials of
+    different exponent parity.  The build samples the measure averaged over
+    those maps, which keeps the real part of each parity class's Gram alone.
+    One pass draws Haar frames rng.BLOCK at a time (one substream per block),
+    scaled to radius 1, for all degrees in ks, and holds one block of one
+    degree's monomials at a time; each class's block Gram is one real
+    product of its monomial rows, real and imaginary parts interleaved.
+    gram_error, from each class Gram's Cholesky factor L, is the largest
+    distance from 1 of an eigenvalue of L^T G^-1 L, G^-1 the closed-form
+    inverse Gram (`_inverse_gram`).  That bound alone decides acceptance: a
+    degree is refused when a class Gram is not positive definite or its
+    gram_error reaches 1/2, where the bounds say nothing.  Below 1/2 the
+    sampled Gram's condition number is under 3 times the exact one's, so an
+    accepted L has pivots far from zero; it is inverted by forward
+    substitution.  Raises ValueError for either refusal and for samples < 1.
+    Returns one ConeBasis per degree in the order of ks; each is the same
+    whatever the other degrees are.
     """
-    from scipy.linalg import blas, cholesky, solve_triangular
-
     families = [monomial_basis(n, k) for k in ks]
     if not families:
         raise ValueError("build_cone_basis: ks is empty; need at least one degree")
     if samples < 1:
         raise ValueError(f"build_cone_basis: expected samples >= 1, got {samples!r}")
-    mass = cone_slice_mass(n, 1.0)
-    scale = 1.0 / math.sqrt(2.0)
+    # positions by exponent parity (e mod 2), each class in monomial_basis order;
+    # in class order, each class is a contiguous run of the monomial rows
+    parities = [[tuple(e % 2 for e in expo) for expo in fam] for fam in families]
+    classes = [[[i for i, c in enumerate(par) if c == key] for key in dict.fromkeys(par)] for par in parities]
+    ordered = [[e[i] for idx in cls for i in idx] for e, cls in zip(families, classes)]
+    edges = [np.cumsum([0] + [len(idx) for idx in cls]) for cls in classes]
 
     def one_block(b: int) -> np.ndarray:
         gen = rng.substream(seed, rng.GRAM, b)
         q, p = _frame_block(n, min(rng.BLOCK, samples - b * rng.BLOCK), gen)
-        z = scale * (q + 1j * p)
-        # the monomial matrix is Fortran-ordered, so zherk forms a^H a without a copy
-        return np.concatenate([blas.zherk(1.0, _monomial_matrix(z, e), trans=2).ravel() for e in families])
+        z = (1.0 / math.sqrt(2.0)) * (q + 1j * p)
+        grams = []
+        for exponents, cuts in zip(ordered, edges):
+            # C-ordered (N, M) values seen as (N, 2M) reals, so a row product is Re(a^H a)
+            a = _monomial_matrix(z, exponents).T.view(float)
+            grams += [(a[lo:hi] @ a[lo:hi].T).ravel() for lo, hi in zip(cuts, cuts[1:])]
+            del a  # freed before the next degree's values, so that buffer is reused
+        return np.concatenate(grams)
 
-    flat = rng.map_blocks(one_block, -(-samples // rng.BLOCK)) * (mass / samples)
-    grams = np.split(flat, np.cumsum([len(e) ** 2 for e in families])[:-1])
+    flat = rng.map_blocks(one_block, -(-samples // rng.BLOCK)) * (cone_slice_mass(n, 1.0) / samples)
+    grams = iter(np.split(flat, np.cumsum([len(idx) ** 2 for cls in classes for idx in cls])[:-1]))
 
     bases = []
-    for k, exponents, upper in zip(ks, families, grams):
-        nbasis = len(exponents)
-        upper = upper.reshape(nbasis, nbasis)
-        gram = upper + np.triu(upper, 1).conj().T
+    for k, exponents, cls in zip(ks, families, classes):
         try:
-            low = cholesky(gram, lower=True)
+            lows = [np.linalg.cholesky(next(grams).reshape(len(idx), len(idx))) for idx in cls]
         except np.linalg.LinAlgError as exc:
             raise ValueError(
                 f"build_cone_basis: Gram at samples={samples} is not positive definite; increase samples"
             ) from exc
-        error = np.abs(1.0 - np.linalg.eigvalsh(low.conj().T @ _inverse_gram(n, k) @ low)).max()
+        inverse = _inverse_gram(n, k)
+        error = max(np.abs(1.0 - np.linalg.eigvalsh(low.T @ inverse[np.ix_(idx, idx)] @ low)).max()
+                    for idx, low in zip(cls, lows))
         if error >= 0.5:
             raise ValueError(f"build_cone_basis: gram_error {error:.3g} at k={k}, samples={samples} is at least "
                              "1/2, where its bounds exceed the values they bound; increase samples")
-        coeff = solve_triangular(low, np.eye(nbasis), lower=True)
+        # each class keeps monomial_basis order, so coeff is lower triangular in it
+        coeff = np.zeros((len(exponents), len(exponents)))
+        for idx, low in zip(cls, lows):
+            inv = np.eye(len(idx))
+            for i in range(len(idx)):  # forward substitution: row i of L^-1 from the rows above it
+                inv[i] = (inv[i] - low[i, :i] @ inv[:i]) / low[i, i]
+            coeff[np.ix_(idx, idx)] = inv
         bases.append(ConeBasis(n, k, exponents, coeff, samples, gram_error=float(error)))
     return tuple(bases)
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -242,27 +243,27 @@ def test_build_determinism():
 
 
 def test_build_rejects_too_few_samples():
-    with pytest.raises(ValueError, match=r"gram_error 0\.539 at k=2, samples=40 "):
-        build_cone_basis(2, (2,), 40, seed=5)
+    with pytest.raises(ValueError, match=r"gram_error 0\.547 at k=2, samples=8 "):
+        build_cone_basis(2, (2,), 8, seed=5)
     # every degree is judged by its own bound: the 17 sections at k=8 fail
-    with pytest.raises(ValueError, match=r"gram_error 0\.778 at k=8, samples=100 "):
-        build_cone_basis(2, (2, 8), 100, seed=5)
+    with pytest.raises(ValueError, match=r"gram_error 0\.635 at k=8, samples=40 "):
+        build_cone_basis(2, (2, 8), 40, seed=5)
     # an empty degree list is named, not left to numpy's concatenate
     with pytest.raises(ValueError, match="ks is empty"):
         build_cone_basis(2, (), 30_000, seed=5)
-    # 810 frames, 10 per section of the 81 at k=8, read gram_error 0.834
-    # there, where gram_error / (1 - gram_error) > 1 and its bounds say nothing
-    assert build_cone_basis(3, (2, 4), 810, seed=1)[1].gram_error < 0.5
-    with pytest.raises(ValueError, match=r"gram_error 0\.834 at k=8, samples=810 is at least 1/2"):
-        build_cone_basis(3, (2, 4, 8), 810, seed=1)
+    # 100 frames for the 81 sections at k=8 read gram_error 0.734 there,
+    # where gram_error / (1 - gram_error) > 1 and its bounds say nothing
+    assert build_cone_basis(3, (2, 4), 100, seed=1)[1].gram_error < 0.5
+    with pytest.raises(ValueError, match=r"gram_error 0\.734 at k=8, samples=100 is at least 1/2"):
+        build_cone_basis(3, (2, 4, 8), 100, seed=1)
 
 
 def test_build_accepts_by_the_bound_alone():
     # 49 frames for 5 sections is below a sample-count floor of 10 x N, yet
-    # the bound reads 0.411 and admits the basis (40 frames read 0.539 and
+    # the bound reads 0.208 and admits the basis (8 frames read 0.547 and
     # are refused, in test_build_rejects_too_few_samples)
     (basis,) = build_cone_basis(2, (2,), 49, seed=5)
-    assert round(basis.gram_error, 3) == 0.411
+    assert round(basis.gram_error, 3) == 0.208
 
 
 @pytest.mark.parametrize("samples", [0, -3])
@@ -272,7 +273,7 @@ def test_build_rejects_nonpositive_samples(samples):
 
 
 def gram_error(low, n, k):
-    # ||I - L^H G^-1 L|| for a Cholesky factor L, as the build computes it
+    # ||I - L^H G^-1 L|| for a Cholesky factor L, which the build takes class by class
     return np.abs(1.0 - np.linalg.eigvalsh(low.conj().T @ _inverse_gram(n, k) @ low)).max()
 
 
@@ -325,27 +326,47 @@ def test_inverse_gram_against_sampled_gram(n):
         assert after < before / 4.0, (k, before, after)
 
 
-def reference_build(n, k, samples, seed):
-    # one degree per pass, each block's Gram as the full product a^H a
-    exponents = monomial_basis(n, k)
-    mass = cone_slice_mass(n, 1.0)
+def same_parity(exponents):
+    # True where two exponent tuples agree mod 2
+    parity = np.array(exponents) % 2
+    return (parity[:, None, :] == parity[None, :, :]).all(axis=-1)
+
+
+def gram_frames(n, samples, seed):
+    # the build's unit-slice frames, block by block
     full, tail = divmod(samples, rng.BLOCK)
-    gram = np.zeros((len(exponents), len(exponents)), dtype=complex)
     for b, size in enumerate([rng.BLOCK] * full + [tail] * bool(tail)):
         q, p = _frame_block(n, size, rng.substream(seed, rng.GRAM, b))
-        a = _monomial_matrix((q + 1j * p) / SQRT2, exponents)
-        gram += a.conj().T @ a
-    gram *= mass / samples
-    low = cholesky(0.5 * (gram + gram.conj().T), lower=True)
+        yield (q + 1j * p) / SQRT2
+
+
+def reference_build(n, k, samples, seed):
+    # one degree per pass, its parity classes read off same_parity.  Each
+    # class's Gram is summed block by block as the real product of its
+    # monomial rows, real and imaginary parts interleaved (Re a^H a), the
+    # build's own arithmetic: coeff entries far below the largest carry a
+    # one-ulp change of the Gram as about 1e-12 of themselves, so a Gram
+    # formed any other way could not be held to rtol 1e-12
+    exponents = monomial_basis(n, k)
+    classes = [np.flatnonzero(row) for row in np.unique(same_parity(exponents), axis=0)]
+    grams = [np.zeros((len(idx), len(idx))) for idx in classes]
+    for z in gram_frames(n, samples, seed):
+        a = _monomial_matrix(z, exponents).T.view(float)
+        for idx, gram in zip(classes, grams):
+            rows = a[idx]
+            gram += rows @ rows.T
+    low = np.zeros((len(exponents), len(exponents)))
+    for idx, gram in zip(classes, grams):
+        low[np.ix_(idx, idx)] = cholesky(gram * (cone_slice_mass(n, 1.0) / samples), lower=True)
     coeff = solve_triangular(low, np.eye(len(exponents)), lower=True)
-    # ||I - L^H G^-1 L|| with the quadrature oracle's G, not the closed form
-    error = np.abs(1.0 - np.linalg.eigvalsh(low.conj().T @ np.linalg.solve(exact_gram(n, k), low))).max()
+    # ||I - L^T G^-1 L|| over all classes at once, with the quadrature oracle's G, not the closed form
+    error = np.abs(1.0 - np.linalg.eigvalsh(low.T @ np.linalg.solve(exact_gram(n, k), low))).max()
     return coeff, error
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_one_pass_build_equals_one_degree_builds(n):
-    # 2 rng.BLOCK + 1 samples end in a one-row block, which zherk adds like any other
+    # 2 rng.BLOCK + 1 samples end in a one-row block, which adds like any other
     ks = (2, 4, 8)
     for samples in (40_000, 2 * rng.BLOCK + 1):
         together = build_cone_basis(n, ks, samples, seed=3)
@@ -355,8 +376,36 @@ def test_one_pass_build_equals_one_degree_builds(n):
             assert basis.coeff.tobytes() == alone.coeff.tobytes()
             assert basis.gram_error == alone.gram_error
             coeff, error = reference_build(n, k, samples, seed=3)
+            assert basis.coeff.dtype == float and not np.triu(basis.coeff, 1).any()
             np.testing.assert_allclose(basis.coeff, coeff, rtol=1e-12, err_msg=f"samples={samples}")
             np.testing.assert_allclose(basis.gram_error, error, rtol=1e-12, err_msg=f"samples={samples}")
+
+
+@pytest.mark.parametrize("n, samples", [(2, 2 * rng.BLOCK + 1), (3, 1000)])
+def test_build_gram_is_the_gram_of_each_frames_images(n, samples):
+    # the Haar frame measure is unchanged by the 2^(n+1) coordinate sign
+    # flips and by conjugation, so the build's Gram L L^T (L = coeff^-1) is
+    # the plain complex Gram of every drawn frame's 2^(n+2) images; its
+    # entries between parity classes, zero in L L^T, cancel to rounding
+    ks = (2, 4, 8)
+    frames = np.concatenate(list(gram_frames(n, samples, seed=4)))
+    images = [w for signs in itertools.product((1.0, -1.0), repeat=n + 1)
+              for w in (frames * signs, (frames * signs).conj())]
+    for basis in build_cone_basis(n, ks, samples, seed=4):
+        gram = np.zeros((basis.size, basis.size), dtype=complex)
+        for w in images:
+            a = eval_monomials(w, basis.exponents)
+            gram += a.conj().T @ a
+        gram *= cone_slice_mass(n, 1.0) / (samples * len(images))
+        low = np.linalg.inv(basis.coeff)
+        np.testing.assert_allclose(gram, low @ low.T, rtol=1e-12, atol=1e-15 * np.abs(gram).max(),
+                                   err_msg=f"k={basis.k}")
+    # the exact inverse Gram is real and zero between parity classes, so
+    # gram_error may be taken class by class
+    for k in range(13):
+        inverse = _inverse_gram(n, k)
+        assert inverse.dtype == float
+        assert not inverse[~same_parity(monomial_basis(n, k))].any(), k
 
 
 def test_build_memory_does_not_grow_with_check_frames():
