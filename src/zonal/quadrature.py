@@ -3,7 +3,9 @@
 Rules are built recursively: the m-sphere splits into a polar coordinate
 with Gauss-Jacobi weight (1 - t^2)^((m-2)/2) and an (m-1)-sphere, and the
 circle uses equispaced angles, exact for trigonometric polynomials below
-the node count.  Weights always sum to the Riemannian volume.  Each sphere
+the node count.  The polar nodes and weights are the eigenvalues and first
+eigenvector components of the Jacobi matrix (Golub and Welsch, Math. Comp.
+1969), on numpy alone.  Weights always sum to the Riemannian volume.  Each sphere
 rule is built once per (m, degree) and shared read-only by every caller.
 Callers ask for exactly the degree of their integrand, and one fiber rule
 call covers a whole stack of base points.
@@ -16,6 +18,17 @@ import math
 import numpy as np
 
 __all__ = ["sphere_rule", "complement_frame", "fiber_rule"]
+
+
+def _gauss_jacobi(count: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule of count nodes for the weight (1 - t^2)^a on [-1, 1], by Golub-Welsch."""
+    j = np.arange(1.0, count)
+    # symmetric Jacobi matrix: zero diagonal, this off-diagonal (eigh reads the lower triangle)
+    off = np.sqrt(j * (j + 2 * a) / ((2 * j + 2 * a - 1) * (2 * j + 2 * a + 1)))
+    t, vec = np.linalg.eigh(np.diag(off, -1))
+    weights = math.sqrt(math.pi) * math.gamma(a + 1) / math.gamma(a + 1.5) * vec[0] ** 2
+    # exact symmetry about 0, as scipy's roots_jacobi gives it
+    return (t - t[::-1]) / 2, (weights + weights[::-1]) / 2
 
 
 @functools.lru_cache(maxsize=128)
@@ -38,10 +51,8 @@ def sphere_rule(m: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
         nodes = np.column_stack([np.cos(ang), np.sin(ang)])
         weights = np.full(count, 2.0 * math.pi / count)
     else:
-        from scipy.special import roots_jacobi
-
         npolar = (degree + 2) // 2
-        t, tw = roots_jacobi(npolar, 0.5 * (m - 2), 0.5 * (m - 2))
+        t, tw = _gauss_jacobi(npolar, 0.5 * (m - 2))
         sub_nodes, sub_w = sphere_rule(m - 1, degree)
         sin_t = np.sqrt(np.clip(1.0 - t**2, 0.0, None))
         nodes = np.empty((npolar * len(sub_w), m + 1))

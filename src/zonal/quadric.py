@@ -11,8 +11,9 @@ frames once for every requested degree and adds, for each degree, the
 real Gram of each exponent-parity class of its monomials (the exact Gram
 is zero between classes), so it holds one block of one degree's monomials
 whatever the sample count: at n = 3 and k = 8 the build's traced peak is
-about 15 MB, and `zonal oracle --n 3` peaks at about 73 MB, most of it
-the numpy and scipy imports (scipy for the quadrature rules' nodes).
+about 15 MB, and `zonal oracle --n 3` peaks at about 71 MB, most of it
+the numpy and scipy.special imports (scipy for the predicted projector
+values below degree 32; the quadrature rules need numpy alone).
 Each basis's error is measured exactly, against the closed-form inverse
 Gram of the Szego kernel, and must stay below 1/2; the push-forward
 constant c_k is the closed-form Gamma ratio of the paper's identity.
@@ -21,6 +22,7 @@ substreams so results depend only on (seed, sample count).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -128,14 +130,23 @@ class FramePoint:
         return self.q + 1j * self.p
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, the squares summed column by column.
+
+    Below 8 columns numpy's row reduction adds in the same order, so this
+    equals np.linalg.norm(x, axis=1) bit for bit, and is several times faster.
+    """
+    return np.sqrt(sum(x[:, j] * x[:, j] for j in range(x.shape[1])))
+
+
 def _orthonormalize(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
     """Gram-Schmidt on paired rows, in place; True marks a degenerate row."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        nq = np.linalg.norm(g1, axis=1)
+        nq = _row_norms(g1)
         proj = np.einsum("ij,ij->i", g1, g2) / nq**2
-        ng2 = np.linalg.norm(g2, axis=1)
+        ng2 = _row_norms(g2)
         g2 -= proj[:, None] * g1
-        nw = np.linalg.norm(g2, axis=1)
+        nw = _row_norms(g2)
         g1 /= nq[:, None]
         g2 /= nw[:, None]
     return (nq < 1e-12) | (nw < 1e-8 * ng2)
@@ -230,26 +241,61 @@ def _inverse_gram(n: int, k: int) -> np.ndarray:
     return (reduce.T * weights) @ reduce * (len(exponents) / cone_slice_mass(n, 1.0))
 
 
-def _monomial_matrix(z: np.ndarray, exponents) -> np.ndarray:
-    """Raw monomial values, shape (M, len(exponents)) for z of shape (M, n+1)."""
+@functools.lru_cache(maxsize=32)
+def _monomial_plan(families) -> tuple[list[int], list[list[tuple[tuple[int, ...], int, int]]]]:
+    """Each coordinate's top exponent over all families, and one walk per family.
+
+    A walk visits the family's exponent tuples in lexicographic order, as
+    (tuple, first coordinate where it differs from the tuple before it,
+    its row in the family's order).
+    """
+    ncoord = len(families[0][0])
+    tops = [max(e[j] for fam in families for e in fam) for j in range(ncoord)]
+    walks = []
+    for fam in families:
+        order = sorted(range(len(fam)), key=fam.__getitem__)
+        firsts = [0] + [next(j for j in range(ncoord) if fam[a][j] != fam[b][j]) for a, b in zip(order, order[1:])]
+        walks.append([(fam[row], first, row) for row, first in zip(order, firsts)])
+    return tops, walks
+
+
+def _monomial_rows(z: np.ndarray, families):
+    """Raw monomial values of each family in turn, C-ordered (len(family), M) for z of shape (M, n+1).
+
+    Each coordinate's powers are formed once for all families.  Each
+    monomial is the left-to-right product of its coordinates' powers (zero
+    exponents skipped), as written out one by one; walking a family's
+    exponents in lexicographic order reuses the prefix each shares with the
+    one before it, so at most n + 1 running products are held.  A family's
+    rows are released before the next family's are formed, once the caller
+    drops them too.
+    """
+    tops, walks = _monomial_plan(families)
     m, ncoord = z.shape
-    maxe = [max(e[j] for e in exponents) for j in range(ncoord)]
     pows = []
     for j in range(ncoord):
-        tbl = np.empty((maxe[j] + 1, m), dtype=complex)
+        tbl = np.empty((tops[j] + 1, m), dtype=complex)
         tbl[0] = 1.0
-        for e in range(1, maxe[j] + 1):
+        for e in range(1, tops[j] + 1):
             tbl[e] = tbl[e - 1] * z[:, j]
         pows.append(tbl)
-    # one contiguous row per monomial; out-of-place products round as a plain product
-    out = np.empty((len(exponents), m), dtype=complex)
-    for i, expo in enumerate(exponents):
-        acc = pows[0][expo[0]]
-        for j in range(1, ncoord):
-            if expo[j]:
-                acc = acc * pows[j][expo[j]]
-        out[i] = acc
-    return out.T
+    last = ncoord - 1
+    prefix = [None] * last  # prefix[j]: the product of the powers of coordinates 0..j
+    for walk in walks:
+        out = np.empty((len(walk), m), dtype=complex)
+        for expo, first, row in walk:
+            for j in range(first, last):
+                if j == 0:
+                    prefix[0] = pows[0][expo[0]]
+                else:
+                    prefix[j] = prefix[j - 1] * pows[j][expo[j]] if expo[j] else prefix[j - 1]
+            if expo[last]:
+                # a distinct output buffer rounds as a fresh product, length-1 rows included
+                np.multiply(prefix[last - 1], pows[last][expo[last]], out=out[row])
+            else:
+                out[row] = prefix[last - 1]
+        yield out
+        del out
 
 
 @dataclass(frozen=True)
@@ -282,7 +328,9 @@ class ConeBasis:
     def evaluate(self, z: np.ndarray) -> np.ndarray:
         """Orthonormal section values, shape (M, size) for z of shape (M, n+1)."""
         z = np.atleast_2d(np.asarray(z, dtype=complex))
-        return _monomial_matrix(z, self.exponents) @ self.coeff.T
+        (rows,) = _monomial_rows(z, (self.exponents,))
+        # a real product on the rows seen as reals, real and imaginary parts interleaved
+        return (self.coeff @ rows.view(float)).view(complex).T
 
 
 def build_cone_basis(n: int, ks, samples: int, seed: int) -> tuple[ConeBasis, ...]:
@@ -316,7 +364,7 @@ def build_cone_basis(n: int, ks, samples: int, seed: int) -> tuple[ConeBasis, ..
     # in class order, each class is a contiguous run of the monomial rows
     parities = [[tuple(e % 2 for e in expo) for expo in fam] for fam in families]
     classes = [[[i for i, c in enumerate(par) if c == key] for key in dict.fromkeys(par)] for par in parities]
-    ordered = [[e[i] for idx in cls for i in idx] for e, cls in zip(families, classes)]
+    ordered = tuple(tuple(e[i] for idx in cls for i in idx) for e, cls in zip(families, classes))
     edges = [np.cumsum([0] + [len(idx) for idx in cls]) for cls in classes]
 
     def one_block(b: int) -> np.ndarray:
@@ -324,11 +372,12 @@ def build_cone_basis(n: int, ks, samples: int, seed: int) -> tuple[ConeBasis, ..
         q, p = _frame_block(n, min(rng.BLOCK, samples - b * rng.BLOCK), gen)
         z = (1.0 / math.sqrt(2.0)) * (q + 1j * p)
         grams = []
-        for exponents, cuts in zip(ordered, edges):
+        rows = _monomial_rows(z, ordered)
+        for cuts in edges:
             # C-ordered (N, M) values seen as (N, 2M) reals, so a row product is Re(a^H a)
-            a = _monomial_matrix(z, exponents).T.view(float)
+            a = next(rows).view(float)
             grams += [(a[lo:hi] @ a[lo:hi].T).ravel() for lo, hi in zip(cuts, cuts[1:])]
-            del a  # freed before the next degree's values, so that buffer is reused
+            del a  # freed before the next degree's values (a zip would hold them), so that buffer is reused
         return np.concatenate(grams)
 
     flat = rng.map_blocks(one_block, -(-samples // rng.BLOCK)) * (cone_slice_mass(n, 1.0) / samples)

@@ -179,9 +179,15 @@ def exact_gram(n: int, k: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def exact_cone_basis(n: int, k: int) -> ConeBasis:
-    """ConeBasis whose coefficients come from the exact Gram, not Monte Carlo."""
+    """ConeBasis whose coefficients come from the exact Gram, not Monte Carlo.
+
+    The coefficients are real, as ConeBasis requires: the slice measure is
+    unchanged by conjugation, so the exact Gram is real, and the quadrature
+    leaves imaginary parts of rounding size alone.
+    """
     gram = exact_gram(n, k)
-    low = cholesky(gram, lower=True)
+    assert np.abs(gram.imag).max() <= 1e-15 * np.abs(gram).max()
+    low = cholesky(gram.real, lower=True)
     coeff = solve_triangular(low, np.eye(gram.shape[0]), lower=True)
     return ConeBasis(
         n=n,

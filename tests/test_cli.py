@@ -273,6 +273,26 @@ def test_import_and_kernel_calls_load_no_scipy():
     np.testing.assert_allclose(low, np.sin(9 * np.arccos(t)) / (9 * np.sqrt(1 - t * t)), rtol=0, atol=1e-14)
 
 
+ORACLE_FOOTPRINT = """
+import contextlib, io, json, sys
+from zonal.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["oracle", "--n", "3", "--ks", "2,4,8", "--samples", "2000"])
+print(json.dumps({"code": code, "modules": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_oracle_loads_no_scipy_linalg():
+    # the sphere rules' Gauss-Jacobi nodes come from numpy's eigh; scipy.special
+    # stays, for the predicted projector values at k < 32
+    proc = subprocess.run([sys.executable, "-c", ORACLE_FOOTPRINT], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["code"] == 0
+    assert "scipy.special" in doc["modules"]
+    assert not [m for m in doc["modules"] if m == "scipy.linalg" or m.startswith("scipy.linalg.")]
+
+
 def test_oracle_small_report(capsys):
     code, out, _ = run_cli(
         ["oracle", "--ks", "2,3", "--pairs", "2", "--samples", "5000", "--seed", "3"],

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import beta, roots_jacobi
 
-from zonal.quadrature import complement_frame, fiber_rule, sphere_rule
+from zonal.quadrature import _gauss_jacobi, complement_frame, fiber_rule, sphere_rule
 from zonal.special import vol_sphere
 
 
@@ -61,6 +62,49 @@ def test_sphere_rule_odd_moments_vanish():
         nodes, weights = sphere_rule(m, sum(alpha))
         numeric = weights @ np.prod(nodes ** np.asarray(alpha), axis=1)
         assert abs(numeric) < 1e-12
+
+
+def extended_gauss_weights(nodes, a):
+    # Christoffel numbers mu0 / sum_{k < count} p_k(t)^2 of the orthonormal
+    # recurrence, at the Gauss nodes polished by Newton's method on p_count,
+    # all in extended precision.  scipy's roots_jacobi weights cannot serve:
+    # they are off by up to 1.2e-12 themselves (a = 0, 36 nodes, against a
+    # 40-digit eigendecomposition)
+    count = len(nodes)
+    j = np.arange(1, count + 1, dtype=np.longdouble)
+    off = np.sqrt(j * (j + 2 * a) / ((2 * j + 2 * a - 1) * (2 * j + 2 * a + 1)))
+
+    def recurrence(t):
+        p_prev, p, dp_prev, dp = 0 * t, 1 + 0 * t, 0 * t, 0 * t
+        total = 1 + 0 * t
+        for k in range(count):
+            lower = off[k - 1] if k else 0
+            p_next = (t * p - lower * p_prev) / off[k]
+            dp_next = (p + t * dp - lower * dp_prev) / off[k]
+            p_prev, p, dp_prev, dp = p, p_next, dp, dp_next
+            if k < count - 1:
+                total += p * p
+        return p, dp, total
+
+    t = nodes.astype(np.longdouble)
+    for _ in range(2):
+        p, dp, _ = recurrence(t)
+        t = t - p / dp
+    return math.sqrt(math.pi) * math.gamma(a + 1) / math.gamma(a + 1.5) / recurrence(t)[2]
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5, 1.0, 1.5, 2.0, 4.5])
+def test_gauss_jacobi_rule_against_independent_references(a):
+    # nodes against scipy's roots_jacobi, weights against extended-precision
+    # Christoffel numbers, and the even moments against B(j + 1/2, a + 1)
+    for count in range(1, 41):
+        nodes, weights = _gauss_jacobi(count, a)
+        ref_nodes = roots_jacobi(count, a, a)[0]
+        np.testing.assert_allclose(nodes, ref_nodes, rtol=0, atol=1e-15, err_msg=f"count={count}")
+        np.testing.assert_allclose(weights, extended_gauss_weights(ref_nodes, a).astype(float), rtol=1e-12,
+                                   err_msg=f"count={count}")
+        moments = [weights @ nodes ** (2 * j) for j in range(count)]
+        np.testing.assert_allclose(moments, beta(np.arange(count) + 0.5, a + 1), rtol=1e-12, err_msg=f"count={count}")
 
 
 def test_complement_frame_orthonormal():

@@ -26,7 +26,7 @@ from zonal.quadric import (
     SzegoEvaluator,
     _frame_block,
     _inverse_gram,
-    _monomial_matrix,
+    _monomial_rows,
     _pushforward_raw,
     build_cone_basis,
     c_constant_numeric,
@@ -222,16 +222,20 @@ def plain_monomials(z, exponents):
     return np.column_stack(cols)
 
 
-def test_monomial_matrix_matches_plain_product():
+def test_monomial_rows_match_plain_product():
+    # several families in one call, mixed degrees and dimensions, one C-ordered
+    # array per family; bitwise, including the length-1 rows where in-place
+    # products round differently
     gen = np.random.default_rng(5)
-    for n in (2, 3):
-        exponents = monomial_basis(n, 8)
+    for n in (1, 2, 3, 4):
+        families = [monomial_basis(n, k) for k in (5, 0, 8, 1, 2)]
         for m in (1, 2, 3, 4097):
             z = (gen.standard_normal((m, n + 1)) + 1j * gen.standard_normal((m, n + 1))) / SQRT2
-            out = _monomial_matrix(z, exponents)
-            assert out.shape == (m, len(exponents))
-            # bitwise, including the length-1 rows where in-place products round differently
-            assert out.tobytes() == plain_monomials(z, exponents).tobytes()
+            outs = list(_monomial_rows(z, tuple(families)))
+            assert len(outs) == len(families)
+            for rows, exponents in zip(outs, families):
+                assert rows.shape == (len(exponents), m) and rows.flags.c_contiguous
+                assert rows.T.tobytes() == plain_monomials(z, exponents).tobytes()
 
 
 def test_build_determinism():
@@ -351,7 +355,8 @@ def reference_build(n, k, samples, seed):
     classes = [np.flatnonzero(row) for row in np.unique(same_parity(exponents), axis=0)]
     grams = [np.zeros((len(idx), len(idx))) for idx in classes]
     for z in gram_frames(n, samples, seed):
-        a = _monomial_matrix(z, exponents).T.view(float)
+        (a,) = _monomial_rows(z, (exponents,))
+        a = a.view(float)
         for idx, gram in zip(classes, grams):
             rows = a[idx]
             gram += rows @ rows.T
