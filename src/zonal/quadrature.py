@@ -3,12 +3,11 @@
 Rules are built recursively: the m-sphere splits into a polar coordinate
 with Gauss-Jacobi weight (1 - t^2)^((m-2)/2) and an (m-1)-sphere, and the
 circle uses equispaced angles, exact for trigonometric polynomials below
-the node count.  The polar nodes and weights are the eigenvalues and first
-eigenvector components of the Jacobi matrix (Golub and Welsch, Math. Comp.
-1969), on numpy alone.  Weights always sum to the Riemannian volume.  Each sphere
-rule is built once per (m, degree) and shared read-only by every caller.
-Callers ask for exactly the degree of their integrand, and one fiber rule
-call covers a whole stack of base points.
+the node count; the polar rule comes from the Jacobi matrix's eigenvectors
+(Golub and Welsch, Math. Comp. 1969).  Weights always sum to the Riemannian
+volume.  Each sphere rule is built once per (m, degree) and shared read-only
+by every caller.  Callers ask for exactly the degree of their integrand, and
+one fiber rule call covers a whole stack of base points.
 """
 from __future__ import annotations
 
@@ -23,12 +22,11 @@ __all__ = ["sphere_rule", "complement_frame", "fiber_rule"]
 def _gauss_jacobi(count: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rule of count nodes for the weight (1 - t^2)^a on [-1, 1], by Golub-Welsch."""
     j = np.arange(1.0, count)
-    # symmetric Jacobi matrix: zero diagonal, this off-diagonal (eigh reads the lower triangle)
+    # the Jacobi matrix has a zero diagonal and this off-diagonal; eigh reads its lower triangle
     off = np.sqrt(j * (j + 2 * a) / ((2 * j + 2 * a - 1) * (2 * j + 2 * a + 1)))
     t, vec = np.linalg.eigh(np.diag(off, -1))
-    weights = math.sqrt(math.pi) * math.gamma(a + 1) / math.gamma(a + 1.5) * vec[0] ** 2
-    # exact symmetry about 0, as scipy's roots_jacobi gives it
-    return (t - t[::-1]) / 2, (weights + weights[::-1]) / 2
+    w = math.sqrt(math.pi) * math.gamma(a + 1) / math.gamma(a + 1.5) * vec[0] ** 2
+    return (t - t[::-1]) / 2, (w + w[::-1]) / 2  # exactly symmetric about 0, as scipy's roots_jacobi
 
 
 @functools.lru_cache(maxsize=128)

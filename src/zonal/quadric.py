@@ -131,11 +131,7 @@ class FramePoint:
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, the squares summed column by column.
-
-    Below 8 columns numpy's row reduction adds in the same order, so this
-    equals np.linalg.norm(x, axis=1) bit for bit, and is several times faster.
-    """
+    # squares summed column by column, the order of numpy's row reduction below 8 columns
     return np.sqrt(sum(x[:, j] * x[:, j] for j in range(x.shape[1])))
 
 
@@ -242,33 +238,25 @@ def _inverse_gram(n: int, k: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _monomial_plan(families) -> tuple[list[int], list[list[tuple[tuple[int, ...], int, int]]]]:
-    """Each coordinate's top exponent over all families, and one walk per family.
-
-    A walk visits the family's exponent tuples in lexicographic order, as
-    (tuple, first coordinate where it differs from the tuple before it,
-    its row in the family's order).
-    """
-    ncoord = len(families[0][0])
-    tops = [max(e[j] for fam in families for e in fam) for j in range(ncoord)]
+def _monomial_plan(families):
+    """Each coordinate's top exponent over all families, and each family's walk in
+    lexicographic order: (exponents, first coordinate changed from the last, row)."""
+    tops = [max(col) for col in zip(*(e for fam in families for e in fam))]
     walks = []
     for fam in families:
         order = sorted(range(len(fam)), key=fam.__getitem__)
-        firsts = [0] + [next(j for j in range(ncoord) if fam[a][j] != fam[b][j]) for a, b in zip(order, order[1:])]
+        firsts = [0] + [[x == y for x, y in zip(fam[a], fam[b])].index(False)
+                        for a, b in zip(order, order[1:])]
         walks.append([(fam[row], first, row) for row, first in zip(order, firsts)])
     return tops, walks
 
 
 def _monomial_rows(z: np.ndarray, families):
-    """Raw monomial values of each family in turn, C-ordered (len(family), M) for z of shape (M, n+1).
+    """Each family's raw monomial values in turn, C-ordered (len(family), M) for z of shape (M, n+1).
 
-    Each coordinate's powers are formed once for all families.  Each
-    monomial is the left-to-right product of its coordinates' powers (zero
-    exponents skipped), as written out one by one; walking a family's
-    exponents in lexicographic order reuses the prefix each shares with the
-    one before it, so at most n + 1 running products are held.  A family's
-    rows are released before the next family's are formed, once the caller
-    drops them too.
+    Powers are formed once for all families.  Each monomial is the left-to-right
+    product of its coordinates' powers, zero exponents skipped, reusing the prefix
+    it shares with the one before it in lexicographic order.
     """
     tops, walks = _monomial_plan(families)
     m, ncoord = z.shape
@@ -295,7 +283,7 @@ def _monomial_rows(z: np.ndarray, families):
             else:
                 out[row] = prefix[last - 1]
         yield out
-        del out
+        del out  # released before the next family's rows are formed
 
 
 @dataclass(frozen=True)
@@ -377,7 +365,7 @@ def build_cone_basis(n: int, ks, samples: int, seed: int) -> tuple[ConeBasis, ..
             # C-ordered (N, M) values seen as (N, 2M) reals, so a row product is Re(a^H a)
             a = next(rows).view(float)
             grams += [(a[lo:hi] @ a[lo:hi].T).ravel() for lo, hi in zip(cuts, cuts[1:])]
-            del a  # freed before the next degree's values (a zip would hold them), so that buffer is reused
+            del a  # freed before the next degree's values, so that buffer is reused (a zip would hold it)
         return np.concatenate(grams)
 
     flat = rng.map_blocks(one_block, -(-samples // rng.BLOCK)) * (cone_slice_mass(n, 1.0) / samples)
