@@ -138,16 +138,19 @@ def whole_array_frames(g1, g2):
     return g1 / nq[:, None], w / np.linalg.norm(w, axis=1)[:, None]
 
 
-# one frame, a few, and several build blocks' worth, all orthonormalized in one pass
+# one frame, a few, and several build blocks' worth, all orthonormalized in one
+# pass; bitwise at 2 to 5 coordinates, where _frame_block's row norms add the
+# squares in np.linalg.norm's order
 @pytest.mark.parametrize("count", [1, 1000, 1 << 14, 2 << 14, (2 << 14) + 5, (3 << 14) + 300])
 def test_frame_block_slices_match_whole_array(count):
-    q, p = _frame_block(3, count, np.random.default_rng(count))
-    gen = np.random.default_rng(count)
-    g1 = gen.standard_normal((count, 4))
-    g2 = gen.standard_normal((count, 4))
-    q_ref, p_ref = whole_array_frames(g1, g2)
-    assert q.tobytes() == q_ref.tobytes()
-    assert p.tobytes() == p_ref.tobytes()
+    for n in (1, 2, 3, 4):
+        q, p = _frame_block(n, count, np.random.default_rng(count))
+        gen = np.random.default_rng(count)
+        g1 = gen.standard_normal((count, n + 1))
+        g2 = gen.standard_normal((count, n + 1))
+        q_ref, p_ref = whole_array_frames(g1, g2)
+        assert q.tobytes() == q_ref.tobytes(), n
+        assert p.tobytes() == p_ref.tobytes(), n
 
 
 @pytest.mark.filterwarnings("error")
