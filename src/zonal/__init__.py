@@ -1,10 +1,10 @@
 """Numerics laboratory for zonal kernels on spheres and their null-cone lifts.
 
-Four layers: exact special-function evaluation (``special``), closed-form
-leading asymptotics (``asymptotics``), the null-cone geometry with Monte
-Carlo section bases and kernel oracles (``quadric``), and measurement
-drivers with stable CSV/JSON output (``harness``).  The ``zonal`` console
-script in ``cli`` fronts all of it.
+Six layers: exact special-function evaluation (``special``), closed-form
+leading asymptotics (``asymptotics``), polynomial-exact sphere and fiber
+rules (``quadrature``), the null-cone geometry with Monte Carlo section
+bases and kernel oracles (``quadric``), measurement drivers with stable
+CSV/JSON output (``harness``), and the ``zonal`` console script (``cli``).
 """
 
 import os

@@ -22,7 +22,6 @@ __all__ = [
     "DELTA_MAX",
     "AngleWindow",
     "AsymptoticValue",
-    "window_contains",
     "phase_alpha",
     "legendre_leading",
     "projector_leading",
@@ -74,13 +73,6 @@ class AngleWindow:
         lo, hi = self.bounds(k)
         step = (hi - lo) / size
         return lo + (np.arange(size) + 0.5) * step
-
-
-def window_contains(window: AngleWindow, k: int, theta) -> bool:
-    """Strict membership of theta in the window at degree k."""
-    lo, hi = window.bounds(k)
-    arr = np.asarray(theta, dtype=float)
-    return bool(np.all((arr > lo) & (arr < hi)))
 
 
 @dataclass(frozen=True)

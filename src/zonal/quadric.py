@@ -48,10 +48,7 @@ __all__ = [
     "build_cone_basis",
     "pushforward_kernel",
     "c_constant_numeric",
-    "geodesic_lift",
-    "s_plus_minus",
     "fubini_study_distance",
-    "hlc_offset",
     "probe_pair",
     "offdiagonal_decay_probe",
 ]
@@ -316,6 +313,9 @@ class ConeBasis:
     def evaluate(self, z: np.ndarray) -> np.ndarray:
         """Orthonormal section values, shape (M, size) for z of shape (M, n+1)."""
         z = np.atleast_2d(np.asarray(z, dtype=complex))
+        if z.shape[-1] != self.n + 1:
+            raise ValueError(f"ConeBasis.evaluate: expected points in C^{self.n + 1}, "
+                             f"got {z.shape[-1]} coordinates")
         (rows,) = _monomial_rows(z, (self.exponents,))
         # a real product on the rows seen as reals, real and imaginary parts interleaved
         return (self.coeff @ rows.view(float)).view(complex).T
@@ -515,21 +515,6 @@ def c_constant_numeric(idx: ZonalIndex) -> float:
     return math.sqrt(base * math.exp(math.lgamma(k + half) - math.lgamma(k + n - 1)))
 
 
-def geodesic_lift(frame: FramePoint, theta: float) -> np.ndarray:
-    """Horizontal geodesic lift exp(-i theta) (q + ip) on the sqrt(2) slice."""
-    return complex(np.exp(-1j * float(theta))) * frame.lift()
-
-
-def s_plus_minus(v: np.ndarray) -> tuple[float, float]:
-    """Both sheet heights -1 +- sqrt(1 - |v|^2) over an in-disk tangent v."""
-    v = np.asarray(v, dtype=float)
-    norm2 = float(np.dot(v.ravel(), v.ravel()))
-    if norm2 > 1.0 + 1e-12:
-        raise ValueError(f"s_plus_minus: |v| must be <= 1, got |v|^2 = {norm2!r}")
-    root = math.sqrt(max(1.0 - norm2, 0.0))
-    return -1.0 + root, -1.0 - root
-
-
 def fubini_study_distance(z0: np.ndarray, z1: np.ndarray) -> float:
     """Projective distance between circle fibers through two slice points.
 
@@ -541,28 +526,6 @@ def fubini_study_distance(z0: np.ndarray, z1: np.ndarray) -> float:
     _require_on_slice(z0[None, :], math.sqrt(2.0), "fubini_study_distance z0")
     _require_on_slice(z1[None, :], math.sqrt(2.0), "fubini_study_distance z1")
     return math.sqrt(max(2.0 - abs(complex(np.vdot(z0, z1))), 0.0))
-
-
-def hlc_offset(z: np.ndarray, theta: float, dp: np.ndarray) -> tuple[np.ndarray, float]:
-    """Hermitian-orthogonal decomposition offset for a fiber perturbation.
-
-    For z on the unit slice and a real tangent step dp with
-    z + i exp(i theta) dp back on the unit slice, returns (h, beta) with
-    beta = 1 - |dp|^2 / 2 and h = (z + i exp(i theta) dp) / beta - z.
-    h is Hermitian-orthogonal to z and equals i exp(i theta) dp up to a
-    second-order correction in |dp|.
-    """
-    z = np.asarray(z, dtype=complex)
-    dp = np.asarray(dp, dtype=float)
-    if z.shape != dp.shape:
-        raise ValueError("hlc_offset: z and dp must have the same shape")
-    _require_on_slice(z[None, :], 1.0, "hlc_offset z")
-    target = z + 1j * complex(np.exp(1j * float(theta))) * dp
-    _require_on_slice(target[None, :], 1.0, "hlc_offset z + i exp(i theta) dp")
-    beta = 1.0 - 0.5 * float(np.dot(dp, dp))
-    if beta <= 0.0:
-        raise ValueError(f"hlc_offset: beta = {beta!r} is not positive; dp too large")
-    return target / beta - z, beta
 
 
 def probe_pair(n: int, seed: int, angle: float = 0.9) -> tuple[np.ndarray, np.ndarray]:
@@ -611,24 +574,22 @@ def offdiagonal_decay_probe(
 ) -> DecayReport:
     """Normalized kernel magnitude at a fixed separated pair, per degree.
 
-    For each degree-k basis, evaluates the sections once at each point of
-    the unit-slice pair and computes
+    For each degree-k basis, evaluates the sections at both points of the
+    unit-slice pair in one call, takes their 2 x 2 Gram s s^H, and computes
     |K(x, x')| / sqrt(K(x, x) K(x', x')), which lies within
     gram_error (1 + value) / (1 - gram_error) of the exact kernel's, and
     flags values below the basis gram_error, where they are consistent with
-    zero, as noise-floor entries.  Reports the fitted exponential decay
+    zero, as noise-floor entries.  The distance is `fubini_study_distance`
+    of the pair's sqrt(2) lifts.  Reports the fitted exponential decay
     rate over the clean prefix (None below two clean values), whether the
     clean prefix is strictly decreasing, and whether successive ratios
     shrink (None below three).  The bases must be non-empty and share one
     sphere dimension (`ordered_bases`).
     """
     _, bases = ordered_bases(bases, "offdiagonal_decay_probe")
-    x = np.asarray(x, dtype=complex)
-    xp = np.asarray(x_prime, dtype=complex)
-    _require_on_slice(x[None, :], 1.0, "offdiagonal_decay_probe x")
-    _require_on_slice(xp[None, :], 1.0, "offdiagonal_decay_probe x_prime")
-    # distance between the projective classes, via the sqrt(2)-scaled lifts
-    dist = math.sqrt(max(2.0 - 2.0 * abs(complex(np.vdot(x, xp))), 0.0))
+    pair = np.array([x, x_prime], dtype=complex)
+    _require_on_slice(pair, 1.0, "offdiagonal_decay_probe x, x_prime")
+    dist = fubini_study_distance(*(math.sqrt(2.0) * pair))
     if dist < min_dist:
         raise ValueError(
             f"offdiagonal_decay_probe: pair distance {dist:.3f} below minimum {min_dist:g}"
@@ -636,14 +597,9 @@ def offdiagonal_decay_probe(
 
     ks, values, flags = [], [], []
     for basis in bases:
-        # one evaluation per point: two stacked rows would take a different
-        # BLAS path and move the last digit
-        sx = basis.evaluate(x)
-        sxp = basis.evaluate(xp)
-        off = abs(np.sum(sx * sxp.conj(), axis=-1)[0])
-        d0 = np.sum(sx * sx.conj(), axis=-1)[0].real
-        d1 = np.sum(sxp * sxp.conj(), axis=-1)[0].real
-        normalized = float(off / math.sqrt(d0 * d1))
+        s = basis.evaluate(pair)
+        gram = s @ s.conj().T
+        normalized = float(abs(gram[0, 1]) / math.sqrt(gram[0, 0].real * gram[1, 1].real))
         ks.append(basis.k)
         values.append(normalized)
         flags.append(normalized < basis.gram_error)

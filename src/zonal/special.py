@@ -22,7 +22,6 @@ __all__ = [
     "legendre_normalized",
     "legendre_sweep",
     "gegenbauer_norm_constant",
-    "gegenbauer_jacobi",
     "dim_eigenspace",
     "vol_sphere",
     "projector_kernel",
@@ -350,7 +349,7 @@ def legendre_sweep(n: int, kmax: int, t) -> np.ndarray:
 
 
 def gegenbauer_norm_constant(idx: ZonalIndex) -> float:
-    """Ratio tying the Jacobi-normalized polynomial to the value-one one.
+    """Ratio r with Jacobi-normalized P_k^{(n/2-1, n/2-1)}(t) = r * legendre_normalized(idx, t).
 
     Equals Gamma(k + n/2) / (k! Gamma(n/2)), computed in log space so large
     degrees neither overflow nor lose the leading digits.  For n=2 it is
@@ -358,15 +357,6 @@ def gegenbauer_norm_constant(idx: ZonalIndex) -> float:
     """
     n, k = idx.n, idx.k
     return math.exp(math.lgamma(k + 0.5 * n) - math.lgamma(k + 1.0) - math.lgamma(0.5 * n))
-
-
-def gegenbauer_jacobi(idx: ZonalIndex, t):
-    """Jacobi-normalized ultraspherical value P_k^{(n/2-1, n/2-1)}(t).
-
-    Evaluated as gegenbauer_norm_constant(idx) * legendre_normalized(idx, t);
-    the two normalizations differ only by that degree-dependent constant.
-    """
-    return gegenbauer_norm_constant(idx) * legendre_normalized(idx, t)
 
 
 def dim_eigenspace(idx: ZonalIndex) -> int:

@@ -15,7 +15,6 @@ from zonal.asymptotics import (
     phase_alpha,
     projector_leading,
     psi2,
-    window_contains,
 )
 from zonal.special import ZonalIndex, dim_eigenspace, gegenbauer_norm_constant, vol_sphere
 
@@ -225,14 +224,6 @@ def test_window_bounds_and_grid():
         window.bounds(0)
     with pytest.raises(ValueError):
         window.grid(4, 0)
-
-
-def test_window_contains():
-    window = AngleWindow(c=0.5, delta=0.0)
-    assert window_contains(window, 10, 1.0)
-    assert not window_contains(window, 10, 0.5)
-    assert not window_contains(window, 10, 0.2)
-    assert not window_contains(window, 10, np.array([1.0, 3.0]))
 
 
 def test_leading_forms_reject_bad_inputs():

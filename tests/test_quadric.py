@@ -10,6 +10,7 @@ from oracles import (
     C_EXACT,
     PUSH_PAIRS,
     c_ratio_exact,
+    decay_exact,
     eval_monomials,
     exact_c_constant,
     exact_cone_basis,
@@ -33,13 +34,10 @@ from zonal.quadric import (
     cone_slice_mass,
     frame_volume,
     fubini_study_distance,
-    geodesic_lift,
-    hlc_offset,
     monomial_basis,
     offdiagonal_decay_probe,
     probe_pair,
     pushforward_kernel,
-    s_plus_minus,
     sample_frame,
     sphere_point,
 )
@@ -709,43 +707,6 @@ def test_c_constant_validation():
 # ---------------------------------------------------------------- slice geometry
 
 
-def test_geodesic_lift():
-    f = FramePoint(q=np.array([1.0, 0.0, 0.0]), p=np.array([0.0, 1.0, 0.0]))
-    np.testing.assert_array_equal(geodesic_lift(f, 0.0), f.lift())
-    theta = 0.7
-    z = geodesic_lift(f, theta)
-    np.testing.assert_allclose(z.real, math.cos(theta) * f.q + math.sin(theta) * f.p, rtol=1e-15)
-    assert abs(np.sum(z * z)) < 1e-14
-    np.testing.assert_allclose(np.sum(np.abs(z) ** 2), 2.0, rtol=1e-14)
-    # the lift stays in the starting fiber
-    assert fubini_study_distance(z, f.lift()) < 1e-7
-
-
-def test_s_plus_minus():
-    assert s_plus_minus(np.zeros(2)) == (0.0, -2.0)
-    v = np.array([1.0, 0.0])
-    np.testing.assert_allclose(s_plus_minus(v), (-1.0, -1.0), atol=1e-15)
-    gen = np.random.default_rng(53)
-    for _ in range(20):
-        v = gen.uniform(-0.6, 0.6, size=3)
-        sp, sm = s_plus_minus(v)
-        np.testing.assert_allclose(sp * sm, float(v @ v), rtol=1e-12, atol=1e-15)
-    with pytest.raises(ValueError):
-        s_plus_minus(np.array([1.1, 0.0]))
-
-
-def test_s_plus_minus_reconstructs_fiber_point():
-    # p = (1 + s_plus) p0 + v is a unit vector back on the fiber sphere
-    q = np.array([1.0, 0.0, 0.0, 0.0])
-    p0 = np.array([0.0, 1.0, 0.0, 0.0])
-    v = np.array([0.0, 0.0, 0.3, 0.4])
-    sp, _ = s_plus_minus(v)
-    p = (1.0 + sp) * p0 + v
-    np.testing.assert_allclose(np.linalg.norm(p), 1.0, rtol=1e-14)
-    assert abs(p @ q) < 1e-15
-    np.testing.assert_allclose(sp, -1.0 + math.sqrt(0.75), rtol=1e-14)
-
-
 def test_fubini_study_distance_basics():
     f = FramePoint(q=np.array([1.0, 0.0, 0.0]), p=np.array([0.0, 1.0, 0.0]))
     z = f.lift()
@@ -756,44 +717,6 @@ def test_fubini_study_distance_basics():
         fubini_study_distance(z / SQRT2, z)
     with pytest.raises(ValueError):
         fubini_study_distance(np.array([SQRT2, 0.0, 0.0], dtype=complex), z)
-
-
-def test_hlc_offset_recipe():
-    q = np.array([1.0, 0.0, 0.0])
-    p = np.array([0.0, 1.0, 0.0])
-    e = np.array([0.0, 0.0, 1.0])
-    for theta in (0.0, 0.6):
-        z = np.exp(1j * theta) * (q + 1j * p) / SQRT2
-        phi = 0.8
-        dp = ((math.cos(phi) - 1.0) * p + math.sin(phi) * e) / SQRT2
-        h, beta = hlc_offset(z, theta, dp)
-        np.testing.assert_allclose(beta, math.cos(phi / 2.0) ** 2, rtol=1e-12)
-        assert abs(np.vdot(z, h)) < 1e-10
-        # h equals i exp(i theta) dp to second order in |dp|
-        err_full = np.linalg.norm(h - 1j * np.exp(1j * theta) * dp)
-        dp_half = ((math.cos(phi / 2.0) - 1.0) * p + math.sin(phi / 2.0) * e) / SQRT2
-        h2, _ = hlc_offset(z, theta, dp_half)
-        err_half = np.linalg.norm(h2 - 1j * np.exp(1j * theta) * dp_half)
-        assert 3.0 < err_full / err_half < 5.0
-
-
-def test_hlc_offset_edges():
-    q = np.array([1.0, 0.0, 0.0])
-    p = np.array([0.0, 1.0, 0.0])
-    e = np.array([0.0, 0.0, 1.0])
-    z = (q + 1j * p) / SQRT2
-    h, beta = hlc_offset(z, 0.3, np.zeros(3))
-    assert beta == 1.0
-    np.testing.assert_array_equal(h, np.zeros(3, dtype=complex))
-    with pytest.raises(ValueError):
-        # phi = pi lands on the antipodal fiber point where beta vanishes
-        hlc_offset(z, 0.0, -SQRT2 * p)
-    with pytest.raises(ValueError):
-        hlc_offset(z, 0.0, np.array([0.1, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        hlc_offset(q + 1j * p, 0.0, np.zeros(3))
-    with pytest.raises(ValueError):
-        hlc_offset(z, 0.0, np.zeros(4))
 
 
 def test_probe_pair():
@@ -898,3 +821,27 @@ def test_decay_probe_errors(basis_cache):
     close = probe_pair(2, seed=1, angle=0.3)
     with pytest.raises(ValueError):
         offdiagonal_decay_probe([exact_cone_basis(2, 2)], *close)
+
+
+@pytest.mark.parametrize("seed", [1, 77, 20250819])
+@pytest.mark.parametrize("n,kmax", [(2, 12), (3, 8)])
+def test_decay_probe_matches_closed_form(n, kmax, seed):
+    # an exact basis leaves only rounding between the probe and |<x, x'>|^k
+    bases = [exact_cone_basis(n, k) for k in range(1, kmax + 1)]
+    report = offdiagonal_decay_probe(bases, *probe_pair(n, seed))
+    expected = [decay_exact(0.9, k) for k in report.ks]
+    np.testing.assert_allclose(report.values, expected, rtol=1e-12, atol=0.0)
+
+
+def test_points_must_match_the_basis_dimension():
+    # an n = 3 basis lives on C^4; C^3 and C^5 pairs on their own slices are refused
+    basis = exact_cone_basis(3, 2)
+    ev = SzegoEvaluator(basis=basis, radius=1.0)
+    for m in (2, 4):
+        x, xp = probe_pair(m, seed=1)
+        with pytest.raises(ValueError, match="C\\^4"):
+            basis.evaluate(x)
+        with pytest.raises(ValueError, match="C\\^4"):
+            ev.kernel(x, xp)
+        with pytest.raises(ValueError, match="C\\^4"):
+            offdiagonal_decay_probe([basis], x, xp)

@@ -17,7 +17,6 @@ from zonal.special import (
     _gamma_ratio,
     _scaled_half_pochhammer,
     dim_eigenspace,
-    gegenbauer_jacobi,
     gegenbauer_norm_constant,
     legendre_normalized,
     legendre_sweep,
@@ -69,12 +68,13 @@ def test_scipy_legendre_oracle():
 
 
 def test_scipy_jacobi_oracle():
-    # the Jacobi normalization matches scipy's symmetric-Jacobi values
+    # the norm constant turns the value-one values into scipy's symmetric-Jacobi ones
     t = np.linspace(-0.99, 0.99, 23)
     for n in (2, 3, 4):
         alpha = 0.5 * (n - 2)
         for k in (0, 1, 4, 11):
-            mine = gegenbauer_jacobi(ZonalIndex(n=n, k=k), t)
+            idx = ZonalIndex(n=n, k=k)
+            mine = gegenbauer_norm_constant(idx) * legendre_normalized(idx, t)
             np.testing.assert_allclose(
                 mine, eval_jacobi(k, alpha, alpha, t), rtol=1e-12, atol=1e-14
             )
@@ -85,20 +85,6 @@ def test_norm_constant_values():
     assert gegenbauer_norm_constant(ZonalIndex(n=2, k=17)) == pytest.approx(1.0, rel=1e-14)
     assert gegenbauer_norm_constant(ZonalIndex(n=4, k=1)) == pytest.approx(2.0, rel=1e-14)
     assert gegenbauer_norm_constant(ZonalIndex(n=3, k=0)) == pytest.approx(1.0, rel=1e-14)
-
-
-def test_norm_constant_ties_normalizations():
-    t = np.linspace(-1.0, 1.0, 11)
-    for n in (2, 3, 5):
-        for k in (0, 2, 7):
-            idx = ZonalIndex(n=n, k=k)
-            r = gegenbauer_norm_constant(idx)
-            np.testing.assert_allclose(
-                gegenbauer_jacobi(idx, t),
-                r * legendre_normalized(idx, t),
-                rtol=1e-12,
-                atol=1e-13,
-            )
 
 
 def test_norm_constant_large_k_no_overflow():
