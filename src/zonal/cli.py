@@ -1,14 +1,16 @@
 """Command line front end for the zonal kernel laboratory.
 
 Four subcommands (eval, compare, scaling, oracle) share --out and
---config; eval, compare and scaling add --format (csv or json), and the
+--config; eval, compare and scaling share --n and --format (csv or json),
+and compare and scaling the window flags --window-c, --delta and --grid.
+Each shared flag is defined once, in a help-less parent parser.  The
 Monte Carlo oracle alone draws random numbers, adds --samples and --seed,
 and writes JSON only.  The oracle refuses an n or a degree outside
 quadric's validated domain (ORACLE_DIMENSIONS, ORACLE_MAX_DEGREE) before
 it builds any basis.  --grid is capped so that a run stays below 1 GB of
-memory.  A config file is a flat JSON object whose keys are flag names of
-the chosen subcommand; explicit command line flags always win over config
-values.
+memory.  A config file is a flat JSON object whose keys must equal, not
+abbreviate, flag names of the chosen subcommand; explicit command line
+flags always win over config values.
 Tables share one CSV schema (n,k,delta,C,theta,exact,asymptotic,abs_err,
 rel_err); JSON documents carry schema_version 1.  Exit codes: 0 on
 success, 2 on invalid usage or argument values, 1 on unexpected failure.
@@ -38,18 +40,17 @@ class CliError(Exception):
     """Usage error detected after parsing; the message names the flag."""
 
 
-def _int_type(minimum: int, label: str, maximum: int | None = None):
+def _int_type(minimum: int, maximum: int | None = None):
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
         if value < minimum:
-            raise argparse.ArgumentTypeError(f"{label} must be >= {minimum}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
         if maximum is not None and value > maximum:
             raise argparse.ArgumentTypeError(
-                f"{label} must be <= {maximum} to bound memory below 1 GB, got {value}"
-            )
+                f"must be <= {maximum} to bound memory below 1 GB, got {value}")
         return value
 
     return parse
@@ -73,112 +74,75 @@ _delta_value = _float_type(lambda v: 0.0 <= v < DELTA_MAX, "must lie in [0, 1/6)
 _angle = _float_type(lambda v: 0.0 <= v <= math.pi, "angles must lie in [0, pi]")
 
 
-def _theta_list(text: str) -> list[float]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise argparse.ArgumentTypeError("expected a comma separated list of angles")
-    return [_angle(part) for part in parts]
-
-
-def _degree_list(minimum: int):
-    element = _int_type(minimum, "every degree")
-
-    def parse(text: str) -> list[int]:
+def _comma_list(element, noun: str, distinct: bool = False):
+    def parse(text: str) -> list:
         parts = [p.strip() for p in text.split(",") if p.strip()]
         if not parts:
-            raise argparse.ArgumentTypeError("expected a comma separated list of degrees")
-        degrees = [element(part) for part in parts]
-        if len(set(degrees)) < len(degrees):
-            raise argparse.ArgumentTypeError(f"every degree must appear once, got {text!r}")
-        return degrees
+            raise argparse.ArgumentTypeError(f"expected a comma separated list of {noun}")
+        values = [element(part) for part in parts]
+        if distinct and len(set(values)) < len(values):
+            raise argparse.ArgumentTypeError(f"{noun} must not repeat, got {text!r}")
+        return values
 
     return parse
 
 
-def _add(sub, registry: set, *names: str, **kwargs) -> None:
-    sub.add_argument(*names, **kwargs)
-    registry.update(names)
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    # flags several subcommands share, each defined once in a help-less parent
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument("--out", default=None, help="write output to this file instead of stdout")
+    io.add_argument("--config", default=None, help="JSON file of flag defaults for this subcommand")
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--n", type=_int_type(1), default=2, help="sphere dimension")
+    table.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("--window-c", dest="window_c", type=_positive_float, default=1.0,
+                        help="window margin constant")
+    window.add_argument("--delta", type=_delta_value, default=0.0,
+                        help="window shrink exponent in [0, 1/6)")
+    window.add_argument("--grid", type=_int_type(1, MAX_GRID), default=512,
+                        help="angles per window")
 
-
-def _add_common(sub, registry: set) -> None:
-    _add(sub, registry, "--out", default=None, help="write output to this file instead of stdout")
-    _add(sub, registry, "--config", default=None,
-         help="JSON file of flag defaults for this subcommand")
-
-
-def _add_window(sub, registry: set) -> None:
-    _add(sub, registry, "--window-c", dest="window_c", type=_positive_float, default=1.0,
-         help="window margin constant")
-    _add(sub, registry, "--delta", type=_delta_value, default=0.0,
-         help="window shrink exponent in [0, 1/6)")
-
-
-def _add_grid(sub, registry: set) -> None:
-    _add(sub, registry, "--grid", type=_int_type(1, "--grid", MAX_GRID), default=512,
-         help="angles per window")
-
-
-def _add_format(sub, registry: set) -> None:
-    _add(sub, registry, "--format", choices=("csv", "json"), default="csv",
-         help="output format")
-
-
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set]]:
     parser = argparse.ArgumentParser(
         prog="zonal",
         description="zonal kernel values, asymptotic comparisons, and geometric oracles",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    flags: dict[str, set] = {}
 
-    sub = subs.add_parser("eval", help="pointwise zonal and projector kernel values")
-    reg = flags["eval"] = set()
-    _add(sub, reg, "--n", type=_int_type(1, "--n"), default=2, help="sphere dimension")
-    _add(sub, reg, "--k", type=_int_type(0, "--k"), required=True, help="degree")
-    _add(sub, reg, "--theta", type=_theta_list, default=[0.5, 1.0, 1.5],
-         help="comma separated angles in [0, pi]")
-    _add_format(sub, reg)
-    _add_common(sub, reg)
+    sub = subs.add_parser("eval", parents=[table, io],
+                          help="pointwise zonal and projector kernel values")
+    sub.add_argument("--k", type=_int_type(0), required=True, help="degree")
+    sub.add_argument("--theta", type=_comma_list(_angle, "angles"), default=[0.5, 1.0, 1.5],
+                     help="comma separated angles in [0, pi]")
     sub.set_defaults(func=_cmd_eval)
 
-    sub = subs.add_parser("compare", help="exact versus leading form over an angle window")
-    reg = flags["compare"] = set()
-    _add(sub, reg, "--n", type=_int_type(1, "--n"), default=2, help="sphere dimension")
-    _add(sub, reg, "--k", type=_int_type(1, "--k"), default=256, help="degree")
-    _add_window(sub, reg)
-    _add_grid(sub, reg)
-    _add_format(sub, reg)
-    _add_common(sub, reg)
+    sub = subs.add_parser("compare", parents=[table, window, io],
+                          help="exact versus leading form over an angle window")
+    sub.add_argument("--k", type=_int_type(1), default=256, help="degree")
     sub.set_defaults(func=_cmd_compare)
 
-    sub = subs.add_parser("scaling", help="log-log fit of bracket error against degree")
-    reg = flags["scaling"] = set()
-    _add(sub, reg, "--n", type=_int_type(1, "--n"), default=2, help="sphere dimension")
-    _add(sub, reg, "--k-min", dest="k_min", type=_int_type(1, "--k-min"), default=64,
-         help="first degree of the doubling grid")
-    _add(sub, reg, "--k-max", dest="k_max", type=_int_type(1, "--k-max"), default=4096,
-         help="last degree of the doubling grid")
-    _add_window(sub, reg)
-    _add_grid(sub, reg)
-    _add_format(sub, reg)
-    _add_common(sub, reg)
+    sub = subs.add_parser("scaling", parents=[table, window, io],
+                          help="log-log fit of bracket error against degree")
+    sub.add_argument("--k-min", dest="k_min", type=_int_type(1), default=64,
+                     help="first degree of the doubling grid")
+    sub.add_argument("--k-max", dest="k_max", type=_int_type(1), default=4096,
+                     help="last degree of the doubling grid")
     sub.set_defaults(func=_cmd_scaling)
 
-    sub = subs.add_parser("oracle", help="Monte Carlo geometric oracle report (json)")
-    reg = flags["oracle"] = set()
-    _add(sub, reg, "--n", type=_int_type(2, "--n"), default=2, help=f"sphere dimension in {quadric.ORACLE_DIMENSIONS}")
-    _add(sub, reg, "--ks", type=_degree_list(1), default=[2, 4, 8],
-         help=f"comma separated degrees, at most {quadric.ORACLE_MAX_DEGREE}")
-    _add(sub, reg, "--pairs", type=_int_type(1, "--pairs"), default=8,
-         help="random sphere pairs per degree")
-    _add(sub, reg, "--samples", type=_int_type(1, "--samples"), default=DEFAULT_SAMPLES,
-         help="Monte Carlo sample count of the basis build")
-    _add(sub, reg, "--seed", type=_int_type(0, "--seed"), default=DEFAULT_SEED,
-         help="master seed for the basis, pair and probe substreams")
-    _add_common(sub, reg)
+    sub = subs.add_parser("oracle", parents=[io], help="Monte Carlo geometric oracle report (json)")
+    sub.add_argument("--n", type=_int_type(2), default=2,
+                     help=f"sphere dimension in {quadric.ORACLE_DIMENSIONS}")
+    sub.add_argument("--ks", type=_comma_list(_int_type(1), "degrees", distinct=True),
+                     default=[2, 4, 8],
+                     help=f"comma separated degrees, at most {quadric.ORACLE_MAX_DEGREE}")
+    sub.add_argument("--pairs", type=_int_type(1), default=8, help="random sphere pairs per degree")
+    sub.add_argument("--samples", type=_int_type(1), default=DEFAULT_SAMPLES,
+                     help="Monte Carlo sample count of the basis build")
+    sub.add_argument("--seed", type=_int_type(0), default=DEFAULT_SEED,
+                     help="master seed for the basis, pair and probe substreams")
     sub.set_defaults(func=_cmd_oracle)
 
-    return parser, flags
+    return parser, dict(subs.choices)
 
 
 def _find_config(argv: list[str]) -> str | None:
@@ -190,7 +154,7 @@ def _find_config(argv: list[str]) -> str | None:
     return None
 
 
-def _config_argv(command: str, path: str, registry: set) -> list[str]:
+def _config_argv(command: str, path: str, sub: argparse.ArgumentParser) -> list[str]:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -203,7 +167,8 @@ def _config_argv(command: str, path: str, registry: set) -> list[str]:
         flag = "--" + str(key).lstrip("-").replace("_", "-")
         if flag == "--config":
             raise CliError("--config: key 'config' cannot be set from a config file")
-        if flag not in registry:
+        # the exact option strings argparse holds, so no abbreviation matches
+        if flag == "--help" or flag not in sub._option_string_actions:
             raise CliError(f"--config: unknown key {key!r} for subcommand {command!r}")
         items = value if isinstance(value, list) else [value]
         if not all(isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in items):
@@ -252,13 +217,8 @@ def _cmd_compare(args) -> int:
     if args.format == "csv":
         _emit(args, lambda fh: harness.write_csv(rows, fh))
     else:
-        config = {
-            "n": args.n,
-            "k": args.k,
-            "C": args.window_c,
-            "delta": args.delta,
-            "grid": args.grid,
-        }
+        config = {"n": args.n, "k": args.k, "C": args.window_c, "delta": args.delta,
+                  "grid": args.grid}
         _emit(args, lambda fh: harness.json_summary("compare", config, {"rows": rows}, fh))
     return 0
 
@@ -277,15 +237,8 @@ def _cmd_scaling(args) -> int:
         _emit(args, lambda fh: harness.write_csv(fit.worst_rows, fh))
     else:
         doc = fit.as_dict()
-        config = {
-            "n": args.n,
-            "k_min": args.k_min,
-            "k_max": args.k_max,
-            "ks": list(fit.ks),
-            "C": args.window_c,
-            "delta": args.delta,
-            "grid": args.grid,
-        }
+        config = {"n": args.n, "k_min": args.k_min, "k_max": args.k_max, "ks": list(fit.ks),
+                  "C": args.window_c, "delta": args.delta, "grid": args.grid}
         _emit(args, lambda fh: harness.json_summary("scaling", config, doc, fh))
     return 0
 
@@ -294,25 +247,20 @@ def _cmd_oracle(args) -> int:
     quadric.require_oracle_domain("oracle", args.n, args.ks)
     bases = quadric.build_cone_basis(args.n, args.ks, args.samples, args.seed)
     payload = harness.geometric_oracle(bases, pairs=args.pairs, seed=args.seed)
-    config = {
-        "n": args.n,
-        "ks": sorted(args.ks),
-        "samples": args.samples,
-        "pairs": args.pairs,
-        "seed": args.seed,
-    }
+    config = {"n": args.n, "ks": sorted(args.ks), "samples": args.samples, "pairs": args.pairs,
+              "seed": args.seed}
     _emit(args, lambda fh: harness.json_summary("oracle", config, payload, fh))
     return 0
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser, flags = build_parser()
+    parser, commands = build_parser()
     try:
-        if argv and argv[0] in flags:
+        if argv and argv[0] in commands:
             config_path = _find_config(argv[1:])
             if config_path is not None:
-                argv = [argv[0]] + _config_argv(argv[0], config_path, flags[argv[0]]) + argv[1:]
+                argv = [argv[0]] + _config_argv(argv[0], config_path, commands[argv[0]]) + argv[1:]
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:

@@ -11,9 +11,9 @@ frames once for every requested degree and adds, for each degree, the
 real Gram of each exponent-parity class of its monomials (the exact Gram
 is zero between classes), so it holds one block of one degree's monomials
 whatever the sample count: at n = 3 and k = 8 the build's traced peak is
-about 15 MB, and `zonal oracle --n 3` peaks at about 71 MB, most of it
-the numpy and scipy.special imports (scipy for the predicted projector
-values below degree 32; the quadrature rules need numpy alone).
+about 15 MB.  An oracle call's peak is mostly the numpy and scipy.special
+imports (scipy for the predicted projector values below degree 32; the
+quadrature rules need numpy alone).
 Each basis's error is measured exactly, against the closed-form inverse
 Gram of the Szego kernel, and must stay below 1/2; the push-forward
 constant c_k is the closed-form Gamma ratio of the paper's identity.
@@ -408,12 +408,12 @@ def ordered_bases(bases, label: str) -> tuple[int, list[ConeBasis]]:
 
 
 def _require_on_slice(z: np.ndarray, r: float, label: str) -> None:
-    norms2 = np.sum(np.abs(z) ** 2, axis=-1)
-    cone = np.abs(np.sum(z * z, axis=-1))
-    if np.any(cone > POINT_TOL * np.maximum(1.0, norms2)):
-        raise ValueError(f"{label}: point is not on the null cone (tol 1e-9)")
-    if np.any(np.abs(np.sqrt(norms2) - r) > POINT_TOL):
-        raise ValueError(f"{label}: point is not on the radius-{r:g} slice (tol 1e-9)")
+    # both equations relative to r^2, so a point and its rescaling pass or fail together
+    tol = POINT_TOL * r * r
+    if np.any(np.abs(np.sum(z * z, axis=-1)) > tol):
+        raise ValueError(f"{label}: point is not on the null cone (tol 1e-9 r^2)")
+    if np.any(np.abs(np.sum(np.abs(z) ** 2, axis=-1) - r * r) > tol):
+        raise ValueError(f"{label}: point is not on the radius-{r:g} slice (tol 1e-9 r^2)")
 
 
 @dataclass(frozen=True)
@@ -436,15 +436,19 @@ class SzegoEvaluator:
         return float(self.radius) ** -(2 * self.basis.k + 2 * self.basis.n - 1)
 
     def kernel(self, x, y):
+        """K(x, y) for points of shape (n+1,) or (M, n+1) on the radius-r slice.
+
+        One x broadcasts against many y; two 1-D points give a complex scalar.
+        Both sides are checked and evaluated in one stacked call.
+        """
         x = np.asarray(x, dtype=complex)
         y = np.asarray(y, dtype=complex)
         single = x.ndim == 1 and y.ndim == 1
         xs = np.atleast_2d(x)
-        ys = np.atleast_2d(y)
-        _require_on_slice(xs, self.radius, "SzegoEvaluator.kernel x")
-        _require_on_slice(ys, self.radius, "SzegoEvaluator.kernel y")
-        sx = self.basis.evaluate(xs)
-        sy = self.basis.evaluate(ys)
+        points = np.concatenate([xs, np.atleast_2d(y)])
+        _require_on_slice(points, self.radius, "SzegoEvaluator.kernel x, y")
+        s = self.basis.evaluate(points)
+        sx, sy = np.split(s, [len(xs)])
         vals = self.prefactor * np.sum(sx * sy.conj(), axis=-1)
         return complex(vals[0]) if single else vals
 

@@ -437,3 +437,37 @@ def test_warm_caches_match_a_fresh_process(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert texts[0].encode() == texts[1].encode() == target.read_bytes()
+
+
+FLAG_DEFAULTS = {
+    "eval": [("config", None), ("format", "csv"), ("k", None), ("n", 2), ("out", None),
+             ("theta", [0.5, 1.0, 1.5])],
+    "compare": [("config", None), ("delta", 0.0), ("format", "csv"), ("grid", 512), ("k", 256),
+                ("n", 2), ("out", None), ("window_c", 1.0)],
+    "scaling": [("config", None), ("delta", 0.0), ("format", "csv"), ("grid", 512),
+                ("k_max", 4096), ("k_min", 64), ("n", 2), ("out", None), ("window_c", 1.0)],
+    "oracle": [("config", None), ("ks", [2, 4, 8]), ("n", 2), ("out", None), ("pairs", 8),
+               ("samples", 1000000), ("seed", 20250819)],
+}
+
+
+def test_each_subcommand_keeps_its_flags_and_defaults():
+    # shared flags come from parent parsers, so a flag added to or dropped
+    # from one subcommand shows here
+    _, commands = build_parser()
+    assert sorted(commands) == sorted(FLAG_DEFAULTS)
+    for name, sub in commands.items():
+        pairs = sorted((a.dest, a.default) for a in sub._actions if a.dest != "help")
+        assert pairs == FLAG_DEFAULTS[name], name
+
+
+def test_config_keys_must_equal_a_flag_of_the_subcommand(tmp_path, capsys):
+    # on the command line --k abbreviates oracle's --ks; a config key must match exactly
+    parser, _ = build_parser()
+    assert parser.parse_args(["oracle", "--k", "2,4"]).ks == [2, 4]
+    for command, key in (("oracle", "k"), ("eval", "ks"), ("eval", "help"), ("oracle", "format")):
+        config = tmp_path / f"{command}_{key}.json"
+        config.write_text(json.dumps({key: 3}))
+        code, out, err = run_cli([command, "--config", str(config)], capsys)
+        assert code == 2 and out == ""
+        assert f"unknown key {key!r} for subcommand {command!r}" in err

@@ -845,3 +845,41 @@ def test_points_must_match_the_basis_dimension():
             ev.kernel(x, xp)
         with pytest.raises(ValueError, match="C\\^4"):
             offdiagonal_decay_probe([basis], x, xp)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_slice_check_does_not_depend_on_the_radius(n):
+    # a point off the slice by a factor 1 + f has |z|^2 off by about 2 f r^2,
+    # inside the 1e-9 r^2 tolerance at f = 4e-10 and outside it at 6e-10
+    basis = exact_cone_basis(n, 1)
+    x, xp = probe_pair(n, seed=1)
+    for factor, accepted in ((4e-10, True), (6e-10, False)):
+        outcomes = []
+        for r in (0.1, 1.0, SQRT2, 10.0):
+            try:
+                SzegoEvaluator(basis, r).kernel(r * (1.0 + factor) * x, r * xp)
+                outcomes.append(True)
+            except ValueError:
+                outcomes.append(False)
+        assert outcomes == [accepted] * 4, (factor, outcomes)
+    # the decay probe's radius-1 check and its distance's radius-sqrt(2) check agree
+    bases = [exact_cone_basis(n, k) for k in (1, 2, 3)]
+    offdiagonal_decay_probe(bases, (1.0 + 4e-10) * x, xp)
+    with pytest.raises(ValueError, match="offdiagonal_decay_probe"):
+        offdiagonal_decay_probe(bases, (1.0 + 6e-10) * x, xp)
+
+
+def test_kernel_against_many_points_matches_single_pairs():
+    # one stacked evaluation of [x; ys] gives each pair's single-call value
+    basis = exact_cone_basis(3, 8)
+    gen = np.random.default_rng(5)
+    for r in (1.0, SQRT2):
+        ev = SzegoEvaluator(basis, r)
+        x = r * unit_slice_point(3, gen)
+        ys = np.array([r * unit_slice_point(3, gen) for _ in range(6)])
+        values = ev.kernel(x, ys)
+        assert values.shape == (6,)
+        for y, value in zip(ys, values):
+            single = ev.kernel(x, y)
+            assert isinstance(single, complex)
+            assert abs(value - single) <= 1e-14 * max(1.0, abs(single))
