@@ -9,11 +9,15 @@ and writes JSON only.  The oracle refuses an n or a degree outside
 quadric's validated domain (ORACLE_DIMENSIONS, ORACLE_MAX_DEGREE) before
 it builds any basis.  --grid is capped so that a run stays below 1 GB of
 memory.  A config file is a flat JSON object whose keys must equal, not
-abbreviate, flag names of the chosen subcommand; explicit command line
-flags always win over config values.
+abbreviate, flag names of the chosen subcommand; its values may begin with
+"-", and explicit command line flags always win over them.  --config is
+found by argparse itself, so an abbreviation such as --conf is honoured and
+of two --config flags the last is loaded.
 Tables share one CSV schema (n,k,delta,C,theta,exact,asymptotic,abs_err,
-rel_err); JSON documents carry schema_version 1.  Exit codes: 0 on
-success, 2 on invalid usage or argument values, 1 on unexpected failure.
+rel_err); JSON documents carry schema_version 1 and a config echo of every
+parsed flag but --out, --config and --format.  Exit codes: 0 on success, 2
+on invalid usage or argument values (an unwritable --out among them), 1 on
+unexpected failure.
 """
 from __future__ import annotations
 
@@ -34,10 +38,6 @@ DEFAULT_SAMPLES = 1_000_000
 MAX_GRID = 1 << 18
 
 EVAL_HEADER = ("n", "k", "theta", "legendre", "projector")
-
-
-class CliError(Exception):
-    """Usage error detected after parsing; the message names the flag."""
 
 
 def _int_type(minimum: int, maximum: int | None = None):
@@ -87,11 +87,20 @@ def _comma_list(element, noun: str, distinct: bool = False):
     return parse
 
 
+class _RaisingParser(argparse.ArgumentParser):
+    # argparse exits on an ambiguous option (--=x) even with exit_on_error=False
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+# every subcommand's parent, and on its own the pre-parse that finds --config
+_IO = _RaisingParser(add_help=False)
+_IO.add_argument("--out", default=None, help="write output to this file instead of stdout")
+_IO.add_argument("--config", default=None, help="JSON file of flag defaults for this subcommand")
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     # flags several subcommands share, each defined once in a help-less parent
-    io = argparse.ArgumentParser(add_help=False)
-    io.add_argument("--out", default=None, help="write output to this file instead of stdout")
-    io.add_argument("--config", default=None, help="JSON file of flag defaults for this subcommand")
     table = argparse.ArgumentParser(add_help=False)
     table.add_argument("--n", type=_int_type(1), default=2, help="sphere dimension")
     table.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
@@ -109,19 +118,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("eval", parents=[table, io],
+    sub = subs.add_parser("eval", parents=[table, _IO],
                           help="pointwise zonal and projector kernel values")
     sub.add_argument("--k", type=_int_type(0), required=True, help="degree")
     sub.add_argument("--theta", type=_comma_list(_angle, "angles"), default=[0.5, 1.0, 1.5],
                      help="comma separated angles in [0, pi]")
     sub.set_defaults(func=_cmd_eval)
 
-    sub = subs.add_parser("compare", parents=[table, window, io],
+    sub = subs.add_parser("compare", parents=[table, window, _IO],
                           help="exact versus leading form over an angle window")
     sub.add_argument("--k", type=_int_type(1), default=256, help="degree")
     sub.set_defaults(func=_cmd_compare)
 
-    sub = subs.add_parser("scaling", parents=[table, window, io],
+    sub = subs.add_parser("scaling", parents=[table, window, _IO],
                           help="log-log fit of bracket error against degree")
     sub.add_argument("--k-min", dest="k_min", type=_int_type(1), default=64,
                      help="first degree of the doubling grid")
@@ -129,7 +138,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                      help="last degree of the doubling grid")
     sub.set_defaults(func=_cmd_scaling)
 
-    sub = subs.add_parser("oracle", parents=[io], help="Monte Carlo geometric oracle report (json)")
+    sub = subs.add_parser("oracle", parents=[_IO], help="Monte Carlo geometric oracle report (json)")
     sub.add_argument("--n", type=_int_type(2), default=2,
                      help=f"sphere dimension in {quadric.ORACLE_DIMENSIONS}")
     sub.add_argument("--ks", type=_comma_list(_int_type(1), "degrees", distinct=True),
@@ -145,68 +154,61 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, dict(subs.choices)
 
 
-def _find_config(argv: list[str]) -> str | None:
-    for i, token in enumerate(argv):
-        if token == "--config":
-            return argv[i + 1] if i + 1 < len(argv) else None
-        if token.startswith("--config="):
-            return token.split("=", 1)[1]
-    return None
-
-
 def _config_argv(command: str, path: str, sub: argparse.ArgumentParser) -> list[str]:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"--config: {exc}") from None
+        raise ValueError(f"--config: {exc}") from None
     if not isinstance(doc, dict):
-        raise CliError("--config: document must be a JSON object of flag values")
+        raise ValueError("--config: document must be a JSON object of flag values")
     out = []
     for key, value in doc.items():
         flag = "--" + str(key).lstrip("-").replace("_", "-")
         if flag == "--config":
-            raise CliError("--config: key 'config' cannot be set from a config file")
+            raise ValueError("--config: key 'config' cannot be set from a config file")
         # the exact option strings argparse holds, so no abbreviation matches
         if flag == "--help" or flag not in sub._option_string_actions:
-            raise CliError(f"--config: unknown key {key!r} for subcommand {command!r}")
+            raise ValueError(f"--config: unknown key {key!r} for subcommand {command!r}")
         items = value if isinstance(value, list) else [value]
         if not all(isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in items):
-            raise CliError(f"--config: key {key!r} must be a number, a string or a list of them, "
-                           f"got {json.dumps(value)}")
-        out.extend([flag, ",".join(str(v) for v in items)])
+            raise ValueError(f"--config: key {key!r} must be a number, a string or a list of them, "
+                             f"got {json.dumps(value)}")
+        # one token, so a value that begins with "-" is not read as a flag
+        out.append(f"{flag}={','.join(str(v) for v in items)}")
     return out
 
 
-def _emit(args, write) -> None:
-    """Call write(stream) on the --out file, or on stdout without one."""
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write(fh)
+def _emit(args, kind: str, payload: dict, rows=(), header=harness.CSV_HEADER, **echo) -> None:
+    """Write rows as CSV or the payload as JSON, to the --out file or stdout.
+
+    The JSON config echo is every parsed flag but --out, --config and
+    --format, --window-c as C, updated with ``echo``.
+    """
+    if getattr(args, "format", "json") == "csv":
+        write = lambda fh: harness.write_csv(rows, fh, header=header)
     else:
-        write(sys.stdout)
+        config = {("C" if key == "window_c" else key): value for key, value in vars(args).items()
+                  if key not in ("out", "config", "format", "func", "command")}
+        write = lambda fh: harness.json_summary(kind, {**config, **echo}, payload, fh)
+    if not args.out:
+        return write(sys.stdout)
+    try:
+        fh = open(args.out, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ValueError(f"--out: {exc}") from None
+    with fh:
+        write(fh)
 
 
 def _cmd_eval(args) -> int:
     idx = ZonalIndex(n=args.n, k=args.k)
     thetas = np.asarray(args.theta, dtype=float)
-    legendre = np.atleast_1d(legendre_normalized(idx, np.cos(thetas)))
-    projector = np.atleast_1d(projector_kernel(idx, np.cos(thetas)))
-    rows = [
-        {
-            "n": args.n,
-            "k": args.k,
-            "theta": float(t),
-            "legendre": float(legendre[i]),
-            "projector": float(projector[i]),
-        }
-        for i, t in enumerate(thetas)
-    ]
-    if args.format == "csv":
-        _emit(args, lambda fh: harness.write_csv(rows, fh, header=EVAL_HEADER))
-    else:
-        config = {"n": args.n, "k": args.k, "theta": [float(t) for t in thetas]}
-        _emit(args, lambda fh: harness.json_summary("eval", config, {"rows": rows}, fh))
+    legendre = legendre_normalized(idx, np.cos(thetas))
+    projector = projector_kernel(idx, np.cos(thetas))
+    rows = [{"n": args.n, "k": args.k, "theta": float(t), "legendre": float(p), "projector": float(q)}
+            for t, p, q in zip(thetas, legendre, projector)]
+    _emit(args, "eval", {"rows": rows}, rows, EVAL_HEADER)
     return 0
 
 
@@ -214,18 +216,13 @@ def _cmd_compare(args) -> int:
     idx = ZonalIndex(n=args.n, k=args.k)
     window = AngleWindow(c=args.window_c, delta=args.delta)
     rows = harness.compare_rows(idx, window, args.grid)
-    if args.format == "csv":
-        _emit(args, lambda fh: harness.write_csv(rows, fh))
-    else:
-        config = {"n": args.n, "k": args.k, "C": args.window_c, "delta": args.delta,
-                  "grid": args.grid}
-        _emit(args, lambda fh: harness.json_summary("compare", config, {"rows": rows}, fh))
+    _emit(args, "compare", {"rows": rows}, rows)
     return 0
 
 
 def _cmd_scaling(args) -> int:
     if args.k_max < args.k_min:
-        raise CliError("--k-max: must be >= --k-min")
+        raise ValueError("--k-max: must be >= --k-min")
     ks = []
     k = args.k_min
     while k <= args.k_max:
@@ -233,13 +230,7 @@ def _cmd_scaling(args) -> int:
         k *= 2
     window = AngleWindow(c=args.window_c, delta=args.delta)
     fit = harness.fit_error_scaling(args.n, ks, window, args.grid)
-    if args.format == "csv":
-        _emit(args, lambda fh: harness.write_csv(fit.worst_rows, fh))
-    else:
-        doc = fit.as_dict()
-        config = {"n": args.n, "k_min": args.k_min, "k_max": args.k_max, "ks": list(fit.ks),
-                  "C": args.window_c, "delta": args.delta, "grid": args.grid}
-        _emit(args, lambda fh: harness.json_summary("scaling", config, doc, fh))
+    _emit(args, "scaling", fit.as_dict(), fit.worst_rows, ks=ks)
     return 0
 
 
@@ -247,9 +238,7 @@ def _cmd_oracle(args) -> int:
     quadric.require_oracle_domain("oracle", args.n, args.ks)
     bases = quadric.build_cone_basis(args.n, args.ks, args.samples, args.seed)
     payload = harness.geometric_oracle(bases, pairs=args.pairs, seed=args.seed)
-    config = {"n": args.n, "ks": sorted(args.ks), "samples": args.samples, "pairs": args.pairs,
-              "seed": args.seed}
-    _emit(args, lambda fh: harness.json_summary("oracle", config, payload, fh))
+    _emit(args, "oracle", payload, ks=sorted(args.ks))
     return 0
 
 
@@ -258,7 +247,10 @@ def main(argv=None) -> int:
     parser, commands = build_parser()
     try:
         if argv and argv[0] in commands:
-            config_path = _find_config(argv[1:])
+            try:
+                config_path = _IO.parse_known_args(argv[1:])[0].config
+            except argparse.ArgumentError:  # the full parse below reports it
+                config_path = None
             if config_path is not None:
                 argv = [argv[0]] + _config_argv(argv[0], config_path, commands[argv[0]]) + argv[1:]
         try:
@@ -266,7 +258,7 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             return int(exc.code) if exc.code else 0
         return args.func(args)
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

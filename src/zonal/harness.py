@@ -253,7 +253,7 @@ def format_float(x) -> str:
 def _schema_rows(idx: ZonalIndex, window: AngleWindow, grid, indices) -> list[dict]:
     """CSV-schema rows at the given indices of a bracket_errors_on_grid result."""
     thetas, exact, lead, rel = grid
-    asym = np.broadcast_to(np.asarray(lead.value), thetas.shape)
+    asym = lead.value
     return [
         {
             "n": idx.n,

@@ -471,3 +471,79 @@ def test_config_keys_must_equal_a_flag_of_the_subcommand(tmp_path, capsys):
         code, out, err = run_cli([command, "--config", str(config)], capsys)
         assert code == 2 and out == ""
         assert f"unknown key {key!r} for subcommand {command!r}" in err
+
+
+ECHO_KEYS = {
+    "eval": (["eval", "--k", "3"], ["k", "n", "theta"]),
+    "compare": (["compare", "--k", "32", "--grid", "8"], ["C", "delta", "grid", "k", "n"]),
+    "scaling": (["scaling", "--k-min", "64", "--k-max", "128", "--grid", "8"],
+                ["C", "delta", "grid", "k_max", "k_min", "ks", "n"]),
+    "oracle": (["oracle", "--ks", "2", "--pairs", "1", "--samples", "3000"],
+               ["ks", "n", "pairs", "samples", "seed"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ECHO_KEYS))
+def test_json_config_echo_holds_every_flag_but_out_config_and_format(command, capsys):
+    # the echo is read from the parsed flags, so a new flag shows up here
+    argv, keys = ECHO_KEYS[command]
+    if command != "oracle":
+        argv = [*argv, "--format", "json"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert sorted(json.loads(out)["config"]) == keys
+
+
+def test_config_flag_abbreviations_and_the_last_config_win(tmp_path, capsys):
+    first = tmp_path / "first.json"
+    first.write_text(json.dumps({"n": 3}))
+    second = tmp_path / "second.json"
+    second.write_text(json.dumps({"k": 5}))
+    for flag in ("--conf", "--co"):
+        code, out, _ = run_cli(["eval", "--k", "3", "--theta", "1", flag, str(first)], capsys)
+        assert code == 0
+        assert out.strip().split("\n")[1].split(",")[:2] == ["3", "3"]
+    # argparse keeps the last of two --config flags, and so does the loader
+    argv = ["eval", "--theta", "1", "--config", str(first), "--config", str(second)]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out.strip().split("\n")[1].split(",")[:2] == ["2", "5"]
+
+
+def test_config_value_may_begin_with_a_dash(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"out": "-r.csv", "k": 3, "theta": [0.5, 1.0]}))
+    code, out, err = run_cli(["eval", "--config", str(config)], capsys)
+    assert code == 0 and out == "" and err == ""
+    assert (tmp_path / "-r.csv").read_text().count("\n") == 3
+    # a negative number still reaches the flag's own check
+    config.write_text(json.dumps({"n": -3, "k": 3}))
+    code, out, err = run_cli(["eval", "--config", str(config)], capsys)
+    assert code == 2 and out == ""
+    assert "argument --n: must be >= 1, got -3" in err
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(["eval", "--k", "3", "--out", str(target)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --out: ")
+    # the file opens only once the work is done, so a refused run leaves none
+    target = tmp_path / "x.json"
+    code, out, _ = run_cli(["oracle", "--n", "5", "--out", str(target)], capsys)
+    assert code == 2 and out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--k", "3", "--out"], "zonal eval: error: argument --out: expected one argument"),
+    (["oracle", "--conf"], "zonal oracle: error: argument --config: expected one argument"),
+    (["eval", "--k", "3", "--=x"], "zonal eval: error: ambiguous option: --=x"),
+], ids=["out", "conf", "ambiguous"])
+def test_malformed_flags_return_2_from_the_subcommand_parser(argv, message, capsys):
+    # the --config pre-parse neither prints nor exits; main reports the error once
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: zonal ") and err.count("usage:") == 1
+    assert message in err
