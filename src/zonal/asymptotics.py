@@ -68,8 +68,8 @@ class AngleWindow:
 
     def grid(self, k: int, size: int) -> np.ndarray:
         """Uniform midpoint grid of ``size`` angles strictly inside the window."""
-        if size < 1:
-            raise ValueError(f"AngleWindow.grid: expected size >= 1, got {size!r}")
+        if not _is_int(size) or size < 1:
+            raise ValueError(f"AngleWindow.grid: expected integer size >= 1, got {size!r}")
         lo, hi = self.bounds(k)
         step = (hi - lo) / size
         return lo + (np.arange(size) + 0.5) * step
@@ -89,7 +89,8 @@ class AsymptoticValue:
 
 def _checked_theta(theta):
     arr = np.asarray(theta, dtype=float)
-    if not np.all((arr > 0.0) & (arr < math.pi)):
+    # min and max carry a NaN through, and NaN fails the comparison
+    if not (arr.min(initial=1.0) > 0.0 and arr.max(initial=1.0) < math.pi):
         raise ValueError("theta: expected every angle strictly inside (0, pi)")
     return arr
 
@@ -118,15 +119,17 @@ def _leading(idx: ZonalIndex, theta, form) -> AsymptoticValue:
     lam = 0.5 * (idx.n - 1)
     c, b = form(idx.k, lam)
     if lam:
-        c, b = 1.0, b * c ** (1.0 / lam)
-    with np.errstate(over="ignore"):
-        amp = b / np.sin(arr)
-        peak = c * amp.max(initial=b) ** lam
+        b *= c ** (1.0 / lam)
+        with np.errstate(over="ignore"):
+            amp = b / np.sin(arr)
+            peak = amp.max(initial=b) ** lam
+            # in place: each 2^17-angle temporary costs about as much as the arithmetic
+            amp **= lam
+    else:
+        # (b / sin theta)^0 = 1 at every angle, so the amplitude is c
+        amp, peak = c * np.ones_like(arr), c
     if not np.finfo(float).tiny <= peak < math.inf:
         raise ValueError(f"leading amplitude at n={idx.n}, k={idx.k} is not a finite positive double at full precision")
-    # in place: each 2^17-angle temporary costs about as much as the arithmetic
-    amp **= lam
-    amp *= c
     return AsymptoticValue(amplitude=amp, phase=phase_alpha(idx, arr))
 
 
@@ -139,7 +142,7 @@ def legendre_leading(idx: ZonalIndex, theta) -> AsymptoticValue:
     For n=1 this collapses to cos(k theta) exactly; for n=2 it is the
     classical sqrt(2 / (pi k sin theta)) envelope.
     """
-    return _leading(idx, theta, lambda k, lam: (  # at n = 1 the log is 0 and the power ignores b
+    return _leading(idx, theta, lambda k, lam: (  # at n = 1 the log is 0 and b is unused
         1.0, 2.0 / k * math.exp((math.lgamma(lam + 0.5) - 0.5 * math.log(math.pi)) / (lam or 1.0))))
 
 

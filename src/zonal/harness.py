@@ -54,7 +54,9 @@ def bracket_errors_on_grid(idx: ZonalIndex, window: AngleWindow, grid_size: int 
     thetas = window.grid(idx.k, grid_size)
     exact = legendre_normalized(idx, np.cos(thetas))
     lead = legendre_leading(idx, thetas)
-    rel = np.abs(exact - lead.value) / lead.amplitude
+    rel = exact - lead.value
+    np.abs(rel, out=rel)
+    rel /= lead.amplitude
     return thetas, exact, lead, rel
 
 

@@ -68,8 +68,8 @@ class ZonalIndex:
 
 def _clamped(t):
     arr = np.asarray(t, dtype=float)
-    # written so that NaN fails the range test too, in the same pass
-    if not np.all(np.abs(arr) <= 1.0 + ARG_SLACK):
+    # min and max carry a NaN through, and NaN fails the comparison
+    if not (arr.min(initial=0.0) >= -1.0 - ARG_SLACK and arr.max(initial=0.0) <= 1.0 + ARG_SLACK):
         worst = float(arr[np.unravel_index(np.argmax(np.abs(arr)), arr.shape)]) if arr.ndim else float(arr)
         raise ValueError(f"legendre argument is NaN or outside [-1, 1] beyond clamp tolerance: {worst!r}")
     return np.clip(arr, -1.0, 1.0)
@@ -154,16 +154,21 @@ def _darboux(n: int, k: int, x: np.ndarray, plan: _Plan) -> np.ndarray:
     lam = 0.5 * (n - 1)
     sin = np.sqrt((1.0 - x) * (1.0 + x))
     s = 2.0 * sin
-    cot = x / sin
     phase = (k + lam) * np.arccos(x) - 0.5 * lam * math.pi
+    u = scale * s**-lam
+    lo = s.min()
+    if cut[0] <= lo:
+        # the leading term alone at every angle, as at n = 3 always
+        u *= np.cos(phase)
+        return u
     # u + iv = scale 2^m exp(i phase_m) / s^(m + L), so each term multiplies it by
     # the step factor 2 (1/2 - (i/2) cot theta) = 1 - i cot theta
-    u = scale * s**-lam
+    cot = x / sin
     v = u * np.sin(phase)
     u *= np.cos(phase)
     acc = u.copy()
     tmp, tmp2 = np.empty_like(x), np.empty_like(x)
-    lo, hi = s.min(), s.max()
+    hi = s.max()
     for m in range(1, MAX_TERMS):
         if cut[m - 1] <= lo:
             break
@@ -220,7 +225,8 @@ def _chebyshev(k: int, x: np.ndarray, out: np.ndarray) -> None:
     sin(p + e) = sin p + e cos p to rounding.
     """
     high = x >= _SQRT_HALF
-    angle = np.where(high, 2.0 * np.arcsin(np.sqrt(0.5 * (1.0 - x))), np.arcsin(x))
+    angle = np.arcsin(np.where(high, np.sqrt(0.5 * (1.0 - x)), x))
+    np.multiply(angle, 2.0, out=angle, where=high)
     p = float(k) * angle
     a_hi, a_lo = _split(angle)
     k_hi, k_lo = _split(float(k))
@@ -264,12 +270,14 @@ def _value_one(n: int, k: int, t: np.ndarray) -> np.ndarray:
             vals = _recurrence(n, k, x)
         else:
             def expansion(xs, out):
+                if xs.max() < plan.bound:
+                    out[...] = _darboux(n, k, xs, plan)
+                    return
                 inside = xs < plan.bound
                 if inside.any():
                     out[inside] = _darboux(n, k, xs[inside], plan)
-                if not inside.all():
-                    rest = ~inside
-                    out[rest] = _recurrence(n, k, xs[rest])
+                rest = ~inside
+                out[rest] = _recurrence(n, k, xs[rest])
 
             vals = _in_chunks(expansion, x)
     # exact endpoints, whatever scipy's loops round to there
@@ -321,7 +329,12 @@ def legendre_normalized(idx: ZonalIndex, t):
       pi - theta_k, with theta_k near 20/k for even n and 1/k to 2/k for
       n = 3, 5.  Each angle sums at most MAX_TERMS terms, stopping at the
       first below eps of the envelope (odd n: the (n-1)/2 terms of an
-      exact sum), so its cost does not grow with k.
+      exact sum, so n = 3 sums the leading term alone), so its cost does
+      not grow with k.
+
+    Each value depends on its own angle alone: the method, and the terms
+    the expansion sums, are chosen per angle, so a value is the same bit
+    for bit whether t holds that angle alone or among others.
 
     Envelope-relative forward error against 40- to 50-digit references:
     the closed form stays below 0.5 k eps (k = 1 up to 2^53, near the pole

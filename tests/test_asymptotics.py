@@ -224,6 +224,11 @@ def test_window_bounds_and_grid():
         window.bounds(0)
     with pytest.raises(ValueError):
         window.grid(4, 0)
+    # a non-integer size would give ceil(size) angles, the last on the window's edge
+    for size in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match="integer size"):
+            window.grid(5, size)
+    assert window.grid(5, np.int64(3)).shape == (3,)
 
 
 def test_leading_forms_reject_bad_inputs():
@@ -235,6 +240,14 @@ def test_leading_forms_reject_bad_inputs():
             fn(ZonalIndex(n=2, k=5), 0.0)
         with pytest.raises(ValueError):
             fn(ZonalIndex(n=2, k=5), math.pi)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="strictly inside"):
+                fn(ZonalIndex(n=2, k=5), bad)
+            with pytest.raises(ValueError, match="strictly inside"):
+                fn(ZonalIndex(n=1, k=5), np.array([[0.5, bad], [1.0, 2.0]]))
+        for n in (1, 2):
+            empty = fn(ZonalIndex(n=n, k=5), np.empty((0, 3)))
+            assert np.shape(empty.amplitude) == np.shape(empty.value) == (0, 3)
     # amplitudes past DBL_MAX at the angle nearest a pole, or below the least
     # double, are refused rather than returned as inf, 0 or NaN
     for fn in (projector_leading, gegenbauer_leading):
@@ -246,6 +259,20 @@ def test_leading_forms_reject_bad_inputs():
             legendre_leading(ZonalIndex(n=n, k=k), 1.0)
     # the constant 4^L (1/2)_L is a double below n = 270; there the product decides
     assert np.isfinite(projector_leading(ZonalIndex(n=200, k=4), 1.0).amplitude)
+
+
+def test_circle_amplitude_is_the_form_constant():
+    # at n = 1 each amplitude is its form's constant exactly, in the input's shape
+    k = 7
+    constants = {legendre_leading: 1.0, projector_leading: 1.0 / math.pi,
+                 gegenbauer_leading: k**-0.5 / math.gamma(0.5)}
+    theta = np.array([[0.3, 1.0, 2.0], [1e-9, 1.5, math.pi - 1e-9]])
+    for fn, c in constants.items():
+        for arg in (theta, np.float64(1.2), 1.2):
+            lead = fn(ZonalIndex(n=1, k=k), arg)
+            assert np.shape(lead.amplitude) == np.shape(arg)
+            assert np.all(lead.amplitude == c)
+            np.testing.assert_array_equal(lead.value, c * np.cos(k * np.asarray(arg)))
 
 
 def leading_amplitude_mp(kind, n, k, theta):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import binom, eval_gegenbauer, eval_jacobi, eval_legendre
 
+from zonal import special
 from zonal.special import (
     K_EXPANSION,
     ZonalIndex,
@@ -348,6 +349,30 @@ def test_array_shape_and_order_keep_values():
         np.testing.assert_array_equal(legendre_normalized(idx, t.T), flat.T)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_each_value_is_independent_of_the_other_angles(n, monkeypatch):
+    # CHUNK is lowered so that a few hundred angles on [0, pi], bunched at
+    # both poles, fill chunks that lie all inside the expansion's domain,
+    # all outside it, or both; the chunking code reads CHUNK at call time
+    monkeypatch.setattr(special, "CHUNK", 64)
+    pole = np.geomspace(1e-7, 0.05, 2 * special.CHUNK)
+    theta = np.concatenate([[0.0], pole, np.linspace(0.05, math.pi - 0.05, 3 * special.CHUNK),
+                            math.pi - pole[::-1], [math.pi]])
+    assert theta.size > 2 * special.CHUNK
+    t = np.cos(theta)
+    kinds = set()
+    for k in (32, 300, 4097):
+        idx = ZonalIndex(n=n, k=k)
+        alone = np.array([legendre_normalized(idx, ti) for ti in t])
+        # bit for bit, signed zeros included
+        np.testing.assert_array_equal(legendre_normalized(idx, t).view(np.int64), alone.view(np.int64), err_msg=f"k={k}")
+        plan = _darboux_plan(n, k)
+        if plan is not None:
+            for lo in range(0, t.size, special.CHUNK):
+                kinds.add(frozenset(np.abs(t[lo:lo + special.CHUNK]) < plan.bound))
+    assert kinds >= {frozenset([True]), frozenset([False]), frozenset([True, False])}
+
+
 def test_expansion_memory_is_chunked():
     # the expansion and the closed form hold a dozen temporaries per angle;
     # over 4096-angle chunks the call peaks near 3.2 input sizes (the
@@ -488,6 +513,12 @@ def test_argument_clamp():
         projector_kernel(idx, np.array([[0.5, -0.5], [math.nan, 1.0]]))
     with pytest.raises(ValueError, match="NaN"):
         legendre_sweep(2, 4, [math.nan])
+    for bad in (math.inf, -math.inf):
+        with pytest.raises(ValueError, match="outside"):
+            legendre_normalized(idx, np.array([0.5, bad]))
+    for n in (1, 2):
+        for k in (3, 300):
+            assert legendre_normalized(ZonalIndex(n=n, k=k), np.empty((2, 0))).shape == (2, 0)
 
 
 _angles = st.lists(
