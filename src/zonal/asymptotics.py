@@ -101,8 +101,14 @@ def _checked_degree(idx: ZonalIndex) -> None:
 
 
 def phase_alpha(idx: ZonalIndex, theta):
-    """Common oscillation phase k theta + (theta/2 - pi/4)(n - 1)."""
+    """Common oscillation phase k theta + (theta/2 - pi/4)(n - 1).
+
+    At n = 1 this is k theta, bit for bit on finite angles, where the second
+    term is +-0; an infinite angle gives +-inf there (NaN for k = 0), not NaN.
+    """
     arr = np.asarray(theta, dtype=float)
+    if idx.n == 1:
+        return idx.k * arr
     return idx.k * arr + (0.5 * arr - 0.25 * math.pi) * (idx.n - 1)
 
 

@@ -30,14 +30,19 @@ __all__ = [
 # arguments this far outside [-1, 1] are clamped, beyond is a domain error
 ARG_SLACK = 1e-12
 # least degree evaluated by the Darboux expansion.  On 2^17 default-window
-# angles the two cost the same near k = 24-28 at n = 2, 4, 6, and the
-# expansion is 15-40% faster at 32 (2 vCPUs, one BLAS thread); odd n, whose
-# series ends after (n-1)/2 terms, wins from lower degrees
+# angles the two cost the same near k = 20-21 at n = 2, 4, 6, and the
+# expansion takes 38-41% less time at 32 (2 vCPUs, one BLAS thread); odd n,
+# whose series ends after (n-1)/2 terms, wins from lower degrees.  It stays
+# 32 because lowering it would change the values at the degrees it moves
 K_EXPANSION = 32
 # most terms of the expansion summed at one angle
 MAX_TERMS = 20
-# angles per pass of the closed form and the expansion, so their temporaries stay small
-CHUNK = 4096
+# angles per pass of the closed form and the expansion: a dozen 128 kB
+# temporaries fit a 2 MB L2 cache, and the numpy calls a pass makes run 8
+# times on 2^17 angles, not 32.  Per kernel benchmark task (2 vCPUs)
+# 4096 / 8192 / 16384 / 32768 / 131072 angles took 20.7 / 20.0 / 19.9 / 23.4 /
+# 26.4 ms
+CHUNK = 16384
 _EPS = np.finfo(float).eps
 _SQRT_HALF = math.sqrt(0.5)
 # 2^27 + 1, Dekker's splitting factor for doubles
@@ -224,19 +229,27 @@ def _chebyshev(k: int, x: np.ndarray, out: np.ndarray) -> None:
     exactly into p + e (Dekker 1971), and cos(p + e) = cos p - e sin p,
     sin(p + e) = sin p + e cos p to rounding.
     """
-    high = x >= _SQRT_HALF
-    angle = np.arcsin(np.where(high, np.sqrt(0.5 * (1.0 - x)), x))
-    np.multiply(angle, 2.0, out=angle, where=high)
+    any_high = x.max() >= _SQRT_HALF
+    if any_high:
+        high = x >= _SQRT_HALF
+        angle = np.arcsin(np.where(high, np.sqrt(0.5 * (1.0 - x)), x))
+        np.multiply(angle, 2.0, out=angle, where=high)
+    else:
+        # no half angle to take, as on every default-window chunk (cos 1 < sqrt(1/2))
+        angle = np.arcsin(x)
     p = float(k) * angle
     a_hi, a_lo = _split(angle)
     k_hi, k_lo = _split(float(k))
     e = ((k_hi * a_hi - p) + k_hi * a_lo + k_lo * a_hi) + k_lo * a_lo
     cos_p, sin_p = np.cos(p), np.sin(p)
-    cos_kt = cos_p - e * sin_p
-    low = sin_p + e * cos_p if k % 2 else cos_kt
+    low = sin_p + e * cos_p if k % 2 else cos_p - e * sin_p
     if k % 4 >= 2:
-        low = -low
-    np.copyto(out, np.where(high, cos_kt, low))
+        np.negative(low, out=out)
+    else:
+        out[...] = low
+    if any_high:
+        # cos(k theta) from sqrt(1/2) up, which is low before its sign at even k
+        np.copyto(out, cos_p - e * sin_p if k % 2 else low, where=high)
 
 
 def _split(a):
@@ -247,7 +260,7 @@ def _split(a):
 
 
 def _in_chunks(fn, x: np.ndarray) -> np.ndarray:
-    """fn(xs, out) over a flat copy of x, CHUNK values at a time, so its temporaries stay small."""
+    """fn(xs, out) over a flat copy of x, CHUNK values at a time, so its temporaries stay in cache."""
     flat_x = x.ravel()
     flat = np.empty_like(flat_x)
     for lo in range(0, flat.size, CHUNK):

@@ -29,6 +29,23 @@ def test_phase_values():
     )
 
 
+def test_circle_phase_is_k_theta():
+    # at n = 1 the (n - 1) term is +-0 on finite angles, so the phase is the
+    # product k theta bit for bit, signed zeros and type included
+    theta = np.array([[0.0, -0.0, 5e-324, 0.7], [math.pi / 2, 3.0, -2.0, 1e290]])
+    for k in (0, 1, 12, 4097, 2**53):
+        idx = ZonalIndex(n=1, k=k)
+        general = k * theta + (0.5 * theta - 0.25 * math.pi) * 0
+        for arr, ref in ((theta, general), (theta[0, 3], general[0, 3])):
+            phase = phase_alpha(idx, arr)
+            assert type(phase) is type(ref) and np.shape(phase) == np.shape(ref)
+            np.testing.assert_array_equal(np.asarray(phase).view(np.int64), np.asarray(k * arr).view(np.int64))
+            np.testing.assert_array_equal(np.asarray(phase).view(np.int64), np.asarray(ref).view(np.int64))
+    # the general form's inf * 0 would give NaN; the leading forms refuse
+    # infinite angles before they reach the phase
+    np.testing.assert_array_equal(phase_alpha(ZonalIndex(n=1, k=3), [math.inf, -math.inf]), [math.inf, -math.inf])
+
+
 def test_asymptotic_value_composition():
     av = AsymptoticValue(amplitude=2.0, phase=0.3)
     assert av.value == 2.0 * np.cos(0.3)

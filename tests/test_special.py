@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import binom, eval_gegenbauer, eval_jacobi, eval_legendre
 
 from zonal import special
+from zonal.asymptotics import AngleWindow
 from zonal.special import (
     K_EXPANSION,
     ZonalIndex,
@@ -349,11 +350,13 @@ def test_array_shape_and_order_keep_values():
         np.testing.assert_array_equal(legendre_normalized(idx, t.T), flat.T)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_each_value_is_independent_of_the_other_angles(n, monkeypatch):
     # CHUNK is lowered so that a few hundred angles on [0, pi], bunched at
     # both poles, fill chunks that lie all inside the expansion's domain,
-    # all outside it, or both; the chunking code reads CHUNK at call time
+    # all outside it, or both (for n = 1: all below the closed form's switch
+    # |t| = sqrt(1/2), all above it, or both); the chunking code reads CHUNK
+    # at call time
     monkeypatch.setattr(special, "CHUNK", 64)
     pole = np.geomspace(1e-7, 0.05, 2 * special.CHUNK)
     theta = np.concatenate([[0.0], pole, np.linspace(0.05, math.pi - 0.05, 3 * special.CHUNK),
@@ -366,17 +369,35 @@ def test_each_value_is_independent_of_the_other_angles(n, monkeypatch):
         alone = np.array([legendre_normalized(idx, ti) for ti in t])
         # bit for bit, signed zeros included
         np.testing.assert_array_equal(legendre_normalized(idx, t).view(np.int64), alone.view(np.int64), err_msg=f"k={k}")
-        plan = _darboux_plan(n, k)
-        if plan is not None:
+        plan = _darboux_plan(n, k) if n > 1 else None
+        if n == 1 or plan is not None:
+            inside = np.abs(t) < (plan.bound if plan else math.sqrt(0.5))
             for lo in range(0, t.size, special.CHUNK):
-                kinds.add(frozenset(np.abs(t[lo:lo + special.CHUNK]) < plan.bound))
+                kinds.add(frozenset(inside[lo:lo + special.CHUNK]))
     assert kinds >= {frozenset([True]), frozenset([False]), frozenset([True, False])}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_chunk_size_keeps_every_value(n, monkeypatch):
+    # the 2^17 default-window angles of the kernel benchmark, and a sweep of
+    # [0, pi] whose chunks cross the expansion's domain and the closed form's
+    # switch, in 4096-angle chunks and in 16384-angle ones
+    window = np.cos(AngleWindow().grid(256, 1 << 17))
+    sweep = np.cos(np.linspace(0.0, math.pi, 20_000))
+    for k, t in [(248, window), (256, window), (257, window), (264, window), (300, sweep), (4097, sweep)]:
+        idx = ZonalIndex(n=n, k=k)
+        vals = []
+        for chunk in (4096, 16384):
+            monkeypatch.setattr(special, "CHUNK", chunk)
+            vals.append(legendre_normalized(idx, t).view(np.int64))
+        np.testing.assert_array_equal(vals[0], vals[1], err_msg=f"k={k}")
 
 
 def test_expansion_memory_is_chunked():
     # the expansion and the closed form hold a dozen temporaries per angle;
-    # over 4096-angle chunks the call peaks near 3.2 input sizes (the
-    # clamped copy, |t| and the result), over the whole array at once near 13
+    # over 16384-angle chunks of these 2^18 angles the call peaks near 3.6
+    # input sizes (the clamped copy, |t|, the result and one chunk's
+    # temporaries), over the whole array at once near 13
     t = np.cos(np.linspace(0.0, math.pi, 2**18))
     for n in (1, 2):
         tracemalloc.start()
