@@ -5,9 +5,8 @@ Each approximant is the product amplitude * cos(phase) with a common phase
     alpha(theta) = k theta + (theta/2 - pi/4)(n - 1),
 
 valid on angle windows that exclude the poles.  The module also carries the
-quadratic phase function of the scaling regime and the closed-form Gaussian
-coefficient it produces, together with an independent quadrature oracle for
-that coefficient.
+closed-form Gaussian coefficient of the scaling regime, together with an
+independent quadrature oracle for that coefficient.
 """
 from __future__ import annotations
 
@@ -22,12 +21,10 @@ __all__ = [
     "DELTA_MAX",
     "AngleWindow",
     "AsymptoticValue",
-    "phase_alpha",
     "legendre_leading",
     "projector_leading",
     "gegenbauer_leading",
     "c_constant_leading",
-    "psi2",
     "gaussian_leading_coefficient",
     "gaussian_coefficient_numeric",
 ]
@@ -100,7 +97,7 @@ def _checked_degree(idx: ZonalIndex) -> None:
         raise ValueError(f"asymptotics need degree k >= 1, got k={idx.k}")
 
 
-def phase_alpha(idx: ZonalIndex, theta):
+def _phase_alpha(idx: ZonalIndex, theta):
     """Common oscillation phase k theta + (theta/2 - pi/4)(n - 1).
 
     At n = 1 this is k theta, bit for bit on finite angles, where the second
@@ -136,7 +133,7 @@ def _leading(idx: ZonalIndex, theta, form) -> AsymptoticValue:
         amp, peak = c * np.ones_like(arr), c
     if not np.finfo(float).tiny <= peak < math.inf:
         raise ValueError(f"leading amplitude at n={idx.n}, k={idx.k} is not a finite positive double at full precision")
-    return AsymptoticValue(amplitude=amp, phase=phase_alpha(idx, arr))
+    return AsymptoticValue(amplitude=amp, phase=_phase_alpha(idx, arr))
 
 
 def legendre_leading(idx: ZonalIndex, theta) -> AsymptoticValue:
@@ -180,22 +177,6 @@ def c_constant_leading(idx: ZonalIndex) -> float:
     n, k = idx.n, idx.k
     base = math.factorial(n - 1) / (2.0 * math.sqrt(2.0)) * vol_sphere(n) * vol_sphere(n - 1)
     return math.sqrt(base) * (math.pi * k) ** (-0.25 * (n - 1))
-
-
-def psi2(v, w) -> complex:
-    """Quadratic off-diagonal phase -i omega0(v, w) - ||v - w||^2 / 2.
-
-    v and w are complex vectors of equal length (real input is taken as a
-    complex vector with zero imaginary part); omega0 is the standard
-    symplectic form Im <v, w> with the Hermitian pairing conjugating v.
-    The real part is always <= 0 and psi2(w, v) is the conjugate.
-    """
-    a = np.asarray(v, dtype=complex).ravel()
-    b = np.asarray(w, dtype=complex).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"psi2: shape mismatch {a.shape} vs {b.shape}")
-    omega = np.vdot(a, b).imag
-    return complex(-1j * omega - 0.5 * float(np.sum(np.abs(a - b) ** 2)))
 
 
 def gaussian_leading_coefficient(n: int, theta) -> complex:

@@ -28,7 +28,6 @@ __all__ = [
     "fit_error_scaling",
     "c_constant_convergence",
     "geometric_oracle",
-    "format_float",
     "compare_rows",
     "write_csv",
     "json_summary",
@@ -247,11 +246,6 @@ def geometric_oracle(bases, pairs: int, seed: int) -> dict:
     return {"n": n, "samples": bases[0].samples, "pairs": pairs, "degrees": degrees, "decay": asdict(report)}
 
 
-def format_float(x) -> str:
-    """Shortest decimal string that round-trips to the same float."""
-    return repr(float(x))
-
-
 def _schema_rows(idx: ZonalIndex, window: AngleWindow, grid, indices) -> list[dict]:
     """CSV-schema rows at the given indices of a bracket_errors_on_grid result."""
     thetas, exact, lead, rel = grid
@@ -281,7 +275,7 @@ def compare_rows(idx: ZonalIndex, window: AngleWindow, grid_size: int = GRID_SIZ
 def _csv_cell(value) -> str:
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return str(int(value))
-    return format_float(value)
+    return repr(float(value))
 
 
 def _write_batched(stream, pieces) -> None:

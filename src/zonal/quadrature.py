@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-__all__ = ["sphere_rule", "complement_frame", "fiber_rule"]
+__all__ = ["sphere_rule", "fiber_rule"]
 
 
 def _gauss_jacobi(count: int, a: float) -> tuple[np.ndarray, np.ndarray]:
@@ -62,7 +62,7 @@ def sphere_rule(m: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def complement_frame(q: np.ndarray) -> np.ndarray:
+def _complement_frame(q: np.ndarray) -> np.ndarray:
     """Orthonormal bases of the hyperplanes orthogonal to unit vectors q.
 
     For q of shape (..., d), columns of the returned (..., d, d-1) stack
@@ -91,4 +91,4 @@ def fiber_rule(q: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
     if d < 2:
         raise ValueError("fiber_rule: ambient dimension must be at least 2")
     sub_nodes, weights = sphere_rule(d - 2, degree)
-    return sub_nodes @ np.swapaxes(complement_frame(q), -1, -2), weights
+    return sub_nodes @ np.swapaxes(_complement_frame(q), -1, -2), weights

@@ -34,21 +34,16 @@ from .quadrature import fiber_rule
 from .special import ZonalIndex, vol_sphere
 
 __all__ = [
-    "FramePoint",
     "ConeBasis",
     "SzegoEvaluator",
     "DecayReport",
     "require_oracle_domain",
     "ordered_bases",
-    "frame_volume",
-    "cone_slice_mass",
     "sample_frame",
     "sphere_point",
-    "monomial_basis",
     "build_cone_basis",
     "pushforward_kernel",
     "c_constant_numeric",
-    "fubini_study_distance",
     "probe_pair",
     "offdiagonal_decay_probe",
 ]
@@ -72,12 +67,7 @@ def require_oracle_domain(label: str, n: int, ks=()) -> None:
                          "the last degree at which tests/oracles.C_EXACT checks c_k")
 
 
-def frame_volume(n: int) -> float:
-    """Volume of the orthonormal 2-frame manifold, vol(S^n) vol(S^(n-1))."""
-    return vol_sphere(n) * vol_sphere(n - 1)
-
-
-def cone_slice_mass(n: int, r: float = 1.0) -> float:
+def _cone_slice_mass(n: int, r: float = 1.0) -> float:
     """Total mass of the radius-r cone slice under the normalized volume form.
 
     The radius-sqrt(2) slice is the orthonormal 2-frame manifold embedded in
@@ -95,36 +85,8 @@ def cone_slice_mass(n: int, r: float = 1.0) -> float:
     (sqrt(2)/2^n) (k/pi)^(n-1) exactly when this mass is used.
     """
     if not r > 0.0:
-        raise ValueError(f"cone_slice_mass: expected radius > 0, got {r!r}")
-    return float(r) ** (2 * n - 1) * 2.0 ** (-(n - 1)) * frame_volume(n) / (2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class FramePoint:
-    """Orthonormal pair (q, p) in R^(n+1): a sphere point and a tangent."""
-
-    q: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        p = np.asarray(self.p, dtype=float)
-        if q.shape != p.shape or q.ndim != 1 or q.shape[0] < 2:
-            raise ValueError("FramePoint: q and p must be equal-length vectors in R^(n+1), n >= 1")
-        if abs(np.dot(q, q) - 1.0) > FRAME_TOL or abs(np.dot(p, p) - 1.0) > FRAME_TOL:
-            raise ValueError("FramePoint: q and p must be unit vectors (tol 1e-12)")
-        if abs(np.dot(q, p)) > FRAME_TOL:
-            raise ValueError("FramePoint: q and p must be orthogonal (tol 1e-12)")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
-
-    @property
-    def n(self) -> int:
-        return self.q.shape[0] - 1
-
-    def lift(self) -> np.ndarray:
-        """Complex point q + ip on the radius-sqrt(2) slice."""
-        return self.q + 1j * self.p
+        raise ValueError(f"_cone_slice_mass: expected radius > 0, got {r!r}")
+    return float(r) ** (2 * n - 1) * 2.0 ** (-(n - 1)) * (vol_sphere(n) * vol_sphere(n - 1)) / (2.0 * math.pi)
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -164,16 +126,19 @@ def _frame_block(n: int, count: int, gen: np.random.Generator) -> tuple[np.ndarr
     return q, p
 
 
-def sample_frame(n: int, gen: np.random.Generator) -> FramePoint:
-    """One Haar-distributed orthonormal 2-frame in R^(n+1)."""
+def sample_frame(n: int, gen: np.random.Generator) -> np.ndarray:
+    """One Haar-distributed orthonormal 2-frame (q, p) in R^(n+1), as its slice point q + ip."""
     if n < 1:
         raise ValueError(f"sample_frame: expected n >= 1, got {n!r}")
     q, p = _frame_block(n, 1, gen)
-    return FramePoint(q=q[0], p=p[0])
+    return q[0] + 1j * p[0]
 
 
 def sphere_point(n: int, gen: np.random.Generator) -> np.ndarray:
     """One uniform point on S^n; a draw of norm <= 1e-12 is drawn again."""
+    if n < 0:
+        # S^-1 is empty: every draw of no coordinates has norm 0
+        raise ValueError(f"sphere_point: expected n >= 0, got {n!r}")
     while True:
         g = gen.standard_normal(n + 1)
         norm = float(np.linalg.norm(g))
@@ -194,7 +159,7 @@ def _multinomial(expo) -> int:
     return math.factorial(sum(expo)) // math.prod(math.factorial(e) for e in expo)
 
 
-def monomial_basis(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+def _monomial_basis(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """Exponent tuples spanning degree k modulo the cone relation.
 
     The relation rewrites the squared first coordinate in terms of the rest,
@@ -203,13 +168,13 @@ def monomial_basis(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     lexicographic order.
     """
     if n < 1 or k < 0:
-        raise ValueError(f"monomial_basis: expected n >= 1 and k >= 0, got {(n, k)!r}")
+        raise ValueError(f"_monomial_basis: expected n >= 1 and k >= 0, got {(n, k)!r}")
     out = [(first, *rest) for first in (0, 1) if k >= first for rest in _exponent_tuples(n, k - first)]
     return tuple(sorted(out))
 
 
 def _inverse_gram(n: int, k: int) -> np.ndarray:
-    """Inverse of the unit-slice Gram of monomial_basis(n, k), in closed form.
+    """Inverse of the unit-slice Gram of _monomial_basis(n, k), in closed form.
 
     The degree-k reproducing kernel is N_k / mass(1) (z . conj(w))^k, and
     (z . conj(w))^k is the sum over |g| = k of (k!/g!) z^g conj(w)^g.
@@ -221,7 +186,7 @@ def _inverse_gram(n: int, k: int) -> np.ndarray:
     most (n (n+1))^k, so the float64 product is exact up to n = 3, k = 14
     and n = 2, k = 20.
     """
-    exponents = monomial_basis(n, k)
+    exponents = _monomial_basis(n, k)
     column = {e: a for a, e in enumerate(exponents)}
     powers = list(_exponent_tuples(n + 1, k))
     reduce = np.zeros((len(powers), len(exponents)))
@@ -231,7 +196,7 @@ def _inverse_gram(n: int, k: int) -> np.ndarray:
         for b in _exponent_tuples(n, half):
             row[column[(first, *(gj + 2 * bj for gj, bj in zip(g[1:], b)))]] += (-1) ** half * _multinomial(b)
     weights = np.array([_multinomial(g) for g in powers], dtype=float)
-    return (reduce.T * weights) @ reduce * (len(exponents) / cone_slice_mass(n, 1.0))
+    return (reduce.T * weights) @ reduce * (len(exponents) / _cone_slice_mass(n, 1.0))
 
 
 @functools.lru_cache(maxsize=32)
@@ -343,12 +308,12 @@ def build_cone_basis(n: int, ks, samples: int, seed: int) -> tuple[ConeBasis, ..
     Returns one ConeBasis per degree in the order of ks; each is the same
     whatever the other degrees are.
     """
-    families = [monomial_basis(n, k) for k in ks]
+    families = [_monomial_basis(n, k) for k in ks]
     if not families:
         raise ValueError("build_cone_basis: ks is empty; need at least one degree")
     if samples < 1:
         raise ValueError(f"build_cone_basis: expected samples >= 1, got {samples!r}")
-    # positions by exponent parity (e mod 2), each class in monomial_basis order;
+    # positions by exponent parity (e mod 2), each class in _monomial_basis order;
     # in class order, each class is a contiguous run of the monomial rows
     parities = [[tuple(e % 2 for e in expo) for expo in fam] for fam in families]
     classes = [[[i for i, c in enumerate(par) if c == key] for key in dict.fromkeys(par)] for par in parities]
@@ -368,7 +333,7 @@ def build_cone_basis(n: int, ks, samples: int, seed: int) -> tuple[ConeBasis, ..
             del a  # freed before the next degree's values, so that buffer is reused (a zip would hold it)
         return np.concatenate(grams)
 
-    flat = rng.map_blocks(one_block, -(-samples // rng.BLOCK)) * (cone_slice_mass(n, 1.0) / samples)
+    flat = rng.map_blocks(one_block, -(-samples // rng.BLOCK)) * (_cone_slice_mass(n, 1.0) / samples)
     grams = iter(np.split(flat, np.cumsum([len(idx) ** 2 for cls in classes for idx in cls])[:-1]))
 
     bases = []
@@ -385,7 +350,7 @@ def build_cone_basis(n: int, ks, samples: int, seed: int) -> tuple[ConeBasis, ..
         if error >= 0.5:
             raise ValueError(f"build_cone_basis: gram_error {error:.3g} at k={k}, samples={samples} is at least "
                              "1/2, where its bounds exceed the values they bound; increase samples")
-        # each class keeps monomial_basis order, so coeff is lower triangular in it
+        # each class keeps _monomial_basis order, so coeff is lower triangular in it
         coeff = np.zeros((len(exponents), len(exponents)))
         for idx, low in zip(cls, lows):
             inv = np.eye(len(idx))
@@ -515,11 +480,11 @@ def c_constant_numeric(idx: ZonalIndex) -> float:
     n, k = idx.n, idx.k
     require_oracle_domain("c_constant_numeric", n)
     half = 0.5 * (n - 1)
-    base = math.factorial(n - 1) * frame_volume(n) / (2.0 * math.sqrt(2.0) * math.pi**half)
+    base = math.factorial(n - 1) * (vol_sphere(n) * vol_sphere(n - 1)) / (2.0 * math.sqrt(2.0) * math.pi**half)
     return math.sqrt(base * math.exp(math.lgamma(k + half) - math.lgamma(k + n - 1)))
 
 
-def fubini_study_distance(z0: np.ndarray, z1: np.ndarray) -> float:
+def _fubini_study_distance(z0: np.ndarray, z1: np.ndarray) -> float:
     """Projective distance between circle fibers through two slice points.
 
     For z0, z1 on the radius-sqrt(2) slice this is the minimum over phases
@@ -527,8 +492,8 @@ def fubini_study_distance(z0: np.ndarray, z1: np.ndarray) -> float:
     """
     z0 = np.asarray(z0, dtype=complex)
     z1 = np.asarray(z1, dtype=complex)
-    _require_on_slice(z0[None, :], math.sqrt(2.0), "fubini_study_distance z0")
-    _require_on_slice(z1[None, :], math.sqrt(2.0), "fubini_study_distance z1")
+    _require_on_slice(z0[None, :], math.sqrt(2.0), "_fubini_study_distance z0")
+    _require_on_slice(z1[None, :], math.sqrt(2.0), "_fubini_study_distance z1")
     return math.sqrt(max(2.0 - abs(complex(np.vdot(z0, z1))), 0.0))
 
 
@@ -583,7 +548,7 @@ def offdiagonal_decay_probe(
     |K(x, x')| / sqrt(K(x, x) K(x', x')), which lies within
     gram_error (1 + value) / (1 - gram_error) of the exact kernel's, and
     flags values below the basis gram_error, where they are consistent with
-    zero, as noise-floor entries.  The distance is `fubini_study_distance`
+    zero, as noise-floor entries.  The distance is `_fubini_study_distance`
     of the pair's sqrt(2) lifts.  Reports the fitted exponential decay
     rate over the clean prefix (None below two clean values), whether the
     clean prefix is strictly decreasing, and whether successive ratios
@@ -593,7 +558,7 @@ def offdiagonal_decay_probe(
     _, bases = ordered_bases(bases, "offdiagonal_decay_probe")
     pair = np.array([x, x_prime], dtype=complex)
     _require_on_slice(pair, 1.0, "offdiagonal_decay_probe x, x_prime")
-    dist = fubini_study_distance(*(math.sqrt(2.0) * pair))
+    dist = _fubini_study_distance(*(math.sqrt(2.0) * pair))
     if dist < min_dist:
         raise ValueError(
             f"offdiagonal_decay_probe: pair distance {dist:.3f} below minimum {min_dist:g}"

@@ -7,7 +7,8 @@ poles by its complete Darboux expansion where that is exact to rounding,
 and everywhere else by scipy's compiled recurrence in that normalization.
 Everything else in the package (asymptotic brackets, the projector kernel,
 the geometric cross-checks) is expressed against it.  Only the recurrence
-imports scipy, so the closed form and the expansion run on numpy alone.
+imports scipy (as does the range check, for binom near the overflow edge),
+so the closed form and the expansion run on numpy alone.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ __all__ = [
     "ZonalIndex",
     "legendre_normalized",
     "legendre_sweep",
-    "gegenbauer_norm_constant",
     "dim_eigenspace",
     "vol_sphere",
     "projector_kernel",
@@ -351,7 +351,8 @@ def legendre_normalized(idx: ZonalIndex, t):
 
     Envelope-relative forward error against 40- to 50-digit references:
     the closed form stays below 0.5 k eps (k = 1 up to 2^53, near the pole
-    and at the switch x = sqrt(1/2) too); the recurrence below 0.25 k eps
+    and at the switch x = sqrt(1/2) too), and next to the pole below
+    (1 + k theta) eps (k up to 10^8); the recurrence below 0.25 k eps
     in the loop and 4.2 k eps in the power series (up to k = 10^6); the
     expansion below 1.3 k eps (n = 2..20 up to k = 10^3, n = 2..11 up to
     10^4, n = 3 up to 10^6), the rounding of its phase (k + L) theta.
@@ -368,21 +369,9 @@ def legendre_sweep(n: int, kmax: int, t) -> np.ndarray:
     Row j is the ``legendre_normalized`` call at degree j, bit for bit: the
     sweep makes that call for each degree in turn.
     """
-    if kmax < 0:
-        raise ValueError(f"kmax: expected >= 0, got {kmax!r}")
+    ZonalIndex(n, kmax)  # the dimension and degree checks of legendre_normalized
     arr = np.atleast_1d(_clamped(t))
     return np.stack([_value_one(n, j, arr) for j in range(kmax + 1)])
-
-
-def gegenbauer_norm_constant(idx: ZonalIndex) -> float:
-    """Ratio r with Jacobi-normalized P_k^{(n/2-1, n/2-1)}(t) = r * legendre_normalized(idx, t).
-
-    Equals Gamma(k + n/2) / (k! Gamma(n/2)), computed in log space so large
-    degrees neither overflow nor lose the leading digits.  For n=2 it is
-    exactly 1 for every k.
-    """
-    n, k = idx.n, idx.k
-    return math.exp(math.lgamma(k + 0.5 * n) - math.lgamma(k + 1.0) - math.lgamma(0.5 * n))
 
 
 def dim_eigenspace(idx: ZonalIndex) -> int:

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 from scipy.special import roots_legendre
 
-from zonal.quadric import ConeBasis, monomial_basis
+from zonal.quadric import ConeBasis, _monomial_basis
 
 VOL_S1 = 2.0 * math.pi
 VOL_S2 = 4.0 * math.pi
@@ -162,7 +162,7 @@ def exact_gram(n: int, k: int) -> np.ndarray:
     integral leaves one of degree at most 2k in q, so both rules have
     degree 2k.
     """
-    exponents = monomial_basis(n, k)
+    exponents = _monomial_basis(n, k)
     size = len(exponents)
     gram = np.zeros((size, size), dtype=complex)
     scale = 1.0 / math.sqrt(2.0)
@@ -192,7 +192,7 @@ def exact_cone_basis(n: int, k: int) -> ConeBasis:
     return ConeBasis(
         n=n,
         k=k,
-        exponents=monomial_basis(n, k),
+        exponents=_monomial_basis(n, k),
         coeff=coeff,
         samples=0,
         gram_error=0.0,
@@ -279,6 +279,17 @@ def rational_c_constant(n: int, k: int) -> float:
         gamma += math.comb(k, 2 * j) * term
         term *= Fraction(2 * j + 1, n + 2 * j)
     return math.sqrt(math.sqrt(2.0) * math.pi * sphere_volume(n - 1) * float(gamma / 2**k))
+
+
+def gegenbauer_norm_constant(idx) -> float:
+    """Ratio r with Jacobi-normalized P_k^{(n/2-1, n/2-1)}(t) = r * legendre_normalized(idx, t).
+
+    Equals Gamma(k + n/2) / (k! Gamma(n/2)), computed in log space so large
+    degrees neither overflow nor lose the leading digits.  For n=2 it is
+    exactly 1 for every k.
+    """
+    n, k = idx.n, idx.k
+    return math.exp(math.lgamma(k + 0.5 * n) - math.lgamma(k + 1.0) - math.lgamma(0.5 * n))
 
 
 def c_ratio_exact(n: int, k: int) -> float:

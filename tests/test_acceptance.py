@@ -146,7 +146,7 @@ def test_criterion_7_structural_identities(basis_cache):
     checks = {}
 
     def slice_point():
-        return sample_frame(2, gen).lift() / math.sqrt(2.0)
+        return sample_frame(2, gen) / math.sqrt(2.0)
 
     worst = 0.0
     for _ in range(100):

@@ -3,27 +3,27 @@ import math
 import numpy as np
 import pytest
 
+from oracles import gegenbauer_norm_constant
 from zonal.asymptotics import (
     DELTA_MAX,
     AngleWindow,
     AsymptoticValue,
+    _phase_alpha,
     c_constant_leading,
     gaussian_coefficient_numeric,
     gaussian_leading_coefficient,
     gegenbauer_leading,
     legendre_leading,
-    phase_alpha,
     projector_leading,
-    psi2,
 )
-from zonal.special import ZonalIndex, dim_eigenspace, gegenbauer_norm_constant, vol_sphere
+from zonal.special import ZonalIndex, dim_eigenspace, vol_sphere
 
 
 def test_phase_values():
-    np.testing.assert_allclose(phase_alpha(ZonalIndex(n=1, k=12), 0.7), 8.4, rtol=1e-15)
-    assert phase_alpha(ZonalIndex(n=3, k=0), math.pi / 2) == pytest.approx(0.0, abs=1e-15)
+    np.testing.assert_allclose(_phase_alpha(ZonalIndex(n=1, k=12), 0.7), 8.4, rtol=1e-15)
+    assert _phase_alpha(ZonalIndex(n=3, k=0), math.pi / 2) == pytest.approx(0.0, abs=1e-15)
     np.testing.assert_allclose(
-        phase_alpha(ZonalIndex(n=2, k=10), math.pi / 2),
+        _phase_alpha(ZonalIndex(n=2, k=10), math.pi / 2),
         10.5 * math.pi / 2 - math.pi / 4,
         rtol=1e-15,
     )
@@ -37,13 +37,13 @@ def test_circle_phase_is_k_theta():
         idx = ZonalIndex(n=1, k=k)
         general = k * theta + (0.5 * theta - 0.25 * math.pi) * 0
         for arr, ref in ((theta, general), (theta[0, 3], general[0, 3])):
-            phase = phase_alpha(idx, arr)
+            phase = _phase_alpha(idx, arr)
             assert type(phase) is type(ref) and np.shape(phase) == np.shape(ref)
             np.testing.assert_array_equal(np.asarray(phase).view(np.int64), np.asarray(k * arr).view(np.int64))
             np.testing.assert_array_equal(np.asarray(phase).view(np.int64), np.asarray(ref).view(np.int64))
     # the general form's inf * 0 would give NaN; the leading forms refuse
     # infinite angles before they reach the phase
-    np.testing.assert_array_equal(phase_alpha(ZonalIndex(n=1, k=3), [math.inf, -math.inf]), [math.inf, -math.inf])
+    np.testing.assert_array_equal(_phase_alpha(ZonalIndex(n=1, k=3), [math.inf, -math.inf]), [math.inf, -math.inf])
 
 
 def test_asymptotic_value_composition():
@@ -139,32 +139,6 @@ def test_c_constant_leading_values():
     )
     with pytest.raises(ValueError):
         c_constant_leading(ZonalIndex(n=2, k=0))
-
-
-def test_psi2_identities():
-    gen = np.random.default_rng(2)
-    for _ in range(100):
-        d = int(gen.integers(1, 6))
-        v = gen.normal(size=d) + 1j * gen.normal(size=d)
-        w = gen.normal(size=d) + 1j * gen.normal(size=d)
-        assert psi2(v, v) == 0.0
-        np.testing.assert_allclose(
-            psi2(v, np.zeros(d)), -0.5 * np.sum(np.abs(v) ** 2), rtol=1e-14
-        )
-        value = psi2(v, w)
-        assert value.real <= 0.0
-        np.testing.assert_allclose(psi2(w, v), value.conjugate(), rtol=1e-14)
-
-
-def test_psi2_symplectic_part():
-    # v = e1, w = i e1: omega = 1, |v - w|^2 = 2
-    value = psi2(np.array([1.0]), np.array([1j]))
-    np.testing.assert_allclose(value, complex(-1.0, -1.0), rtol=1e-15)
-
-
-def test_psi2_shape_mismatch():
-    with pytest.raises(ValueError):
-        psi2(np.zeros(2), np.zeros(3))
 
 
 def test_gaussian_closed_forms():

@@ -15,7 +15,6 @@ from zonal.harness import (
     c_constant_convergence,
     compare_rows,
     fit_error_scaling,
-    format_float,
     geometric_oracle,
     json_summary,
     relative_bracket_error,
@@ -119,9 +118,16 @@ def test_c_constant_convergence_rows():
 
 
 def test_format_float_round_trip():
-    for x in (0.1, 1.0 / 3.0, 1e-300, 2.0, -0.0, math.pi):
-        assert float(format_float(x)) == x
-    assert format_float(2) == "2.0"
+    # write_csv's cells: integers as integers, floats as strings that round-trip, signed zero included
+    floats = (0.1, 1.0 / 3.0, 1e-300, 2.0, -0.0, math.pi, np.float64(0.7))
+    stream = io.StringIO()
+    write_csv([{"x": x, "k": 2} for x in floats] + [{"x": 2.0, "k": np.int64(3)}], stream, header=("x", "k"))
+    header, *lines, last = stream.getvalue().splitlines()
+    assert header == "x,k" and last == "2.0,3"
+    for x, line in zip(floats, lines, strict=True):
+        cell, k = line.split(",")
+        assert k == "2"
+        assert float(cell) == x and math.copysign(1.0, float(cell)) == math.copysign(1.0, x)
 
 
 def test_write_csv_schema():

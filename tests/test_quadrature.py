@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import beta, roots_jacobi
 
-from zonal.quadrature import _gauss_jacobi, complement_frame, fiber_rule, sphere_rule
+from zonal.quadrature import _complement_frame, _gauss_jacobi, fiber_rule, sphere_rule
 from zonal.special import vol_sphere
 
 
@@ -114,7 +114,7 @@ def test_complement_frame_orthonormal():
         v = rng.standard_normal(d)
         vectors.append(v / np.linalg.norm(v))
     for q in vectors:
-        frame = complement_frame(q)
+        frame = _complement_frame(q)
         d = q.shape[0]
         assert frame.shape == (d, d - 1)
         np.testing.assert_allclose(frame.T @ frame, np.eye(d - 1), atol=1e-13)
@@ -158,7 +158,7 @@ def test_stacked_frames_match_single_calls():
         qs[0, 0] = 0.0
         qs[0, 0, 0] = -1.0
         qs /= np.linalg.norm(qs, axis=-1, keepdims=True)
-        frames = complement_frame(qs)
+        frames = _complement_frame(qs)
         nodes, weights = fiber_rule(qs, 5)
         assert frames.shape == (2, 3, d, d - 1)
         assert nodes.shape == (2, 3, len(weights), d)
@@ -169,7 +169,7 @@ def test_stacked_frames_match_single_calls():
         np.testing.assert_allclose(np.einsum("abfd,abd->abf", nodes, qs), 0.0, atol=1e-13)
         for i in range(2):
             for j in range(3):
-                np.testing.assert_allclose(frames[i, j], complement_frame(qs[i, j]), rtol=0, atol=1e-15)
+                np.testing.assert_allclose(frames[i, j], _complement_frame(qs[i, j]), rtol=0, atol=1e-15)
                 single, single_w = fiber_rule(qs[i, j], 5)
                 assert single_w is weights
                 np.testing.assert_allclose(nodes[i, j], single, rtol=0, atol=1e-15)

@@ -23,18 +23,16 @@ from oracles import (
 from zonal import rng
 from zonal.asymptotics import c_constant_leading
 from zonal.quadric import (
-    FramePoint,
     SzegoEvaluator,
+    _cone_slice_mass,
     _frame_block,
+    _fubini_study_distance,
     _inverse_gram,
+    _monomial_basis,
     _monomial_rows,
     _pushforward_raw,
     build_cone_basis,
     c_constant_numeric,
-    cone_slice_mass,
-    frame_volume,
-    fubini_study_distance,
-    monomial_basis,
     offdiagonal_decay_probe,
     probe_pair,
     pushforward_kernel,
@@ -47,19 +45,18 @@ SQRT2 = math.sqrt(2.0)
 
 
 def unit_slice_point(n: int, gen) -> np.ndarray:
-    f = sample_frame(n, gen)
-    return f.lift() / SQRT2
+    return sample_frame(n, gen) / SQRT2
 
 
 # ---------------------------------------------------------------- mass and frames
 
 
 def test_cone_slice_mass_values():
-    np.testing.assert_allclose(cone_slice_mass(2, 1.0), 2.0 * math.pi, rtol=1e-14)
-    np.testing.assert_allclose(cone_slice_mass(3, 1.0), math.pi**2, rtol=1e-14)
+    np.testing.assert_allclose(_cone_slice_mass(2, 1.0), 2.0 * math.pi, rtol=1e-14)
+    np.testing.assert_allclose(_cone_slice_mass(3, 1.0), math.pi**2, rtol=1e-14)
     for n in (2, 3):
         np.testing.assert_allclose(
-            cone_slice_mass(n, SQRT2), SQRT2 * frame_volume(n) / (2.0 * math.pi), rtol=1e-13
+            _cone_slice_mass(n, SQRT2), SQRT2 * vol_sphere(n) * vol_sphere(n - 1) / (2.0 * math.pi), rtol=1e-13
         )
 
 
@@ -67,33 +64,12 @@ def test_cone_slice_mass_homogeneity():
     for n in (1, 2, 3, 4):
         for r in (0.5, 1.7, SQRT2):
             np.testing.assert_allclose(
-                cone_slice_mass(n, r), r ** (2 * n - 1) * cone_slice_mass(n, 1.0), rtol=1e-13
+                _cone_slice_mass(n, r), r ** (2 * n - 1) * _cone_slice_mass(n, 1.0), rtol=1e-13
             )
     with pytest.raises(ValueError):
-        cone_slice_mass(2, 0.0)
+        _cone_slice_mass(2, 0.0)
     with pytest.raises(ValueError):
-        cone_slice_mass(2, math.nan)
-
-
-def test_frame_volume():
-    np.testing.assert_allclose(frame_volume(2), vol_sphere(2) * vol_sphere(1), rtol=1e-15)
-    np.testing.assert_allclose(frame_volume(3), vol_sphere(3) * vol_sphere(2), rtol=1e-15)
-
-
-def test_frame_point_validation():
-    e0 = np.array([1.0, 0.0, 0.0])
-    e1 = np.array([0.0, 1.0, 0.0])
-    with pytest.raises(ValueError):
-        FramePoint(q=2.0 * e0, p=e1)
-    with pytest.raises(ValueError):
-        FramePoint(q=e0, p=(e0 + e1) / SQRT2)
-    with pytest.raises(ValueError):
-        FramePoint(q=e0, p=np.array([0.0, 1.0]))
-    f = FramePoint(q=e0, p=e1)
-    assert f.n == 2
-    z = f.lift()
-    assert abs(np.sum(z * z)) < 1e-14
-    np.testing.assert_allclose(np.sum(np.abs(z) ** 2), 2.0, rtol=1e-15)
+        _cone_slice_mass(2, math.nan)
 
 
 def test_sample_frame_invariants():
@@ -102,11 +78,12 @@ def test_sample_frame_invariants():
     gen = np.random.default_rng(42)
     for n in (1, 2, 3, 5):
         for _ in range(50):
-            f = sample_frame(n, gen)
-            assert abs(np.dot(f.q, f.q) - 1.0) < 1e-12
-            assert abs(np.dot(f.p, f.p) - 1.0) < 1e-12
-            assert abs(np.dot(f.q, f.p)) < 1e-12
-            z = f.lift()
+            z = sample_frame(n, gen)
+            q, p = z.real, z.imag
+            assert z.shape == (n + 1,)
+            assert abs(np.dot(q, q) - 1.0) < 1e-12
+            assert abs(np.dot(p, p) - 1.0) < 1e-12
+            assert abs(np.dot(q, p)) < 1e-12
             assert abs(np.sum(z * z)) < 1e-12
 
 
@@ -116,7 +93,7 @@ def test_sample_frame_moments():
     n, draws = 2, 4000
     qs = np.empty((draws, n + 1))
     for i in range(draws):
-        qs[i] = sample_frame(n, gen).q
+        qs[i] = sample_frame(n, gen).real
     assert np.abs(qs.mean(axis=0)).max() < 4.0 / math.sqrt(3.0 * draws)
     second = qs.T @ qs / draws
     assert np.abs(second - np.eye(n + 1) / (n + 1)).max() < 0.02
@@ -186,16 +163,19 @@ def test_sphere_point_redraws_degenerate_draw():
 
     np.testing.assert_array_equal(sphere_point(2, Stub()), [0.6, 0.0, 0.8])
     assert draws == []
+    # S^-1 is refused before any draw: a draw of no coordinates has norm 0 every time
+    with pytest.raises(ValueError):
+        sphere_point(-1, Stub())
 
 
 # ---------------------------------------------------------------- monomial bases
 
 
 def test_monomial_basis_small_cases():
-    assert set(monomial_basis(2, 1)) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
-    assert len(monomial_basis(2, 2)) == 5
-    assert len(monomial_basis(3, 2)) == 9
-    for e in monomial_basis(2, 4):
+    assert set(_monomial_basis(2, 1)) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+    assert len(_monomial_basis(2, 2)) == 5
+    assert len(_monomial_basis(3, 2)) == 9
+    for e in _monomial_basis(2, 4):
         assert e[0] <= 1
         assert sum(e) == 4
 
@@ -203,7 +183,7 @@ def test_monomial_basis_small_cases():
 def test_monomial_basis_counts_match_eigenspace():
     for n in (1, 2, 3, 4, 5):
         for k in (0, 1, 2, 3, 7, 12):
-            assert len(monomial_basis(n, k)) == dim_eigenspace(ZonalIndex(n=n, k=k))
+            assert len(_monomial_basis(n, k)) == dim_eigenspace(ZonalIndex(n=n, k=k))
 
 
 def plain_monomials(z, exponents):
@@ -229,7 +209,7 @@ def test_monomial_rows_match_plain_product():
     # products round differently
     gen = np.random.default_rng(5)
     for n in (1, 2, 3, 4):
-        families = [monomial_basis(n, k) for k in (5, 0, 8, 1, 2)]
+        families = [_monomial_basis(n, k) for k in (5, 0, 8, 1, 2)]
         for m in (1, 2, 3, 4097):
             z = (gen.standard_normal((m, n + 1)) + 1j * gen.standard_normal((m, n + 1))) / SQRT2
             outs = list(_monomial_rows(z, tuple(families)))
@@ -305,13 +285,13 @@ def test_inverse_gram_matches_quadrature_oracle(n):
 
 def sampled_gram_errors(n, ks, count, seed):
     # gram_error of the Gram of `count` test-side Haar frames, one per degree
-    families = [monomial_basis(n, k) for k in ks]
+    families = [_monomial_basis(n, k) for k in ks]
     grams = [np.zeros((len(e), len(e)), dtype=complex) for e in families]
     for z in slice_draws(n, count, seed):
         for exponents, gram in zip(families, grams):
             vals = eval_monomials(z, exponents)
             gram += vals.conj().T @ vals
-    mass = cone_slice_mass(n, 1.0)
+    mass = _cone_slice_mass(n, 1.0)
     return [gram_error(cholesky(gram * (mass / count), lower=True), n, k) for k, gram in zip(ks, grams)]
 
 
@@ -327,7 +307,7 @@ def test_inverse_gram_against_sampled_gram(n):
     few = sampled_gram_errors(n, ks, 10**4, seed=n)
     many = sampled_gram_errors(n, ks, 10**6, seed=n)
     for k, before, after in zip(ks, few, many):
-        assert after <= 4e-3 * math.sqrt(len(monomial_basis(n, k))), (k, after)
+        assert after <= 4e-3 * math.sqrt(len(_monomial_basis(n, k))), (k, after)
         assert after < before / 4.0, (k, before, after)
 
 
@@ -352,7 +332,7 @@ def reference_build(n, k, samples, seed):
     # build's own arithmetic: coeff entries far below the largest carry a
     # one-ulp change of the Gram as about 1e-12 of themselves, so a Gram
     # formed any other way could not be held to rtol 1e-12
-    exponents = monomial_basis(n, k)
+    exponents = _monomial_basis(n, k)
     classes = [np.flatnonzero(row) for row in np.unique(same_parity(exponents), axis=0)]
     grams = [np.zeros((len(idx), len(idx))) for idx in classes]
     for z in gram_frames(n, samples, seed):
@@ -363,7 +343,7 @@ def reference_build(n, k, samples, seed):
             gram += rows @ rows.T
     low = np.zeros((len(exponents), len(exponents)))
     for idx, gram in zip(classes, grams):
-        low[np.ix_(idx, idx)] = cholesky(gram * (cone_slice_mass(n, 1.0) / samples), lower=True)
+        low[np.ix_(idx, idx)] = cholesky(gram * (_cone_slice_mass(n, 1.0) / samples), lower=True)
     coeff = solve_triangular(low, np.eye(len(exponents)), lower=True)
     # ||I - L^T G^-1 L|| over all classes at once, with the quadrature oracle's G, not the closed form
     error = np.abs(1.0 - np.linalg.eigvalsh(low.T @ np.linalg.solve(exact_gram(n, k), low))).max()
@@ -402,7 +382,7 @@ def test_build_gram_is_the_gram_of_each_frames_images(n, samples):
         for w in images:
             a = eval_monomials(w, basis.exponents)
             gram += a.conj().T @ a
-        gram *= cone_slice_mass(n, 1.0) / (samples * len(images))
+        gram *= _cone_slice_mass(n, 1.0) / (samples * len(images))
         low = np.linalg.inv(basis.coeff)
         np.testing.assert_allclose(gram, low @ low.T, rtol=1e-12, atol=1e-15 * np.abs(gram).max(),
                                    err_msg=f"k={basis.k}")
@@ -411,7 +391,7 @@ def test_build_gram_is_the_gram_of_each_frames_images(n, samples):
     for k in range(13):
         inverse = _inverse_gram(n, k)
         assert inverse.dtype == float
-        assert not inverse[~same_parity(monomial_basis(n, k))].any(), k
+        assert not inverse[~same_parity(_monomial_basis(n, k))].any(), k
 
 
 def test_build_memory_does_not_grow_with_check_frames():
@@ -536,7 +516,7 @@ def test_kernel_matches_closed_form(n, k):
     gen = np.random.default_rng(100 * n + k)
     x = np.array([unit_slice_point(n, gen) for _ in range(50)])
     y = np.array([unit_slice_point(n, gen) for _ in range(50)])
-    diagonal = ev.basis.size / cone_slice_mass(n, 1.0)
+    diagonal = ev.basis.size / _cone_slice_mass(n, 1.0)
     err = np.abs(ev.kernel(x, y) - szego_kernel_exact(n, k, x, y)).max() / diagonal
     assert err <= 1e-13
 
@@ -561,9 +541,9 @@ def test_diagonal_matches_dimension():
     for n, k in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]:
         basis = exact_cone_basis(n, k)
         ev = SzegoEvaluator(basis=basis, radius=SQRT2)
-        expected = basis.size / cone_slice_mass(n, SQRT2)
+        expected = basis.size / _cone_slice_mass(n, SQRT2)
         for _ in range(5):
-            z = sample_frame(n, gen).lift()
+            z = sample_frame(n, gen)
             np.testing.assert_allclose(ev.kernel(z, z).real, expected, rtol=1e-10)
 
 
@@ -708,15 +688,14 @@ def test_c_constant_validation():
 
 
 def test_fubini_study_distance_basics():
-    f = FramePoint(q=np.array([1.0, 0.0, 0.0]), p=np.array([0.0, 1.0, 0.0]))
-    z = f.lift()
-    assert fubini_study_distance(z, z) == 0.0
-    assert fubini_study_distance(z, np.exp(1j * 0.8) * z) < 1e-7
-    np.testing.assert_allclose(fubini_study_distance(z, z.conj()), SQRT2, rtol=1e-12)
+    z = np.array([1.0, 1j, 0.0])
+    assert _fubini_study_distance(z, z) == 0.0
+    assert _fubini_study_distance(z, np.exp(1j * 0.8) * z) < 1e-7
+    np.testing.assert_allclose(_fubini_study_distance(z, z.conj()), SQRT2, rtol=1e-12)
     with pytest.raises(ValueError):
-        fubini_study_distance(z / SQRT2, z)
+        _fubini_study_distance(z / SQRT2, z)
     with pytest.raises(ValueError):
-        fubini_study_distance(np.array([SQRT2, 0.0, 0.0], dtype=complex), z)
+        _fubini_study_distance(np.array([SQRT2, 0.0, 0.0], dtype=complex), z)
 
 
 def test_probe_pair():
@@ -754,9 +733,9 @@ def test_unique_fiber_sign_combinations():
     # distance vanishes only when both fiber signs match
     q0, q1, p0, p1 = matched_fiber_pair(0.9)
     for s0, s1 in [(1, 1), (-1, -1)]:
-        assert fubini_study_distance(q0 + 1j * s0 * p0, q1 + 1j * s1 * p1) < 1e-12
+        assert _fubini_study_distance(q0 + 1j * s0 * p0, q1 + 1j * s1 * p1) < 1e-12
     for s0, s1 in [(1, -1), (-1, 1)]:
-        d = fubini_study_distance(q0 + 1j * s0 * p0, q1 + 1j * s1 * p1)
+        d = _fubini_study_distance(q0 + 1j * s0 * p0, q1 + 1j * s1 * p1)
         assert abs(d - SQRT2) < 1e-12
 
 
@@ -772,7 +751,7 @@ def test_unique_fiber_grid_scan():
     grid = np.empty((steps, steps))
     for i in range(steps):
         for j in range(steps):
-            grid[i, j] = fubini_study_distance(q0 + 1j * pa[i], q1 + 1j * pb[j])
+            grid[i, j] = _fubini_study_distance(q0 + 1j * pa[i], q1 + 1j * pb[j])
     assert grid[0, 0] < 1e-12
     assert grid[steps // 2, steps // 2] < 1e-6
     mask = np.ones_like(grid, dtype=bool)
@@ -788,8 +767,7 @@ def test_unique_fiber_grid_scan():
 
 def test_decay_probe_trivial_pairs():
     bases = [exact_cone_basis(2, k) for k in (2, 3, 4)]
-    f = FramePoint(q=np.array([1.0, 0.0, 0.0]), p=np.array([0.0, 1.0, 0.0]))
-    x = f.lift() / SQRT2
+    x = np.array([1.0, 1j, 0.0]) / SQRT2
     same = offdiagonal_decay_probe(bases, x, x, min_dist=0.0)
     np.testing.assert_allclose(same.values, 1.0, rtol=1e-12)
     assert same.distance < 1e-7

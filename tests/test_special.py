@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import binom, eval_gegenbauer, eval_jacobi, eval_legendre
 
+from oracles import gegenbauer_norm_constant
 from zonal import special
 from zonal.asymptotics import AngleWindow
 from zonal.special import (
@@ -19,7 +20,6 @@ from zonal.special import (
     _gamma_ratio,
     _scaled_half_pochhammer,
     dim_eigenspace,
-    gegenbauer_norm_constant,
     legendre_normalized,
     legendre_sweep,
     projector_kernel,
@@ -186,6 +186,10 @@ def test_sweep_matches_single_degree():
 def test_sweep_rejects_negative_kmax():
     with pytest.raises(ValueError):
         legendre_sweep(2, -1, 0.5)
+    # the dimension and the degree are checked as legendre_normalized's ZonalIndex checks them
+    for n, kmax in ((0, 3), (1.5, 3), (True, 3), (2, 2.5), (2, True)):
+        with pytest.raises(ValueError, match="ZonalIndex"):
+            legendre_sweep(n, kmax, 0.5)
 
 
 def test_reproducing_idempotence():
@@ -317,6 +321,23 @@ def test_circle_forward_error_at_the_pole_and_the_switch():
             refs = np.array([float(_mp_value_one(1, k, ti)) for ti in t])
             worst = float(np.max(np.abs(vals - refs)))
             assert worst <= FORWARD_C * k * np.finfo(float).eps, (k, worst)
+
+
+def test_circle_half_angle_branch_error_is_relative_to_the_angle():
+    # next to x = 1 the half-angle branch rounds theta to half an ulp of itself,
+    # so the error stays within (1 + k theta) eps, and near 0.55 of it at worst;
+    # asin(x) at these angles reads 102, 1.3e5 and 9.6e6 times that bound
+    import mpmath as mp
+
+    x = np.array([1.0 - 2.0**-j for j in range(8, 53, 2)])
+    t = np.concatenate([x, -x])
+    with mp.workdps(50):
+        theta = np.array([float(mp.acos(mp.mpf(float(xi)))) for xi in np.abs(t)])
+        for k in (10**3, 10**6, 10**8):
+            vals = legendre_normalized(ZonalIndex(n=1, k=k), t)
+            refs = np.array([float(_mp_value_one(1, k, ti)) for ti in t])
+            worst = float(np.max(np.abs(vals - refs) / (1.0 + k * theta)))
+            assert worst <= np.finfo(float).eps, (k, worst)
 
 
 def test_sweep_matches_single_degree_on_the_expansion():
