@@ -10,6 +10,7 @@ independent quadrature oracle for that coefficient.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -63,13 +64,32 @@ class AngleWindow:
             )
         return lo, hi
 
-    def grid(self, k: int, size: int) -> np.ndarray:
-        """Uniform midpoint grid of ``size`` angles strictly inside the window."""
+    def nodes(self, k: int, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The grid's angles theta, cos(theta) and sin(theta), cached and read-only.
+
+        One copy per (lo, hi, size), so at delta = 0 every degree shares it.
+        """
         if not _is_int(size) or size < 1:
             raise ValueError(f"AngleWindow.grid: expected integer size >= 1, got {size!r}")
-        lo, hi = self.bounds(k)
-        step = (hi - lo) / size
-        return lo + (np.arange(size) + 0.5) * step
+        return _midpoint_nodes(*self.bounds(k), int(size))
+
+    def grid(self, k: int, size: int) -> np.ndarray:
+        """Uniform midpoint grid of ``size`` angles strictly inside the window.
+
+        The array is cached and read-only (see ``nodes``).
+        """
+        return self.nodes(k, size)[0]
+
+
+# one 2^18-angle entry holds 6 MB; a sweep over degrees meets each window once
+@functools.lru_cache(maxsize=1)
+def _midpoint_nodes(lo: float, hi: float, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    step = (hi - lo) / size
+    theta = lo + (np.arange(size) + 0.5) * step
+    nodes = (theta, np.cos(theta), np.sin(theta))
+    for arr in nodes:
+        arr.flags.writeable = False
+    return nodes
 
 
 @dataclass(frozen=True)
@@ -109,13 +129,14 @@ def _phase_alpha(idx: ZonalIndex, theta):
     return idx.k * arr + (0.5 * arr - 0.25 * math.pi) * (idx.n - 1)
 
 
-def _leading(idx: ZonalIndex, theta, form) -> AsymptoticValue:
+def _leading(idx: ZonalIndex, theta, form, sin=None) -> AsymptoticValue:
     """Leading form with amplitude c (b / sin theta)^L, L = (n-1)/2, for (c, b) = form(k, L).
 
     c is the amplitude at n = 1 and b holds every other constant.  For L > 0
     c joins b as c^(1/L), so the power forms the amplitude itself and no
     factor leaves the double range first; ValueError unless the amplitude
-    at its largest is a normal positive double.
+    at its largest is a normal positive double.  ``sin``, when given, is
+    np.sin(theta), as a caller holding it already passes it.
     """
     _checked_degree(idx)
     arr = _checked_theta(theta)
@@ -124,7 +145,7 @@ def _leading(idx: ZonalIndex, theta, form) -> AsymptoticValue:
     if lam:
         b *= c ** (1.0 / lam)
         with np.errstate(over="ignore"):
-            amp = b / np.sin(arr)
+            amp = b / (np.sin(arr) if sin is None else sin)
             peak = amp.max(initial=b) ** lam
             # in place: each 2^17-angle temporary costs about as much as the arithmetic
             amp **= lam
@@ -136,17 +157,18 @@ def _leading(idx: ZonalIndex, theta, form) -> AsymptoticValue:
     return AsymptoticValue(amplitude=amp, phase=_phase_alpha(idx, arr))
 
 
-def legendre_leading(idx: ZonalIndex, theta) -> AsymptoticValue:
+def legendre_leading(idx: ZonalIndex, theta, *, _sin=None) -> AsymptoticValue:
     """Leading high-degree form of the value-one zonal polynomial.
 
     amplitude = 4^L (1/2)_L (2 k sin theta)^(-L), L = (n-1)/2, the large-k limit
     of special._darboux_plan's scale; b = (2/k) ((1/2)_L)^(1/L) goes through
     lgamma, so it stays a double where 4^L (1/2)_L overflows (n >= 270).
     For n=1 this collapses to cos(k theta) exactly; for n=2 it is the
-    classical sqrt(2 / (pi k sin theta)) envelope.
+    classical sqrt(2 / (pi k sin theta)) envelope.  ``_sin`` is private: the
+    cached sin(theta) of ``AngleWindow.nodes``, passed by the harness.
     """
     return _leading(idx, theta, lambda k, lam: (  # at n = 1 the log is 0 and b is unused
-        1.0, 2.0 / k * math.exp((math.lgamma(lam + 0.5) - 0.5 * math.log(math.pi)) / (lam or 1.0))))
+        1.0, 2.0 / k * math.exp((math.lgamma(lam + 0.5) - 0.5 * math.log(math.pi)) / (lam or 1.0))), _sin)
 
 
 def projector_leading(idx: ZonalIndex, theta) -> AsymptoticValue:

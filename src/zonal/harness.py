@@ -48,11 +48,11 @@ def bracket_errors_on_grid(idx: ZonalIndex, window: AngleWindow, grid_size: int 
     """Per-angle envelope-relative errors of the leading form at degree k.
 
     Returns (thetas, exact, leading, rel_err) arrays over the window's
-    midpoint grid.
+    midpoint grid; thetas is the window's cached, read-only grid.
     """
-    thetas = window.grid(idx.k, grid_size)
-    exact = legendre_normalized(idx, np.cos(thetas))
-    lead = legendre_leading(idx, thetas)
+    thetas, cos, sin = window.nodes(idx.k, grid_size)
+    exact = legendre_normalized(idx, cos)
+    lead = legendre_leading(idx, thetas, _sin=sin)
     rel = exact - lead.value
     np.abs(rel, out=rel)
     rel /= lead.amplitude

@@ -203,14 +203,14 @@ def _inverse_gram(n: int, k: int) -> np.ndarray:
 def _monomial_plan(families):
     """Each coordinate's top exponent over all families, and each family's walk in
     lexicographic order: (exponents, first coordinate changed from the last, row)."""
-    tops = [max(col) for col in zip(*(e for fam in families for e in fam))]
+    tops = tuple(max(col) for col in zip(*(e for fam in families for e in fam)))
     walks = []
     for fam in families:
         order = sorted(range(len(fam)), key=fam.__getitem__)
         firsts = [0] + [[x == y for x, y in zip(fam[a], fam[b])].index(False)
                         for a, b in zip(order, order[1:])]
-        walks.append([(fam[row], first, row) for row, first in zip(order, firsts)])
-    return tops, walks
+        walks.append(tuple((fam[row], first, row) for row, first in zip(order, firsts)))
+    return tops, tuple(walks)
 
 
 def _monomial_rows(z: np.ndarray, families):

@@ -72,12 +72,14 @@ class ZonalIndex:
 
 
 def _clamped(t):
+    """t as a float array inside [-1, 1]: t itself, never written, when it lies there already."""
     arr = np.asarray(t, dtype=float)
+    lo, hi = arr.min(initial=0.0), arr.max(initial=0.0)
     # min and max carry a NaN through, and NaN fails the comparison
-    if not (arr.min(initial=0.0) >= -1.0 - ARG_SLACK and arr.max(initial=0.0) <= 1.0 + ARG_SLACK):
+    if not (lo >= -1.0 - ARG_SLACK and hi <= 1.0 + ARG_SLACK):
         worst = float(arr[np.unravel_index(np.argmax(np.abs(arr)), arr.shape)]) if arr.ndim else float(arr)
         raise ValueError(f"legendre argument is NaN or outside [-1, 1] beyond clamp tolerance: {worst!r}")
-    return np.clip(arr, -1.0, 1.0)
+    return arr if -1.0 <= lo and hi <= 1.0 else np.clip(arr, -1.0, 1.0)
 
 
 def _gamma_ratio(k: int, lam: float) -> float:

@@ -416,9 +416,9 @@ def test_thread_count_never_changes_bytes(tmp_path):
 
 
 def test_warm_caches_match_a_fresh_process(tmp_path):
-    # quadrature rules persist between calls in one process; a cold call, a
-    # warm call and a fresh process must give the same bytes
-    from zonal import quadrature
+    # quadrature rules and window nodes persist between calls in one process;
+    # a cold call, a warm call and a fresh process must give the same bytes
+    from zonal import asymptotics, quadrature
 
     quadrature.sphere_rule.cache_clear()
     config = {"n": 3, "ks": [2, 4], "samples": 20000, "pairs": 2, "seed": 13}
@@ -427,16 +427,26 @@ def test_warm_caches_match_a_fresh_process(tmp_path):
         stream = io.StringIO()
         payload = harness.geometric_oracle(build_cone_basis(3, (2, 4), 20000, 13), 2, 13)
         harness.json_summary("oracle", config, payload, stream)
-        texts.append(stream.getvalue())
-    target = tmp_path / "oracle.json"
-    proc = subprocess.run(
-        [sys.executable, "-m", "zonal.cli", "oracle", "--n", "3", "--ks", "2,4", "--pairs", "2",
-         "--samples", "20000", "--seed", "13", "--out", str(target)],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert texts[0].encode() == texts[1].encode() == target.read_bytes()
+        texts.append(stream.getvalue().encode())
+    runs = [(texts, ["oracle", "--n", "3", "--ks", "2,4", "--pairs", "2", "--samples", "20000", "--seed", "13"])]
+    for delta in ("0", "0.1"):
+        argv = ["scaling", "--delta", delta, "--format", "json"]
+        asymptotics._midpoint_nodes.cache_clear()
+        texts = []
+        for warm in range(2):
+            target = tmp_path / f"scaling-{delta}-{warm}.json"
+            assert main([*argv, "--out", str(target)]) == 0
+            texts.append(target.read_bytes())
+        runs.append((texts, argv))
+    for texts, argv in runs:
+        target = tmp_path / "fresh.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "zonal.cli", *argv, "--out", str(target)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert texts[0] == texts[1] == target.read_bytes(), argv
 
 
 FLAG_DEFAULTS = {

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from oracles import decay_exact, eval_monomials, exact_cone_basis, fiber_nodes, gram_stderr
-from zonal import quadric, rng
-from zonal.asymptotics import AngleWindow, c_constant_leading
+from zonal import asymptotics, quadric, rng
+from zonal.asymptotics import AngleWindow, c_constant_leading, legendre_leading
 from zonal.harness import (
     CSV_HEADER,
     JSON_BATCH,
@@ -21,7 +21,7 @@ from zonal.harness import (
     write_csv,
 )
 from zonal.quadric import SzegoEvaluator, _pushforward_raw, build_cone_basis, sphere_point
-from zonal.special import ZonalIndex
+from zonal.special import ZonalIndex, legendre_normalized
 
 
 def test_bracket_errors_on_grid_shapes():
@@ -33,6 +33,51 @@ def test_bracket_errors_on_grid_shapes():
     assert np.all((thetas > lo) & (thetas < hi))
     assert np.all(rel >= 0.0)
     assert np.asarray(lead.value).shape == (64,)
+
+
+def test_bracket_errors_match_the_uncached_reference_bit_for_bit():
+    # the window's nodes are cached per (lo, hi, size): at delta = 0 every
+    # degree shares them (hits), and each new size, C or delta at delta > 0
+    # forms them anew (misses).  Every array equals the uncached evaluation.
+    # The 2^17 angles of the kernel benchmark are checked at its C = 1 alone
+    def bits(a):
+        return np.asarray(a, dtype=float).view(np.int64)
+
+    nodes = asymptotics._midpoint_nodes
+    nodes.cache_clear()
+    for delta in (0.0, 0.1):
+        for k in (31, 256, 257, 1000):
+            for size in (512, 1 << 17, 1001):
+                for c in (1.0, 0.02) if size < 1 << 17 else (1.0,):
+                    window = AngleWindow(c, delta)
+                    lo, hi = window.bounds(k)
+                    theta = lo + (np.arange(size) + 0.5) * ((hi - lo) / size)
+                    for n in range(1, 6):
+                        idx = ZonalIndex(n=n, k=k)
+                        got_theta, exact, lead, rel = bracket_errors_on_grid(idx, window, size)
+                        ref_exact = legendre_normalized(idx, np.cos(theta))
+                        ref_lead = legendre_leading(idx, theta)
+                        ref_rel = np.abs(ref_exact - ref_lead.value) / ref_lead.amplitude
+                        pairs = [(got_theta, theta), (exact, ref_exact), (rel, ref_rel),
+                                 *((getattr(lead, f), getattr(ref_lead, f)) for f in ("amplitude", "phase", "value"))]
+                        for got, ref in pairs:
+                            np.testing.assert_array_equal(bits(got), bits(ref), err_msg=f"{idx} {window} {size}")
+    info = nodes.cache_info()
+    assert info.hits > 0 and info.misses > 0, info
+    assert info.currsize <= info.maxsize
+
+
+def test_window_nodes_are_read_only_and_bounded():
+    window = AngleWindow(c=0.5, delta=0.1)
+    for k in range(2, 40):
+        theta, cos, sin = window.nodes(k, 64)
+        assert window.grid(k, 64) is theta
+        for arr in (theta, cos, sin, bracket_errors_on_grid(ZonalIndex(n=2, k=k), window, 64)[0]):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        info = asymptotics._midpoint_nodes.cache_info()
+        assert info.currsize <= info.maxsize
 
 
 def test_relative_bracket_error_circle_closes():

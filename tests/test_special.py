@@ -416,9 +416,9 @@ def test_chunk_size_keeps_every_value(n, monkeypatch):
 
 def test_expansion_memory_is_chunked():
     # the expansion and the closed form hold a dozen temporaries per angle;
-    # over 16384-angle chunks of these 2^18 angles the call peaks near 3.6
-    # input sizes (the clamped copy, |t|, the result and one chunk's
-    # temporaries), over the whole array at once near 13
+    # over 16384-angle chunks of these 2^18 angles the call peaks near 2.6
+    # input sizes (|t|, the result and one chunk's temporaries; an argument
+    # inside [-1, 1] is not copied), over the whole array at once near 12
     t = np.cos(np.linspace(0.0, math.pi, 2**18))
     for n in (1, 2):
         tracemalloc.start()
@@ -561,6 +561,26 @@ def test_argument_clamp():
     for n in (1, 2):
         for k in (3, 300):
             assert legendre_normalized(ZonalIndex(n=n, k=k), np.empty((2, 0))).shape == (2, 0)
+
+
+def test_clamp_passes_an_in_range_argument_through():
+    # an argument inside [-1, 1] is used as given, with no clipped copy, and is
+    # never written: a read-only one is accepted and keeps its bits
+    t = np.cos(np.linspace(0.0, math.pi, 1001))
+    t.flags.writeable = False
+    before = t.copy()
+    assert special._clamped(t) is t
+    for n in (1, 2, 3):
+        for k in (3, 33, 300):
+            legendre_normalized(ZonalIndex(n=n, k=k), t)
+    legendre_sweep(2, 4, t)
+    np.testing.assert_array_equal(t.view(np.int64), before.view(np.int64))
+    # a value within the slack outside [-1, 1] is still clamped, into a new array
+    edge = np.array([0.5, 1.0 + 1e-13, -1.0 - 1e-13])
+    clamped = special._clamped(edge)
+    assert clamped is not edge and clamped.tolist() == [0.5, 1.0, -1.0]
+    assert edge[1] == 1.0 + 1e-13
+    assert legendre_normalized(ZonalIndex(n=2, k=4), edge)[1] == 1.0
 
 
 _angles = st.lists(
