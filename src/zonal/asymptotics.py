@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import special
 from .special import ZonalIndex, _is_int, vol_sphere
 
 __all__ = [
@@ -69,16 +70,22 @@ class AngleWindow:
 
         One copy per (lo, hi, size), so at delta = 0 every degree shares it.
         """
-        if not _is_int(size) or size < 1:
-            raise ValueError(f"AngleWindow.grid: expected integer size >= 1, got {size!r}")
-        return _midpoint_nodes(*self.bounds(k), int(size))
+        size = _checked_size("nodes", size)
+        return _midpoint_nodes(*self.bounds(k), size)
 
     def grid(self, k: int, size: int) -> np.ndarray:
         """Uniform midpoint grid of ``size`` angles strictly inside the window.
 
         The array is cached and read-only (see ``nodes``).
         """
-        return self.nodes(k, size)[0]
+        size = _checked_size("grid", size)
+        return _midpoint_nodes(*self.bounds(k), size)[0]
+
+
+def _checked_size(method: str, size) -> int:
+    if not _is_int(size) or size < 1:
+        raise ValueError(f"AngleWindow.{method}: expected integer size >= 1, got {size!r}")
+    return int(size)
 
 
 # one 2^18-angle entry holds 6 MB; a sweep over degrees meets each window once
@@ -101,7 +108,19 @@ class AsymptoticValue:
     value: np.ndarray | float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "value", self.amplitude * np.cos(self.phase))
+        amp, phase = self.amplitude, self.phase
+        if (type(amp) is type(phase) is np.ndarray and amp.shape == phase.shape
+                and amp.dtype == phase.dtype == np.float64 and amp.size > special.CHUNK):
+            # the same product, chunk by chunk on special's worker threads
+            value = special._in_chunks(_times_cos, amp, phase)
+        else:
+            value = amp * np.cos(phase)
+        object.__setattr__(self, "value", value)
+
+
+def _times_cos(amp, phase, out):
+    np.cos(phase, out=out)
+    np.multiply(amp, out, out=out)
 
 
 def _checked_theta(theta):

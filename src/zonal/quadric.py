@@ -67,26 +67,25 @@ def require_oracle_domain(label: str, n: int, ks=()) -> None:
                          "the last degree at which tests/oracles.C_EXACT checks c_k")
 
 
-def _cone_slice_mass(n: int, r: float = 1.0) -> float:
-    """Total mass of the radius-r cone slice under the normalized volume form.
+def _cone_slice_mass(n: int) -> float:
+    """Total mass of the unit cone slice under the normalized volume form.
 
     The radius-sqrt(2) slice is the orthonormal 2-frame manifold embedded in
     R^(2n+2); its Euclidean-induced Riemannian volume is sqrt(2) times the
     product of the base and fiber sphere volumes (the base direction moving
     along the fiber circle carries metric factor sqrt(2), as a direct
     computation at n=1 confirms: two circles of circumference 2 pi sqrt(2)).
-    The form scales with degree 2n-1 in r and one global 1/(2 pi) normalizes
-    the circle direction:
+    The form scales with degree 2n-1 in the radius r (``SzegoEvaluator.prefactor``
+    divides by that r^(2n-1)), and one global 1/(2 pi) normalizes the circle
+    direction:
 
-        mass(r) = r^(2n-1) 2^(-(n-1)) vol(S^n) vol(S^(n-1)) / (2 pi).
+        mass(1) = 2^(-(n-1)) vol(S^n) vol(S^(n-1)) / (2 pi).
 
     Cross-check: the trace of the degree-k reproducing kernel forces the
     diagonal value N / mass(sqrt(2)), whose large-k form is
     (sqrt(2)/2^n) (k/pi)^(n-1) exactly when this mass is used.
     """
-    if not r > 0.0:
-        raise ValueError(f"_cone_slice_mass: expected radius > 0, got {r!r}")
-    return float(r) ** (2 * n - 1) * 2.0 ** (-(n - 1)) * (vol_sphere(n) * vol_sphere(n - 1)) / (2.0 * math.pi)
+    return 2.0 ** (-(n - 1)) * (vol_sphere(n) * vol_sphere(n - 1)) / (2.0 * math.pi)
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -196,7 +195,7 @@ def _inverse_gram(n: int, k: int) -> np.ndarray:
         for b in _exponent_tuples(n, half):
             row[column[(first, *(gj + 2 * bj for gj, bj in zip(g[1:], b)))]] += (-1) ** half * _multinomial(b)
     weights = np.array([_multinomial(g) for g in powers], dtype=float)
-    return (reduce.T * weights) @ reduce * (len(exponents) / _cone_slice_mass(n, 1.0))
+    return (reduce.T * weights) @ reduce * (len(exponents) / _cone_slice_mass(n))
 
 
 @functools.lru_cache(maxsize=32)
@@ -333,7 +332,7 @@ def build_cone_basis(n: int, ks, samples: int, seed: int) -> tuple[ConeBasis, ..
             del a  # freed before the next degree's values, so that buffer is reused (a zip would hold it)
         return np.concatenate(grams)
 
-    flat = rng.map_blocks(one_block, -(-samples // rng.BLOCK)) * (_cone_slice_mass(n, 1.0) / samples)
+    flat = rng.map_blocks(one_block, -(-samples // rng.BLOCK)) * (_cone_slice_mass(n) / samples)
     grams = iter(np.split(flat, np.cumsum([len(idx) ** 2 for cls in classes for idx in cls])[:-1]))
 
     bases = []

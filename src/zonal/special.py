@@ -8,11 +8,18 @@ and everywhere else by scipy's compiled recurrence in that normalization.
 Everything else in the package (asymptotic brackets, the projector kernel,
 the geometric cross-checks) is expressed against it.  Only the recurrence
 imports scipy (as does the range check, for binom near the overflow edge),
-so the closed form and the expansion run on numpy alone.
+so the closed form and the expansion run on numpy alone.  All three run
+over chunks of CHUNK angles on up to MAX_WORKERS threads, one per CPU the
+process may use; each value depends on its own angle alone and each chunk
+writes only its own slice, so the bytes do not depend on the thread count.
 """
 from __future__ import annotations
 
+import contextvars
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -37,12 +44,18 @@ ARG_SLACK = 1e-12
 K_EXPANSION = 32
 # most terms of the expansion summed at one angle
 MAX_TERMS = 20
-# angles per pass of the closed form and the expansion: a dozen 128 kB
-# temporaries fit a 2 MB L2 cache, and the numpy calls a pass makes run 8
-# times on 2^17 angles, not 32.  Per kernel benchmark task (2 vCPUs)
-# 4096 / 8192 / 16384 / 32768 / 131072 angles took 20.7 / 20.0 / 19.9 / 23.4 /
-# 26.4 ms
+# angles per pass of the value-one evaluation: a dozen 128 kB temporaries
+# fit a 2 MB L2 cache, the numpy calls a pass makes run 8 times on 2^17
+# angles, not 32, and 2^17 angles make 8 chunks to share between threads.
+# Per kernel benchmark task (2 vCPUs, 2 threads) 4096 / 8192 / 16384 /
+# 32768 / 131072 angles took 30.9 / 26.1 / 23.7 / 26.5 / 42.6 ms, the last
+# on one thread
 CHUNK = 16384
+# most threads one call runs its chunks on: each holds one chunk's
+# temporaries, about 0.6 of 2^18 input angles' size, so a 2^18-angle call
+# peaks near 3.5 input sizes at 4 threads and 4.7 at 6
+# (test_expansion_memory_is_chunked allows 5)
+MAX_WORKERS = 4
 _EPS = np.finfo(float).eps
 _SQRT_HALF = math.sqrt(0.5)
 # 2^27 + 1, Dekker's splitting factor for doubles
@@ -261,47 +274,89 @@ def _split(a):
     return hi, a - hi
 
 
-def _in_chunks(fn, x: np.ndarray) -> np.ndarray:
-    """fn(xs, out) over a flat copy of x, CHUNK values at a time, so its temporaries stay in cache."""
-    flat_x = x.ravel()
-    flat = np.empty_like(flat_x)
-    for lo in range(0, flat.size, CHUNK):
-        fn(flat_x[lo:lo + CHUNK], flat[lo:lo + CHUNK])
-    return flat.reshape(x.shape)
+def _workers(chunks: int) -> int:
+    """Threads for that many chunks: at most one per chunk and per CPU the process may use, and MAX_WORKERS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(chunks, cpus, MAX_WORKERS)
+
+
+def _in_chunks(fn, *arrays: np.ndarray) -> np.ndarray:
+    """fn(*chunks, out) over arrays of one shape, flattened, CHUNK values at a time.
+
+    A chunk's temporaries stay in cache.  The chunks are split into one
+    contiguous run per worker: the caller takes the first run and a thread
+    each of the others.  fn writes only its own out, so the bytes do not
+    depend on the worker count.  Once every thread has ended, the first
+    exception in run order reaches the caller.
+    """
+    flats = [a.ravel() for a in arrays]
+    flat = np.empty_like(flats[0])
+    if flat.size <= CHUNK:
+        # one chunk or none, on the caller alone
+        if flat.size:
+            fn(*flats, flat)
+        return flat.reshape(arrays[0].shape)
+    starts = range(0, flat.size, CHUNK)
+    workers = _workers(len(starts))
+    errors = [None] * workers
+
+    def run(i):
+        try:
+            for lo in starts[len(starts) * i // workers:len(starts) * (i + 1) // workers]:
+                fn(*(f[lo:lo + CHUNK] for f in flats), flat[lo:lo + CHUNK])
+        except BaseException as exc:  # raised by the caller below
+            errors[i] = exc
+
+    # each thread runs in a copy of the caller's context, so numpy's error state holds there too
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, i)) for i in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return flat.reshape(arrays[0].shape)
 
 
 def _value_one(n: int, k: int, t: np.ndarray) -> np.ndarray:
-    """Values at clamped t for an int degree k."""
-    x = np.abs(t)
+    """Values at clamped t for an int degree k, chunk by chunk."""
     if n == 1:
         if k > 2**53:
             raise ValueError(f"legendre degree k={k} on S^1 is outside the evaluated range: "
                              "k <= 2^53, so that float(k) is exact")
-        vals = _in_chunks(lambda xs, out: _chebyshev(k, xs, out), x)
+        method = functools.partial(_chebyshev, k)
     else:
         _check_range(n, k)
         plan = _darboux_plan(n, k) if k >= K_EXPANSION else None
-        if plan is None:
-            vals = _recurrence(n, k, x)
-        else:
-            def expansion(xs, out):
-                if xs.max() < plan.bound:
-                    out[...] = _darboux(n, k, xs, plan)
-                    return
+
+        def method(xs, out):
+            if plan is None:
+                out[...] = _recurrence(n, k, xs)
+            elif xs.max() < plan.bound:
+                out[...] = _darboux(n, k, xs, plan)
+            else:
                 inside = xs < plan.bound
                 if inside.any():
                     out[inside] = _darboux(n, k, xs[inside], plan)
                 rest = ~inside
                 out[rest] = _recurrence(n, k, xs[rest])
 
-            vals = _in_chunks(expansion, x)
-    # exact endpoints, whatever scipy's loops round to there
-    np.copyto(vals, 1.0, where=x == 1.0)
-    if k % 2:
-        # an odd degree vanishes at 0, where the expansion leaves rounding
-        np.copyto(vals, 0.0, where=x == 0.0)
-        np.negative(vals, out=vals, where=t < 0.0)
-    return vals
+    def chunk(ts, out):
+        xs = np.abs(ts)
+        method(xs, out)
+        # exact endpoints, whatever scipy's loops round to there
+        np.copyto(out, 1.0, where=xs == 1.0)
+        if k % 2:
+            # an odd degree vanishes at 0, where the expansion leaves rounding
+            np.copyto(out, 0.0, where=xs == 0.0)
+            np.negative(out, out=out, where=ts < 0.0)
+
+    return _in_chunks(chunk, t)
 
 
 def legendre_normalized(idx: ZonalIndex, t):
@@ -349,7 +404,10 @@ def legendre_normalized(idx: ZonalIndex, t):
 
     Each value depends on its own angle alone: the method, and the terms
     the expansion sums, are chosen per angle, so a value is the same bit
-    for bit whether t holds that angle alone or among others.
+    for bit whether t holds that angle alone or among others.  The three
+    methods therefore run over chunks of CHUNK angles on up to MAX_WORKERS
+    threads, one per CPU the process may use, and the bytes do not depend
+    on how many.
 
     Envelope-relative forward error against 40- to 50-digit references:
     the closed form stays below 0.5 k eps (k = 1 up to 2^53, near the pole

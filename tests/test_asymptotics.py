@@ -16,6 +16,7 @@ from zonal.asymptotics import (
     legendre_leading,
     projector_leading,
 )
+from zonal import special
 from zonal.special import ZonalIndex, dim_eigenspace, vol_sphere
 
 
@@ -49,6 +50,32 @@ def test_circle_phase_is_k_theta():
 def test_asymptotic_value_composition():
     av = AsymptoticValue(amplitude=2.0, phase=0.3)
     assert av.value == 2.0 * np.cos(0.3)
+    assert type(av.value) is type(2.0 * np.cos(0.3))
+
+
+@pytest.mark.filterwarnings("error")
+def test_asymptotic_value_in_chunks_is_the_product(monkeypatch):
+    # arrays of one shape larger than a chunk take special's chunked, threaded
+    # path; the bits, signed zeros, infinities and NaNs are amplitude * cos(phase)'s,
+    # and the caller's np.errstate holds on the threads that meet cos(inf)
+    monkeypatch.setattr(special, "_workers", lambda chunks: min(chunks, special.MAX_WORKERS))
+    gen = np.random.default_rng(7)
+    size = 3 * special.CHUNK + 5
+    amp = gen.uniform(-3.0, 3.0, size)
+    phase = gen.uniform(-1e4, 1e4, size)
+    amp32, phase32 = amp.astype(np.float32), phase.astype(np.float32)
+    for ends in (slice(0, 12), slice(-12, None)):
+        amp[ends] = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0] * 2
+        phase[ends] = [1.0] * 6 + [0.0, -0.0, math.inf, math.nan, 0.5 * math.pi, 1e300]
+    cases = [(amp, phase), (amp[:-5].reshape(3, -1), phase[:-5].reshape(3, -1)), (amp[::2], phase[::2]),
+             # one chunk, a broadcast shape or another dtype keeps the plain product
+             (amp[:10], phase[:10]), (2.0, phase), (amp32, phase32)]
+    with np.errstate(invalid="ignore"):
+        for a, p in cases:
+            value = AsymptoticValue(amplitude=a, phase=p).value
+            ref = a * np.cos(p)
+            assert type(value) is np.ndarray and value.shape == ref.shape and value.dtype == ref.dtype
+            np.testing.assert_array_equal(value.view(np.uint8), ref.view(np.uint8))
 
 
 def test_legendre_leading_laplace_envelope():
@@ -213,12 +240,14 @@ def test_window_bounds_and_grid():
         AngleWindow(c=2.0).bounds(1)
     with pytest.raises(ValueError):
         window.bounds(0)
-    with pytest.raises(ValueError):
-        window.grid(4, 0)
-    # a non-integer size would give ceil(size) angles, the last on the window's edge
-    for size in (2.5, 3.0, True):
-        with pytest.raises(ValueError, match="integer size"):
-            window.grid(5, size)
+    # each method names itself when it refuses a size
+    for method in ("grid", "nodes"):
+        with pytest.raises(ValueError, match=f"^AngleWindow.{method}: expected integer size"):
+            getattr(window, method)(4, 0)
+        # a non-integer size would give ceil(size) angles, the last on the window's edge
+        for size in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match=f"^AngleWindow.{method}: expected integer size"):
+                getattr(window, method)(5, size)
     assert window.grid(5, np.int64(3)).shape == (3,)
 
 

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -11,7 +13,8 @@ from scipy.special import binom, eval_gegenbauer, eval_jacobi, eval_legendre
 
 from oracles import gegenbauer_norm_constant
 from zonal import special
-from zonal.asymptotics import AngleWindow
+from zonal.asymptotics import AngleWindow, gegenbauer_leading, legendre_leading, projector_leading
+from zonal.harness import bracket_errors_on_grid
 from zonal.special import (
     K_EXPANSION,
     ZonalIndex,
@@ -414,20 +417,142 @@ def test_chunk_size_keeps_every_value(n, monkeypatch):
         np.testing.assert_array_equal(vals[0], vals[1], err_msg=f"k={k}")
 
 
-def test_expansion_memory_is_chunked():
+def test_expansion_memory_is_chunked(monkeypatch):
     # the expansion and the closed form hold a dozen temporaries per angle;
-    # over 16384-angle chunks of these 2^18 angles the call peaks near 2.6
-    # input sizes (|t|, the result and one chunk's temporaries; an argument
-    # inside [-1, 1] is not copied), over the whole array at once near 12
+    # over 16384-angle chunks of these 2^18 angles the call peaks near 1.7
+    # input sizes on one thread (the result and one chunk's temporaries; an
+    # argument inside [-1, 1] is not copied), and each further thread holds
+    # one more chunk's, near 3.5 at MAX_WORKERS; over the whole array at once
+    # near 12
     t = np.cos(np.linspace(0.0, math.pi, 2**18))
+    for workers in (1, special.MAX_WORKERS):
+        _with_workers(monkeypatch, workers)
+        for n in (1, 2):
+            tracemalloc.start()
+            try:
+                legendre_normalized(ZonalIndex(n=n, k=512), t)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 5 * t.nbytes, (workers, n)
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Counts threading.Thread.start calls while the test runs."""
+    starts = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        starts.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return starts
+
+
+def _with_workers(monkeypatch, workers):
+    monkeypatch.setattr(special, "_workers", lambda chunks: min(chunks, workers))
+
+
+def test_worker_count_keeps_every_value(monkeypatch, thread_starts):
+    # five chunks of a C = 0.02 window, whose first and last chunks mix
+    # expansion and recurrence angles (n >= 2; for n = 1, the closed form's
+    # two branches), and five of the default window, all recurrence below
+    # K_EXPANSION, on 1, 2 and MAX_WORKERS threads: the value-one evaluation,
+    # the leading forms and the bracket errors keep their bits
+    size = 5 * special.CHUNK
+    narrow, default = AngleWindow(c=0.02), AngleWindow()
+    kinds = set()
+    for n in (1, 2, 3, 4, 5):
+        for k, window in [(256, narrow), (257, narrow), (1000, narrow), (256, default), (31, default)]:
+            idx = ZonalIndex(n=n, k=k)
+            theta = window.grid(k, size)
+            t = np.cos(theta)
+            got = []
+            for workers in (1, 2, special.MAX_WORKERS):
+                _with_workers(monkeypatch, workers)
+                before = len(thread_starts)
+                arrays = [legendre_normalized(idx, t)]
+                assert len(thread_starts) - before == workers - 1
+                for form in (legendre_leading, projector_leading, gegenbauer_leading):
+                    lead = form(idx, theta)
+                    arrays += [lead.value, lead.amplitude * np.cos(lead.phase)]
+                _, exact, lead, rel = bracket_errors_on_grid(idx, window, size)
+                arrays += [exact, lead.value, rel]
+                got.append([a.view(np.int64) for a in arrays])
+            for other in got[1:]:
+                for ref, arr in zip(got[0], other):
+                    np.testing.assert_array_equal(arr, ref, err_msg=f"n={n} k={k}")
+            # the chunked leading value is the plain product, bit for bit
+            for a in range(1, 7, 2):
+                np.testing.assert_array_equal(got[0][a], got[0][a + 1])
+            plan = _darboux_plan(n, k) if n > 1 else None
+            inside = np.abs(t) < (plan.bound if plan else math.sqrt(0.5))
+            kinds |= {frozenset(inside[lo:lo + special.CHUNK]) for lo in range(0, size, special.CHUNK)}
+    assert kinds >= {frozenset([True]), frozenset([True, False])}
+
+
+@pytest.mark.parametrize("late", [True, False])
+def test_chunk_error_reaches_the_caller(monkeypatch, late):
+    # a chunk raising on a worker thread (late) or on the caller's own run:
+    # the ValueError reaches the caller, and every thread has ended by then
+    _with_workers(monkeypatch, special.MAX_WORKERS)
+    x = np.arange(4 * special.CHUNK, dtype=float)
+    bad = x[-1] if late else 0.0
+
+    def fn(xs, out):
+        if xs[0] <= bad <= xs[-1]:
+            raise ValueError("chunk refused")
+        out[...] = xs
+
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="chunk refused"):
+        special._in_chunks(fn, x)
+    assert threading.active_count() == threads
+    np.testing.assert_array_equal(special._in_chunks(lambda xs, out: np.copyto(out, xs), x), x)
+    assert threading.active_count() == threads
+
+
+def test_many_threads_with_fast_switching_keep_every_value(monkeypatch):
+    # more threads than CPUs, switching every microsecond: every chunk still
+    # lands in its own slice, and no thread outlives the call
+    monkeypatch.setattr(special, "CHUNK", 64)
+    _with_workers(monkeypatch, 8)
+    x = np.arange(20 * special.CHUNK + 3, dtype=float)
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(50):
+            out = special._in_chunks(lambda xs, out: np.negative(xs, out=out), x)
+            np.testing.assert_array_equal(out, -x)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+
+
+def test_empty_or_one_chunk_input_starts_no_thread(monkeypatch, thread_starts):
+    _with_workers(monkeypatch, special.MAX_WORKERS)
     for n in (1, 2):
-        tracemalloc.start()
-        try:
-            legendre_normalized(ZonalIndex(n=n, k=512), t)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 5 * t.nbytes, n
+        assert legendre_normalized(ZonalIndex(n=n, k=300), np.empty((0, 3))).shape == (0, 3)
+        assert legendre_normalized(ZonalIndex(n=n, k=300), np.linspace(-1.0, 1.0, special.CHUNK)).shape == (special.CHUNK,)
+    assert special._in_chunks(np.copyto, np.empty(0)).shape == (0,)
+    assert thread_starts == []
+
+
+def test_worker_count_is_capped_by_chunks_cpus_and_max_workers(monkeypatch):
+    cap = special.MAX_WORKERS
+    monkeypatch.setattr(special.os, "sched_getaffinity", lambda pid: set(range(cap + 3)), raising=False)
+    assert [special._workers(c) for c in (0, 1, cap - 1, cap + 5)] == [0, 1, cap - 1, cap]
+    monkeypatch.setattr(special.os, "sched_getaffinity", lambda pid: {0})
+    assert special._workers(100) == 1
+    # where the affinity call is missing, the CPU count stands in
+    monkeypatch.delattr(special.os, "sched_getaffinity")
+    monkeypatch.setattr(special.os, "cpu_count", lambda: 2)
+    assert special._workers(100) == min(2, cap)
+    monkeypatch.setattr(special.os, "cpu_count", lambda: None)
+    assert special._workers(100) == 1
 
 
 @pytest.mark.filterwarnings("error")
