@@ -5,8 +5,7 @@ Each approximant is the product amplitude * cos(phase) with a common phase
     alpha(theta) = k theta + (theta/2 - pi/4)(n - 1),
 
 valid on angle windows that exclude the poles.  The module also carries the
-closed-form Gaussian coefficient of the scaling regime, together with an
-independent quadrature oracle for that coefficient.
+closed-form Gaussian coefficient of the scaling regime.
 """
 from __future__ import annotations
 
@@ -28,7 +27,6 @@ __all__ = [
     "gegenbauer_leading",
     "c_constant_leading",
     "gaussian_leading_coefficient",
-    "gaussian_coefficient_numeric",
 ]
 
 DELTA_MAX = 1.0 / 6.0
@@ -66,26 +64,14 @@ class AngleWindow:
         return lo, hi
 
     def nodes(self, k: int, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The grid's angles theta, cos(theta) and sin(theta), cached and read-only.
+        """The midpoint grid of ``size`` angles strictly inside the window.
 
-        One copy per (lo, hi, size), so at delta = 0 every degree shares it.
+        Returns theta, cos(theta) and sin(theta), cached and read-only: one
+        copy per (lo, hi, size), so at delta = 0 every degree shares it.
         """
-        size = _checked_size("nodes", size)
-        return _midpoint_nodes(*self.bounds(k), size)
-
-    def grid(self, k: int, size: int) -> np.ndarray:
-        """Uniform midpoint grid of ``size`` angles strictly inside the window.
-
-        The array is cached and read-only (see ``nodes``).
-        """
-        size = _checked_size("grid", size)
-        return _midpoint_nodes(*self.bounds(k), size)[0]
-
-
-def _checked_size(method: str, size) -> int:
-    if not _is_int(size) or size < 1:
-        raise ValueError(f"AngleWindow.{method}: expected integer size >= 1, got {size!r}")
-    return int(size)
+        if not _is_int(size) or size < 1:
+            raise ValueError(f"AngleWindow.nodes: expected integer size >= 1, got {size!r}")
+        return _midpoint_nodes(*self.bounds(k), int(size))
 
 
 # one 2^18-angle entry holds 6 MB; a sweep over degrees meets each window once
@@ -233,39 +219,3 @@ def gaussian_leading_coefficient(n: int, theta) -> complex:
         * math.sin(th) ** (0.5 * (n - 1))
         * complex(np.exp(1j * (0.5 * th - 0.25 * math.pi) * (n - 1)))
     )
-
-
-# half-width of the truncated integration box; the Gaussian tail beyond it
-# is below 1e-14 relative
-_BOX = 8.0
-
-
-def gaussian_coefficient_numeric(n: int, theta) -> complex:
-    """Quadrature oracle for the leading-coefficient Gaussian integral.
-
-    Integrates exp(-|b0|^2/2 - i b0.b1 - (1 + 2i cot theta)|b1|^2/2) over
-    (b0, b1) in R^(n-1) x R^(n-1).  The integrand factorizes into n-1
-    identical two-dimensional integrals, so one midpoint tensor rule on the
-    box [-8, 8]^2 is evaluated and raised to the power n-1.  The node count
-    per axis is 64 inflated with the chirp rate |cot theta|, which keeps the
-    rule at discretization error below 1e-13 across (0.05, pi - 0.05); an
-    angle outside that range raises before anything is allocated.
-    """
-    if not _is_int(n) or not 1 <= n <= 4:
-        raise ValueError(f"gaussian_coefficient_numeric: supported n is 1..4, got {n!r}")
-    th = float(_checked_theta(theta))
-    if not 0.05 < th < math.pi - 0.05:
-        raise ValueError(f"gaussian_coefficient_numeric: theta must lie in (0.05, pi - 0.05), got {th!r}")
-    if n == 1:
-        # zero-dimensional integral: empty product
-        return complex(1.0)
-    cot = 1.0 / math.tan(th)
-    m = max(64, int(math.ceil(4.0 * _BOX * abs(cot) + 2.0 * _BOX)))
-    m += m % 2
-    x = np.linspace(-_BOX, _BOX, m, endpoint=False) + _BOX / m
-    w = 2.0 * _BOX / m
-    xx = x[:, None]
-    yy = x[None, :]
-    integrand = np.exp(-0.5 * xx**2 - 1j * xx * yy - 0.5 * (1.0 + 2j * cot) * yy**2)
-    plane = w * w * integrand.sum()
-    return complex(plane ** (n - 1))

@@ -7,12 +7,12 @@ Each shared flag is defined once, in a help-less parent parser.  The
 Monte Carlo oracle alone draws random numbers, adds --samples and --seed,
 and writes JSON only.  The oracle refuses an n or a degree outside
 quadric's validated domain (ORACLE_DIMENSIONS, ORACLE_MAX_DEGREE) before
-it builds any basis.  --grid is capped so that a run stays below 1 GB of
-memory.  A config file is a flat JSON object whose keys must equal, not
-abbreviate, flag names of the chosen subcommand; its values may begin with
-"-", and explicit command line flags always win over them.  --config is
-found by argparse itself, so an abbreviation such as --conf is honoured and
-of two --config flags the last is loaded.
+it builds any basis.  --grid and --pairs are capped so that a run stays
+below 1 GB of memory.  A config file is a flat JSON object whose keys must
+equal, not abbreviate, flag names of the chosen subcommand; its values may
+begin with "-", and explicit command line flags always win over them.
+--config is found by argparse itself, so an abbreviation such as --conf is
+honoured and of two --config flags the last is loaded.
 Tables share one CSV schema (n,k,delta,C,theta,exact,asymptotic,abs_err,
 rel_err); JSON documents carry schema_version 1 and a config echo of every
 parsed flag but --out, --config and --format.  Exit codes: 0 on success, 2
@@ -36,6 +36,9 @@ DEFAULT_SEED = 20250819
 DEFAULT_SAMPLES = 1_000_000
 # compare peaks at about 179 MB at 2^18 angles, CSV or JSON, both streamed
 MAX_GRID = 1 << 18
+# each pair row holds about 0.3 KB until the JSON is written, so 12 degrees
+# at the cap hold about 0.4 GB
+MAX_PAIRS = 100_000
 
 EVAL_HEADER = ("n", "k", "theta", "legendre", "projector")
 
@@ -144,7 +147,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub.add_argument("--ks", type=_comma_list(_int_type(1), "degrees", distinct=True),
                      default=[2, 4, 8],
                      help=f"comma separated degrees, at most {quadric.ORACLE_MAX_DEGREE}")
-    sub.add_argument("--pairs", type=_int_type(1), default=8, help="random sphere pairs per degree")
+    sub.add_argument("--pairs", type=_int_type(1, MAX_PAIRS), default=8,
+                     help="random sphere pairs per degree")
     sub.add_argument("--samples", type=_int_type(1), default=DEFAULT_SAMPLES,
                      help="Monte Carlo sample count of the basis build")
     sub.add_argument("--seed", type=_int_type(0), default=DEFAULT_SEED,

@@ -23,7 +23,6 @@ from .special import ZonalIndex, dim_eigenspace, legendre_normalized, projector_
 __all__ = [
     "ScalingFit",
     "ConvergenceRow",
-    "relative_bracket_error",
     "bracket_errors_on_grid",
     "fit_error_scaling",
     "c_constant_convergence",
@@ -57,14 +56,6 @@ def bracket_errors_on_grid(idx: ZonalIndex, window: AngleWindow, grid_size: int 
     np.abs(rel, out=rel)
     rel /= lead.amplitude
     return thetas, exact, lead, rel
-
-
-def relative_bracket_error(
-    idx: ZonalIndex, window: AngleWindow | None = None, grid_size: int = GRID_SIZE
-) -> float:
-    """Worst envelope-relative error of the leading form over the window."""
-    window = window or AngleWindow()
-    return float(bracket_errors_on_grid(idx, window, grid_size)[3].max())
 
 
 @dataclass(frozen=True)

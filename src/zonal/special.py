@@ -28,7 +28,6 @@ import numpy as np
 __all__ = [
     "ZonalIndex",
     "legendre_normalized",
-    "legendre_sweep",
     "dim_eigenspace",
     "vol_sphere",
     "projector_kernel",
@@ -421,17 +420,6 @@ def legendre_normalized(idx: ZonalIndex, t):
     scalar = arr.ndim == 0
     out = _value_one(idx.n, idx.k, np.atleast_1d(arr))
     return float(out[0]) if scalar else out
-
-
-def legendre_sweep(n: int, kmax: int, t) -> np.ndarray:
-    """All normalized zonal values for degrees 0..kmax, shape (kmax + 1,) + shape(t).
-
-    Row j is the ``legendre_normalized`` call at degree j, bit for bit: the
-    sweep makes that call for each degree in turn.
-    """
-    ZonalIndex(n, kmax)  # the dimension and degree checks of legendre_normalized
-    arr = np.atleast_1d(_clamped(t))
-    return np.stack([_value_one(n, j, arr) for j in range(kmax + 1)])
 
 
 def dim_eigenspace(idx: ZonalIndex) -> int:

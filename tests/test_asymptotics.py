@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import gegenbauer_norm_constant
+from oracles import gaussian_coefficient_numeric, gegenbauer_norm_constant
 from zonal.asymptotics import (
     DELTA_MAX,
     AngleWindow,
     AsymptoticValue,
     _phase_alpha,
     c_constant_leading,
-    gaussian_coefficient_numeric,
     gaussian_leading_coefficient,
     gegenbauer_leading,
     legendre_leading,
@@ -231,7 +230,7 @@ def test_window_bounds_and_grid():
     lo16, hi16 = shrink.bounds(16)
     np.testing.assert_allclose(lo16, 16.0**-0.1, rtol=1e-15)
     np.testing.assert_allclose(hi16, math.pi - 16.0**-0.1, rtol=1e-15)
-    grid = shrink.grid(16, 64)
+    grid = shrink.nodes(16, 64)[0]
     assert grid.shape == (64,)
     assert np.all((grid > lo16) & (grid < hi16))
     step = (hi16 - lo16) / 64
@@ -240,15 +239,13 @@ def test_window_bounds_and_grid():
         AngleWindow(c=2.0).bounds(1)
     with pytest.raises(ValueError):
         window.bounds(0)
-    # each method names itself when it refuses a size
-    for method in ("grid", "nodes"):
-        with pytest.raises(ValueError, match=f"^AngleWindow.{method}: expected integer size"):
-            getattr(window, method)(4, 0)
-        # a non-integer size would give ceil(size) angles, the last on the window's edge
-        for size in (2.5, 3.0, True):
-            with pytest.raises(ValueError, match=f"^AngleWindow.{method}: expected integer size"):
-                getattr(window, method)(5, size)
-    assert window.grid(5, np.int64(3)).shape == (3,)
+    with pytest.raises(ValueError, match="^AngleWindow.nodes: expected integer size"):
+        window.nodes(4, 0)
+    # a non-integer size would give ceil(size) angles, the last on the window's edge
+    for size in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match="^AngleWindow.nodes: expected integer size"):
+            window.nodes(5, size)
+    assert all(arr.shape == (3,) for arr in window.nodes(5, np.int64(3)))
 
 
 def test_leading_forms_reject_bad_inputs():
@@ -355,7 +352,7 @@ def test_sign_structure_at_large_degree():
     for n in (2, 3):
         for k in (64, 256):
             idx = ZonalIndex(n=n, k=k)
-            theta = AngleWindow().grid(k, 200)
+            theta = AngleWindow().nodes(k, 200)[0]
             proj = projector_leading(idx, theta)
             leg = legendre_leading(idx, theta)
             assert np.all(np.asarray(proj.amplitude) > 0.0)

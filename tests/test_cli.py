@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from zonal import harness, quadric
-from zonal.cli import MAX_GRID, build_parser, main
+from zonal.cli import MAX_GRID, MAX_PAIRS, build_parser, main
 from zonal.quadric import build_cone_basis
 from zonal.special import ZonalIndex, legendre_normalized
 
@@ -326,12 +326,15 @@ def test_oracle_residuals_shrink_with_samples(capsys):
 
 
 def test_grid_and_batch_caps_reject_at_parse(capsys):
-    # parse only: a run at the cap would allocate hundreds of MB
+    # parse only: a run at a cap would allocate hundreds of MB, and the
+    # oracle at MAX_PAIRS would run for minutes
     parser, _ = build_parser()
     assert parser.parse_args(["compare", "--grid", str(MAX_GRID)]).grid == MAX_GRID
+    assert parser.parse_args(["oracle", "--pairs", str(MAX_PAIRS)]).pairs == MAX_PAIRS
     for argv, message in (
         (["compare", "--grid", str(MAX_GRID + 1)], f"must be <= {MAX_GRID}"),
         (["scaling", "--grid", str(MAX_GRID + 1)], f"must be <= {MAX_GRID}"),
+        (["oracle", "--pairs", str(MAX_PAIRS + 1)], f"must be <= {MAX_PAIRS} to bound memory below 1 GB"),
         (["bench"], "invalid choice"),
     ):
         code, out, err = run_cli(argv, capsys)

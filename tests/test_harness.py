@@ -17,7 +17,6 @@ from zonal.harness import (
     fit_error_scaling,
     geometric_oracle,
     json_summary,
-    relative_bracket_error,
     write_csv,
 )
 from zonal.quadric import SzegoEvaluator, _pushforward_raw, build_cone_basis, sphere_point
@@ -71,7 +70,7 @@ def test_window_nodes_are_read_only_and_bounded():
     window = AngleWindow(c=0.5, delta=0.1)
     for k in range(2, 40):
         theta, cos, sin = window.nodes(k, 64)
-        assert window.grid(k, 64) is theta
+        assert window.nodes(k, 64)[0] is theta
         for arr in (theta, cos, sin, bracket_errors_on_grid(ZonalIndex(n=2, k=k), window, 64)[0]):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -83,23 +82,23 @@ def test_window_nodes_are_read_only_and_bounded():
 def test_relative_bracket_error_circle_closes():
     # the n=1 bracket is exactly the cosine, so only rounding remains
     for k in (8, 64, 512):
-        assert relative_bracket_error(ZonalIndex(n=1, k=k), AngleWindow()) < 1e-13
+        assert float(bracket_errors_on_grid(ZonalIndex(n=1, k=k), AngleWindow())[3].max()) < 1e-13
     # at degrees other than powers of two the product k theta rounds as well;
     # on the benchmark's 2^17 angles cos(k acos t) itself reads 1.18e-13 at k=264
     for k in (255, 257, 264):
-        assert relative_bracket_error(ZonalIndex(n=1, k=k), AngleWindow(), 1 << 17) < 1e-13
+        assert float(bracket_errors_on_grid(ZonalIndex(n=1, k=k), AngleWindow(), 1 << 17)[3].max()) < 1e-13
 
 
 def test_relative_bracket_error_decreases_with_degree():
     window = AngleWindow()
-    errs = [relative_bracket_error(ZonalIndex(n=2, k=k), window) for k in (256, 1024)]
+    errs = [float(bracket_errors_on_grid(ZonalIndex(n=2, k=k), window)[3].max()) for k in (256, 1024)]
     assert errs[1] < errs[0]
 
 
 def test_wider_window_is_harder():
     idx = ZonalIndex(n=2, k=256)
-    narrow = relative_bracket_error(idx, AngleWindow())
-    wide = relative_bracket_error(idx, AngleWindow(c=1.0, delta=0.1))
+    narrow = float(bracket_errors_on_grid(idx, AngleWindow())[3].max())
+    wide = float(bracket_errors_on_grid(idx, AngleWindow(c=1.0, delta=0.1))[3].max())
     assert wide >= narrow
 
 

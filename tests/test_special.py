@@ -24,7 +24,6 @@ from zonal.special import (
     _scaled_half_pochhammer,
     dim_eigenspace,
     legendre_normalized,
-    legendre_sweep,
     projector_kernel,
     vol_sphere,
 )
@@ -177,24 +176,6 @@ def test_legendre_parity_and_bound():
             assert np.max(np.abs(vals)) <= 1.0 + 1e-10
 
 
-def test_sweep_matches_single_degree():
-    t = np.linspace(-1.0, 1.0, 9)
-    for n in (1, 2, 4):
-        sweep = legendre_sweep(n, 12, t)
-        assert sweep.shape == (13, 9)
-        for k in range(13):
-            np.testing.assert_array_equal(sweep[k], legendre_normalized(ZonalIndex(n=n, k=k), t))
-
-
-def test_sweep_rejects_negative_kmax():
-    with pytest.raises(ValueError):
-        legendre_sweep(2, -1, 0.5)
-    # the dimension and the degree are checked as legendre_normalized's ZonalIndex checks them
-    for n, kmax in ((0, 3), (1.5, 3), (True, 3), (2, 2.5), (2, True)):
-        with pytest.raises(ValueError, match="ZonalIndex"):
-            legendre_sweep(n, kmax, 0.5)
-
-
 def test_reproducing_idempotence():
     # integrating the projector against itself over the middle sphere
     # reproduces it: sum_y w_y P(x.y) P(y.z) = P(x.z)
@@ -343,24 +324,13 @@ def test_circle_half_angle_branch_error_is_relative_to_the_angle():
             assert worst <= np.finfo(float).eps, (k, worst)
 
 
-def test_sweep_matches_single_degree_on_the_expansion():
-    # window angles, inside the expansion's domain from K_EXPANSION on, so
-    # the sweep and the single-degree call both take it there
-    theta = np.linspace(1.0, math.pi - 1.0, 33)
-    t = np.cos(theta)
+def test_darboux_plan_covers_the_default_window():
+    # from K_EXPANSION on, the expansion's domain holds the default window
+    # [1, pi - 1], so every angle of it takes the expansion there
+    t = np.cos(np.linspace(1.0, math.pi - 1.0, 33))
     for n in (2, 3, 4):
-        sweep = legendre_sweep(n, 300, t)
         for j in range(K_EXPANSION, 301):
-            assert np.all(np.abs(t) < _darboux_plan(n, j).bound)
-            np.testing.assert_array_equal(sweep[j], legendre_normalized(ZonalIndex(n=n, k=j), t))
-
-
-def test_sweep_matches_single_degree_on_the_closed_form():
-    # n = 1 takes the closed form at every degree and every angle
-    t = np.cos(np.linspace(0.0, math.pi, 33))
-    sweep = legendre_sweep(1, 300, t)
-    for j in range(301):
-        np.testing.assert_array_equal(sweep[j], legendre_normalized(ZonalIndex(n=1, k=j), t))
+            assert np.all(np.abs(t) < _darboux_plan(n, j).bound), (n, j)
 
 
 def test_array_shape_and_order_keep_values():
@@ -406,7 +376,7 @@ def test_chunk_size_keeps_every_value(n, monkeypatch):
     # the 2^17 default-window angles of the kernel benchmark, and a sweep of
     # [0, pi] whose chunks cross the expansion's domain and the closed form's
     # switch, in 4096-angle chunks and in 16384-angle ones
-    window = np.cos(AngleWindow().grid(256, 1 << 17))
+    window = AngleWindow().nodes(256, 1 << 17)[1]
     sweep = np.cos(np.linspace(0.0, math.pi, 20_000))
     for k, t in [(248, window), (256, window), (257, window), (264, window), (300, sweep), (4097, sweep)]:
         idx = ZonalIndex(n=n, k=k)
@@ -467,8 +437,7 @@ def test_worker_count_keeps_every_value(monkeypatch, thread_starts):
     for n in (1, 2, 3, 4, 5):
         for k, window in [(256, narrow), (257, narrow), (1000, narrow), (256, default), (31, default)]:
             idx = ZonalIndex(n=n, k=k)
-            theta = window.grid(k, size)
-            t = np.cos(theta)
+            theta, t, _ = window.nodes(k, size)
             got = []
             for workers in (1, 2, special.MAX_WORKERS):
                 _with_workers(monkeypatch, workers)
@@ -590,8 +559,6 @@ def test_degree_range_raises():
     for n, k in ((200, 2575), (200, 25_000), (400, 1000)):
         with pytest.raises(ValueError, match="outside the evaluated range"):
             legendre_normalized(ZonalIndex(n=n, k=k), 0.3)
-    with pytest.raises(ValueError, match="outside the evaluated range"):
-        legendre_sweep(200, 2575, 0.3)
     # from k > 1e8 (n-1)/2 scipy scales its loop by 2L/k instead
     theta = 1.2
     k = 50_000_000
@@ -678,8 +645,6 @@ def test_argument_clamp():
         legendre_normalized(idx, np.array([0.1, math.nan, 0.3]))
     with pytest.raises(ValueError, match="NaN"):
         projector_kernel(idx, np.array([[0.5, -0.5], [math.nan, 1.0]]))
-    with pytest.raises(ValueError, match="NaN"):
-        legendre_sweep(2, 4, [math.nan])
     for bad in (math.inf, -math.inf):
         with pytest.raises(ValueError, match="outside"):
             legendre_normalized(idx, np.array([0.5, bad]))
@@ -698,7 +663,6 @@ def test_clamp_passes_an_in_range_argument_through():
     for n in (1, 2, 3):
         for k in (3, 33, 300):
             legendre_normalized(ZonalIndex(n=n, k=k), t)
-    legendre_sweep(2, 4, t)
     np.testing.assert_array_equal(t.view(np.int64), before.view(np.int64))
     # a value within the slack outside [-1, 1] is still clamped, into a new array
     edge = np.array([0.5, 1.0 + 1e-13, -1.0 - 1e-13])
@@ -714,8 +678,8 @@ _angles = st.lists(
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 6), k=st.integers(0, 300), t=_angles, data=st.data())
-def test_recurrence_properties(n, k, t, data):
+@given(n=st.integers(1, 6), k=st.integers(0, 300), t=_angles)
+def test_recurrence_properties(n, k, t):
     idx = ZonalIndex(n=n, k=k)
     t = np.array(t)
     vals = legendre_normalized(idx, t)
@@ -724,5 +688,3 @@ def test_recurrence_properties(n, k, t, data):
     np.testing.assert_array_equal(legendre_normalized(idx, -t), sign * vals)
     assert np.max(np.abs(vals)) <= 1.0 + 1e-10
     np.testing.assert_array_equal(legendre_normalized(idx, np.array([1.0, -1.0])), [1.0, sign])
-    j = data.draw(st.integers(0, k), label="j")
-    np.testing.assert_array_equal(legendre_sweep(n, k, t)[j], legendre_normalized(ZonalIndex(n, j), t))
