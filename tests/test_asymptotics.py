@@ -15,7 +15,7 @@ from zonal.asymptotics import (
     legendre_leading,
     projector_leading,
 )
-from zonal import special
+from zonal import asymptotics, special
 from zonal.special import ZonalIndex, dim_eigenspace, vol_sphere
 
 
@@ -52,29 +52,143 @@ def test_asymptotic_value_composition():
     assert type(av.value) is type(2.0 * np.cos(0.3))
 
 
+def form_of(monkeypatch, fn):
+    """The (k, L) -> (c, b) form that a public leading form hands to the shared helper."""
+    with monkeypatch.context() as m:
+        m.setattr(asymptotics, "_leading", lambda idx, theta, form, *rest: form)
+        return fn(ZonalIndex(n=2, k=1), 1.0)
+
+
+def plain_leading(form, n, k, theta, exact):
+    # numpy's whole-array arithmetic, as the leading forms ran before their
+    # one chunked pass: amplitude, phase, value and |exact - value| / amplitude
+    arr = np.asarray(theta, dtype=float)
+    lam = 0.5 * (n - 1)
+    c, b = form(k, lam)
+    if lam:
+        b *= c ** (1.0 / lam)
+        with np.errstate(over="ignore"):
+            amp = b / np.sin(arr)
+            amp **= lam
+        phase = k * arr + (0.5 * arr - 0.25 * math.pi) * (n - 1)
+    else:
+        amp, phase = c * np.ones_like(arr), k * arr
+    value = amp * np.cos(phase)
+    return amp, phase, value, np.abs(exact - value) / amp
+
+
 @pytest.mark.filterwarnings("error")
 def test_asymptotic_value_in_chunks_is_the_product(monkeypatch):
-    # arrays of one shape larger than a chunk take special's chunked, threaded
-    # path; the bits, signed zeros, infinities and NaNs are amplitude * cos(phase)'s,
-    # and the caller's np.errstate holds on the threads that meet cos(inf)
+    # the leading forms' one pass over special's chunks, threaded past one
+    # chunk, keeps the bits of the whole-array arithmetic: the amplitude,
+    # the phase, the value amplitude * cos(phase) and the bracket error.
+    # Signed zeros, infinities and NaNs in the exact values pass through the
+    # error; at n = 301 amplitudes away from the poles underflow to 0, so
+    # values are +-0 and errors divide by 0; at k = 2^1023 most phases
+    # overflow to inf and their cosines are NaN.  The caller's np.errstate
+    # holds on the threads that meet them
     monkeypatch.setattr(special, "_workers", lambda chunks: min(chunks, special.MAX_WORKERS))
     gen = np.random.default_rng(7)
     size = 3 * special.CHUNK + 5
-    amp = gen.uniform(-3.0, 3.0, size)
-    phase = gen.uniform(-1e4, 1e4, size)
-    amp32, phase32 = amp.astype(np.float32), phase.astype(np.float32)
+    theta = gen.uniform(0.01, 3.13, size)
+    exact = gen.uniform(-3.0, 3.0, size)
     for ends in (slice(0, 12), slice(-12, None)):
-        amp[ends] = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0] * 2
-        phase[ends] = [1.0] * 6 + [0.0, -0.0, math.inf, math.nan, 0.5 * math.pi, 1e300]
-    cases = [(amp, phase), (amp[:-5].reshape(3, -1), phase[:-5].reshape(3, -1)), (amp[::2], phase[::2]),
-             # one chunk, a broadcast shape or another dtype keeps the plain product
-             (amp[:10], phase[:10]), (2.0, phase), (amp32, phase32)]
-    with np.errstate(invalid="ignore"):
-        for a, p in cases:
-            value = AsymptoticValue(amplitude=a, phase=p).value
-            ref = a * np.cos(p)
-            assert type(value) is np.ndarray and value.shape == ref.shape and value.dtype == ref.dtype
-            np.testing.assert_array_equal(value.view(np.uint8), ref.view(np.uint8))
+        exact[ends] = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0] * 2
+    row = slice(0, special.CHUNK + 7)
+    cases = [(theta, exact), (theta[:-5].reshape(3, -1), exact[:-5].reshape(3, -1)), (theta[::2], exact[::2]),
+             (np.broadcast_to(theta[row], (3, row.stop)), np.broadcast_to(exact[row], (3, row.stop))),
+             # one chunk, on the caller alone, and angles given in float32
+             (theta[:10], exact[:10]), (theta.astype(np.float32), exact)]
+    forms = [(legendre_leading, 1, 7), (legendre_leading, 2, 256), (projector_leading, 4, 7),
+             (gegenbauer_leading, 3, 31), (legendre_leading, 301, 40000),
+             (legendre_leading, 1, 2**1023), (gegenbauer_leading, 2, 2**1023)]
+    signs = set()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for fn, n, k in forms:
+            form = form_of(monkeypatch, fn)
+            for th, ex in cases:
+                idx = ZonalIndex(n=n, k=k)
+                refs = plain_leading(form, n, k, th, ex)
+                lead = fn(idx, th)
+                fused, rel = asymptotics._leading(idx, th, form, None, ex)
+                got = (lead.amplitude, lead.phase, lead.value, fused.amplitude, fused.phase, fused.value, rel)
+                for arr, ref in zip(got, refs[:3] * 2 + refs[3:]):
+                    assert type(arr) is np.ndarray and arr.shape == ref.shape and arr.dtype == ref.dtype
+                    np.testing.assert_array_equal(arr.view(np.int64), ref.view(np.int64), err_msg=f"{fn.__name__} n={n}")
+                signs |= set(np.signbit(lead.value[lead.value == 0.0]).ravel().tolist())
+    assert signs == {False, True}
+    assert np.isnan(lead.value).any() and np.isinf(lead.phase).any()
+
+
+def test_one_angle_gives_its_value_in_any_batch():
+    # a 0-d angle runs the chunk arithmetic of an array, so its amplitude,
+    # phase and value are its entries in any batch, bit for bit (numpy's
+    # scalar power puts about 1 in 26 of them an ulp away, n = 2..11)
+    theta = np.random.default_rng(3).uniform(0.01, 3.13, 300)
+    for fn in (legendre_leading, projector_leading, gegenbauer_leading):
+        for n in (1, 2, 3, 4, 7, 10):
+            for k in (3, 256, 10**4):
+                batch = fn(ZonalIndex(n=n, k=k), theta)
+                for i in range(0, theta.size, 7):
+                    one = fn(ZonalIndex(n=n, k=k), float(theta[i]))
+                    for f in ("amplitude", "phase", "value"):
+                        got, ref = getattr(one, f), getattr(batch, f)[i]
+                        assert type(got) is np.float64 and got.view(np.int64) == ref.view(np.int64), (fn, n, k, f)
+
+
+def test_amplitude_check_is_the_largest_amplitude_bit_for_bit(monkeypatch):
+    # the check (b / min sin)^L reads no full-size amplitude, and it is the
+    # largest amplitude max(b / sin, b)^L bit for bit: correctly rounded
+    # division falls as its divisor grows, and sin <= 1.  Each form refuses
+    # exactly where that number is not a normal positive double, on random
+    # windows at n = 2..400
+    tiny = np.finfo(float).tiny
+    gen = np.random.default_rng(11)
+    for fn in (legendre_leading, projector_leading, gegenbauer_leading):
+        form = form_of(monkeypatch, fn)
+        outcomes = set()
+        for n in range(2, 401):
+            k = int(10 ** gen.uniform(0.0, 6.0))
+            window = AngleWindow(c=gen.uniform(0.001, 1.0), delta=gen.uniform(0.0, DELTA_MAX))
+            theta, _, sin = window.nodes(k, int(gen.integers(1, 3000)))
+            lam = 0.5 * (n - 1)
+            c, b = form(k, lam)
+            b *= c ** (1.0 / lam)
+            with np.errstate(over="ignore"):
+                largest = (b / sin).max(initial=b) ** lam
+                check = (b / sin.min(initial=1.0)) ** lam
+            assert check.view(np.int64) == largest.view(np.int64), (fn, n, k, window)
+            accepted = bool(tiny <= largest < math.inf)
+            try:
+                fn(ZonalIndex(n=n, k=k), theta)
+            except ValueError:
+                assert not accepted, (fn, n, k, window)
+            else:
+                assert accepted, (fn, n, k, window)
+            outcomes.add(accepted)
+        assert outcomes == {True, False}, fn
+
+
+def test_few_and_many_angles_refuse_alike(monkeypatch):
+    # three angles of a 2^17-angle window, its two ends among them, hold its
+    # least sine, so both calls form the same largest amplitude and refuse
+    # or accept alike, on each side of each form's refusal edge: on the
+    # default window's 2^17 angles, legendre_leading at k = 4 accepts
+    # n = 381 and refuses n = 382
+    monkeypatch.setattr(special, "_workers", lambda chunks: min(chunks, special.MAX_WORKERS))
+    theta, _, sin = AngleWindow().nodes(4, 1 << 17)
+    few = [0, theta.size // 2, -1]
+    assert sin[few].min() == sin.min()
+    for fn, k, edge in ((legendre_leading, 4, 382), (projector_leading, 10**4, 190), (gegenbauer_leading, 4, 1644)):
+        for n in range(edge - 2, edge + 2):
+            outcomes = []
+            for th in (theta[few], theta):
+                try:
+                    fn(ZonalIndex(n=n, k=k), th)
+                    outcomes.append(True)
+                except ValueError:
+                    outcomes.append(False)
+            assert outcomes == [n < edge] * 2, (fn, n)
 
 
 def test_legendre_leading_laplace_envelope():

@@ -1,12 +1,13 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import decay_exact, eval_monomials, exact_cone_basis, fiber_nodes, gram_stderr
-from zonal import asymptotics, quadric, rng
+from zonal import asymptotics, quadric, rng, special
 from zonal.asymptotics import AngleWindow, c_constant_leading, legendre_leading
 from zonal.harness import (
     CSV_HEADER,
@@ -64,6 +65,27 @@ def test_bracket_errors_match_the_uncached_reference_bit_for_bit():
     info = nodes.cache_info()
     assert info.hits > 0 and info.misses > 0, info
     assert info.currsize <= info.maxsize
+
+
+def test_bracket_memory_is_the_outputs_and_chunks(monkeypatch):
+    # the exact values and the leading form's amplitude, phase, value and
+    # error are 5 input sizes, all returned; the passes that form them hold
+    # one chunk's temporaries a thread.  Peak over 2^18 angles of a cached
+    # window, n = 1, 2, 3, in input sizes on 1 and MAX_WORKERS threads:
+    # 5.00 and 5.00 when the leading side ran as whole-array passes, 5.07
+    # and 5.20 in one chunked pass; one whole-array temporary more reads 6
+    window, size = AngleWindow(), 2**18
+    window.nodes(256, size)
+    for workers in (1, special.MAX_WORKERS):
+        monkeypatch.setattr(special, "_workers", lambda chunks: min(chunks, workers))
+        for n in (1, 2, 3):
+            tracemalloc.start()
+            try:
+                bracket_errors_on_grid(ZonalIndex(n=n, k=256), window, size)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 5.5 * 8 * size, (workers, n)
 
 
 def test_window_nodes_are_read_only_and_bounded():
