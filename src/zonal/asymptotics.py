@@ -91,11 +91,7 @@ class AsymptoticValue:
 
     amplitude: np.ndarray | float
     phase: np.ndarray | float
-    value: np.ndarray | float = None
-
-    def __post_init__(self):
-        if self.value is None:
-            object.__setattr__(self, "value", self.amplitude * np.cos(self.phase))
+    value: np.ndarray | float
 
 
 def _checked_theta(theta):
@@ -134,7 +130,8 @@ def _leading(idx: ZonalIndex, theta, form, sin=None, exact=None):
     factor leaves the double range first; ValueError unless the amplitude
     at its largest is a normal positive double.  Amplitude, phase and value
     are formed in one pass over special's chunks.  ``sin``, when given, is
-    np.sin(theta), as a caller holding it already passes it; with
+    np.sin(theta), as a caller holding it already passes it; without
+    it the sine is formed over the same chunks and threads first.  With
     ``exact``, of theta's shape, the pass also forms the bracket error
     |exact - value| / amplitude and returns (AsymptoticValue, error).
     """
@@ -144,7 +141,7 @@ def _leading(idx: ZonalIndex, theta, form, sin=None, exact=None):
     c, b = form(idx.k, lam)
     if lam:
         b *= c ** (1.0 / lam)
-        sin = np.sin(arr) if sin is None else sin
+        sin = special._in_chunks(np.sin, arr) if sin is None else sin
         with np.errstate(over="ignore"):
             # b / sin at its largest: correctly rounded division falls as its divisor grows, and sin <= 1
             peak = (b / sin.min(initial=1.0)) ** lam

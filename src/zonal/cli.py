@@ -239,7 +239,7 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    quadric.require_oracle_domain("oracle", args.n, args.ks)
+    quadric._require_oracle_domain("oracle", args.n, args.ks)
     bases = quadric.build_cone_basis(args.n, args.ks, args.samples, args.seed)
     payload = harness.geometric_oracle(bases, pairs=args.pairs, seed=args.seed)
     _emit(args, "oracle", payload, ks=sorted(args.ks))

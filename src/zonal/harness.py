@@ -18,7 +18,7 @@ import numpy as np
 
 from . import quadric, rng
 from .asymptotics import AngleWindow, c_constant_leading, legendre_leading
-from .special import ZonalIndex, dim_eigenspace, legendre_normalized, projector_kernel, vol_sphere
+from .special import ZonalIndex, _is_int, dim_eigenspace, legendre_normalized, projector_kernel, vol_sphere
 
 __all__ = [
     "ScalingFit",
@@ -178,7 +178,7 @@ def geometric_oracle(bases, pairs: int, seed: int) -> dict:
     """Cross-checks of the geometric chain on Monte Carlo bases, per degree.
 
     Takes the cone bases of one sphere dimension, as `quadric.build_cone_basis`
-    returns them, checks and orders them once (`quadric.ordered_bases`)
+    returns them, checks and orders them once (`quadric._ordered_bases`)
     before any push-forward, and reports them in increasing degree.  For
     every degree: evaluates the fiber push-forward of the kernel at `pairs`
     random sphere pairs plus the diagonal, and compares against the
@@ -191,7 +191,7 @@ def geometric_oracle(bases, pairs: int, seed: int) -> dict:
     counter-based substreams of `seed`, so the result is a function of the
     arguments alone.
     """
-    n, bases = quadric.ordered_bases(bases, "geometric_oracle")
+    n, bases = quadric._ordered_bases(bases, "geometric_oracle")
     if pairs < 1:
         raise ValueError(f"geometric_oracle: pairs must be >= 1, got {pairs}")
     degrees = []
@@ -261,7 +261,7 @@ def compare_rows(idx: ZonalIndex, window: AngleWindow, grid_size: int = GRID_SIZ
 
 
 def _csv_cell(value) -> str:
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+    if _is_int(value):
         return str(int(value))
     return repr(float(value))
 

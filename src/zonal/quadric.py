@@ -37,8 +37,6 @@ __all__ = [
     "ConeBasis",
     "SzegoEvaluator",
     "DecayReport",
-    "require_oracle_domain",
-    "ordered_bases",
     "sample_frame",
     "sphere_point",
     "build_cone_basis",
@@ -55,9 +53,13 @@ POINT_TOL = 1e-9
 # to this degree, tighter than _inverse_gram's exactness bound (n (n+1))^k < 2^53.
 ORACLE_DIMENSIONS = (2, 3)
 ORACLE_MAX_DEGREE = 12
+# the decay probe's pair: the angle between its two base points, and the
+# least projective distance it accepts (the pair's is sqrt(2) sin(0.45), about 0.615)
+PROBE_ANGLE = 0.9
+PROBE_MIN_DISTANCE = 0.5
 
 
-def require_oracle_domain(label: str, n: int, ks=()) -> None:
+def _require_oracle_domain(label: str, n: int, ks=()) -> None:
     """ValueError naming the bound and its reason unless n and ks lie in the oracle's domain."""
     if n not in ORACLE_DIMENSIONS:
         raise ValueError(f"{label}: n = {n} is outside {ORACLE_DIMENSIONS}, "
@@ -360,7 +362,7 @@ def build_cone_basis(n: int, ks, samples: int, seed: int) -> tuple[ConeBasis, ..
     return tuple(bases)
 
 
-def ordered_bases(bases, label: str) -> tuple[int, list[ConeBasis]]:
+def _ordered_bases(bases, label: str) -> tuple[int, list[ConeBasis]]:
     """(n, the bases in increasing degree); ValueError if there are none or they mix sphere dimensions."""
     bases = sorted(bases, key=lambda b: b.k)
     dims = sorted({basis.n for basis in bases})
@@ -420,7 +422,7 @@ class SzegoEvaluator:
 def _pushforward_raw(basis: ConeBasis, q0: np.ndarray, q1: np.ndarray) -> tuple[complex, float]:
     """Complex double fiber integral plus its imaginary-noise allowance."""
     n, k = basis.n, basis.k
-    require_oracle_domain("pushforward_kernel", n)
+    _require_oracle_domain("pushforward_kernel", n)
     q0 = np.asarray(q0, dtype=float)
     q1 = np.asarray(q1, dtype=float)
     for label, q in (("q0", q0), ("q1", q1)):
@@ -477,7 +479,7 @@ def c_constant_numeric(idx: ZonalIndex) -> float:
     ORACLE_DIMENSIONS, the dimensions that quadrature covers.
     """
     n, k = idx.n, idx.k
-    require_oracle_domain("c_constant_numeric", n)
+    _require_oracle_domain("c_constant_numeric", n)
     half = 0.5 * (n - 1)
     base = math.factorial(n - 1) * (vol_sphere(n) * vol_sphere(n - 1)) / (2.0 * math.sqrt(2.0) * math.pi**half)
     return math.sqrt(base * math.exp(math.lgamma(k + half) - math.lgamma(k + n - 1)))
@@ -486,28 +488,23 @@ def c_constant_numeric(idx: ZonalIndex) -> float:
 def _fubini_study_distance(z0: np.ndarray, z1: np.ndarray) -> float:
     """Projective distance between circle fibers through two slice points.
 
-    For z0, z1 on the radius-sqrt(2) slice this is the minimum over phases
-    of |exp(-i g) z0 - z1| / sqrt(2), which closes to sqrt(2 - |<z0, z1>|).
+    For z0, z1 on the radius-sqrt(2) slice, which the caller checks, this is
+    the minimum over phases of |exp(-i g) z0 - z1| / sqrt(2), which closes
+    to sqrt(2 - |<z0, z1>|).
     """
-    z0 = np.asarray(z0, dtype=complex)
-    z1 = np.asarray(z1, dtype=complex)
-    _require_on_slice(z0[None, :], math.sqrt(2.0), "_fubini_study_distance z0")
-    _require_on_slice(z1[None, :], math.sqrt(2.0), "_fubini_study_distance z1")
     return math.sqrt(max(2.0 - abs(complex(np.vdot(z0, z1))), 0.0))
 
 
-def probe_pair(n: int, seed: int, angle: float = 0.9) -> tuple[np.ndarray, np.ndarray]:
+def probe_pair(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Separated unit-slice pair sharing a fiber direction, for decay probes.
 
     Draws a Haar frame (q, p) and a unit extension e orthogonal to both,
-    then returns x = (q + ip)/sqrt(2) and x' = (cos(angle) q + sin(angle) e
-    + ip)/sqrt(2).  The projective distance between the pair is
-    sqrt(2) sin(angle / 2), about 0.615 at the default angle.
+    then returns x = (q + ip)/sqrt(2) and x' = (cos(a) q + sin(a) e
+    + ip)/sqrt(2), a = PROBE_ANGLE.  The projective distance between the
+    pair is sqrt(2) sin(a / 2).
     """
     if n < 2:
         raise ValueError(f"probe_pair: extension direction needs n >= 2, got {n}")
-    if not 0.0 < angle < math.pi:
-        raise ValueError(f"probe_pair: angle must lie in (0, pi), got {angle!r}")
     gen = rng.substream(seed, rng.PROBE, 0)
     q, p = _frame_block(n, 1, gen)
     q, p = q[0], p[0]
@@ -520,7 +517,7 @@ def probe_pair(n: int, seed: int, angle: float = 0.9) -> tuple[np.ndarray, np.nd
             break
     scale = 1.0 / math.sqrt(2.0)
     x = scale * (q + 1j * p)
-    x_prime = scale * (math.cos(angle) * q + math.sin(angle) * e + 1j * p)
+    x_prime = scale * (math.cos(PROBE_ANGLE) * q + math.sin(PROBE_ANGLE) * e + 1j * p)
     return x, x_prime
 
 
@@ -537,9 +534,7 @@ class DecayReport:
     superpolynomial: bool | None
 
 
-def offdiagonal_decay_probe(
-    bases: list[ConeBasis], x: np.ndarray, x_prime: np.ndarray, min_dist: float = 0.5
-) -> DecayReport:
+def offdiagonal_decay_probe(bases: list[ConeBasis], x: np.ndarray, x_prime: np.ndarray) -> DecayReport:
     """Normalized kernel magnitude at a fixed separated pair, per degree.
 
     For each degree-k basis, evaluates the sections at both points of the
@@ -552,15 +547,15 @@ def offdiagonal_decay_probe(
     rate over the clean prefix (None below two clean values), whether the
     clean prefix is strictly decreasing, and whether successive ratios
     shrink (None below three).  The bases must be non-empty and share one
-    sphere dimension (`ordered_bases`).
+    sphere dimension (`_ordered_bases`).
     """
-    _, bases = ordered_bases(bases, "offdiagonal_decay_probe")
+    _, bases = _ordered_bases(bases, "offdiagonal_decay_probe")
     pair = np.array([x, x_prime], dtype=complex)
     _require_on_slice(pair, 1.0, "offdiagonal_decay_probe x, x_prime")
     dist = _fubini_study_distance(*(math.sqrt(2.0) * pair))
-    if dist < min_dist:
+    if dist < PROBE_MIN_DISTANCE:
         raise ValueError(
-            f"offdiagonal_decay_probe: pair distance {dist:.3f} below minimum {min_dist:g}"
+            f"offdiagonal_decay_probe: pair distance {dist:.3f} below minimum {PROBE_MIN_DISTANCE:g}"
         )
 
     ks, values, flags = [], [], []

@@ -214,7 +214,7 @@ def test_criterion_8_offdiagonal_decay(basis_cache):
     t0 = time.perf_counter()
     bases = basis_cache.get_many(2, range(2, 13))
     x, x_prime = probe_pair(2, SEED)
-    report = offdiagonal_decay_probe(bases, x, x_prime, min_dist=0.5)
+    report = offdiagonal_decay_probe(bases, x, x_prime)
     elapsed = time.perf_counter() - t0
     _report(
         "criterion 8 off-diagonal decay",

@@ -7,7 +7,6 @@ from oracles import gaussian_coefficient_numeric, gegenbauer_norm_constant
 from zonal.asymptotics import (
     DELTA_MAX,
     AngleWindow,
-    AsymptoticValue,
     _phase_alpha,
     c_constant_leading,
     gaussian_leading_coefficient,
@@ -46,10 +45,37 @@ def test_circle_phase_is_k_theta():
     np.testing.assert_array_equal(_phase_alpha(ZonalIndex(n=1, k=3), [math.inf, -math.inf]), [math.inf, -math.inf])
 
 
-def test_asymptotic_value_composition():
-    av = AsymptoticValue(amplitude=2.0, phase=0.3)
-    assert av.value == 2.0 * np.cos(0.3)
-    assert type(av.value) is type(2.0 * np.cos(0.3))
+def test_uncached_sine_runs_in_chunks_bit_for_bit(monkeypatch):
+    # a leading form given no cached sine forms it over special's chunks, on
+    # the workers, with the bits of one whole-array np.sin: at 2^17 angles on
+    # 1 and MAX_WORKERS threads, and on 0-d, 2-D and strided input.  The
+    # values then match the call that passes np.sin(theta) itself
+    sines = []
+    in_chunks = special._in_chunks
+
+    def spy(fn, *arrays, **kwargs):
+        out = in_chunks(fn, *arrays, **kwargs)
+        if fn is np.sin:
+            sines.append(out)
+        return out
+
+    monkeypatch.setattr(special, "_in_chunks", spy)
+    theta = np.random.default_rng(5).uniform(0.01, 3.13, 1 << 17)
+    for workers in (1, special.MAX_WORKERS):
+        monkeypatch.setattr(special, "_workers", lambda chunks: min(chunks, workers))
+        for th in (theta, theta[7], theta.reshape(256, -1), theta[::3]):
+            ref = np.asarray(np.sin(th))
+            leads = []
+            for fn in (legendre_leading, projector_leading, gegenbauer_leading):
+                sines.clear()
+                leads.append(fn(ZonalIndex(n=3, k=256), th))
+                (sin,) = sines
+                assert sin.shape == ref.shape
+                np.testing.assert_array_equal(sin.view(np.int64), ref.view(np.int64))
+            cached = legendre_leading(ZonalIndex(n=3, k=256), th, _sin=ref)
+            for f in ("amplitude", "phase", "value"):
+                got, want = np.asarray(getattr(leads[0], f)), np.asarray(getattr(cached, f))
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def form_of(monkeypatch, fn):

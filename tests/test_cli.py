@@ -234,6 +234,13 @@ def test_oracle_rejects_a_basis_with_gram_error_at_least_half(capsys):
     assert "gram_error 0.548" in err
 
 
+def test_oracle_rejects_a_gram_that_is_not_positive_definite(capsys):
+    # one frame cannot give the 9 sections at n = 3, k = 2 a positive definite Gram
+    code, out, err = run_cli(["oracle", "--n", "3", "--ks", "2", "--samples", "1", "--seed", "0"], capsys)
+    assert code == 2 and out == ""
+    assert "not positive definite" in err
+
+
 IMPORT_FOOTPRINT = """
 import json, sys
 import numpy as np

@@ -183,7 +183,7 @@ def test_c_constant_convergence_rows():
         assert 0.8 < row.ratio < 1.5
 
 
-def test_format_float_round_trip():
+def test_csv_cells_round_trip():
     # write_csv's cells: integers as integers, floats as strings that round-trip, signed zero included
     floats = (0.1, 1.0 / 3.0, 1e-300, 2.0, -0.0, math.pi, np.float64(0.7))
     stream = io.StringIO()
@@ -300,15 +300,15 @@ def test_geometric_oracle_report():
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("samples", [30_000, 200_000])
 def test_geometric_oracle_decay_matches_closed_form(n, samples):
-    # the probe pair sits at probe_pair's default angle 0.9; the decay values
+    # the probe pair sits at quadric.PROBE_ANGLE; the decay values
     # carry the basis's Gram noise, and its entrywise standard error bounds
     # their error more tightly here than the rigorous gram_error does
     ks = (2, 4, 8)
     bases = build_cone_basis(n, ks, samples, seed=7)
     out = geometric_oracle(bases, pairs=1, seed=7)
-    assert out["decay"]["distance"] == pytest.approx(math.sqrt(2.0) * math.sin(0.45), rel=1e-12)
+    assert out["decay"]["distance"] == pytest.approx(math.sqrt(2.0) * math.sin(quadric.PROBE_ANGLE / 2), rel=1e-12)
     for basis, value in zip(bases, out["decay"]["values"]):
-        assert abs(value - decay_exact(0.9, basis.k)) <= 2.0 * gram_stderr(basis, seed=7)
+        assert abs(value - decay_exact(quadric.PROBE_ANGLE, basis.k)) <= 2.0 * gram_stderr(basis, seed=7)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -340,7 +340,7 @@ def test_geometric_oracle_within_gram_error(n, seed):
             assert abs(_pushforward_raw(basis, q0, q1)[0].imag) <= bound + rounding
     for deg, value, flag in zip(out["degrees"], out["decay"]["values"], out["decay"]["below_floor"]):
         error = deg["gram_error"]
-        assert abs(value - decay_exact(0.9, deg["k"])) <= error * (1.0 + value) / (1.0 - error) + 1e-12
+        assert abs(value - decay_exact(quadric.PROBE_ANGLE, deg["k"])) <= error * (1.0 + value) / (1.0 - error) + 1e-12
         # a value below gram_error is consistent with zero
         assert flag == (value < error)
 

@@ -20,7 +20,7 @@ from oracles import (
     slice_draws,
     szego_kernel_exact,
 )
-from zonal import rng
+from zonal import quadric, rng
 from zonal.asymptotics import c_constant_leading
 from zonal.quadric import (
     SzegoEvaluator,
@@ -231,6 +231,13 @@ def test_build_rejects_too_few_samples():
     assert build_cone_basis(3, (2, 4), 100, seed=1)[1].gram_error < 0.5
     with pytest.raises(ValueError, match=r"gram_error 0\.734 at k=8, samples=100 is at least 1/2"):
         build_cone_basis(3, (2, 4, 8), 100, seed=1)
+
+
+def test_build_rejects_a_gram_that_is_not_positive_definite():
+    # one frame and its sign-flip and conjugate images do not give the 9
+    # sections at n = 3, k = 2 a positive definite Gram; Cholesky refuses it
+    with pytest.raises(ValueError, match="Gram at samples=1 is not positive definite"):
+        build_cone_basis(3, [2], 1, 0)
 
 
 def test_build_accepts_by_the_bound_alone():
@@ -579,6 +586,29 @@ def test_pushforward_imaginary_residue_tiny():
         assert abs(raw.imag) < 1e-10 * (1.0 + abs(raw.real))
 
 
+def test_pushforward_refuses_a_residue_past_its_allowance(basis_cache, monkeypatch):
+    # a fiber rule whose first weight is scaled by 1.5 integrates the two
+    # fibers unevenly, so the push-forward leaves the reals: its residue
+    # reads -9.0e-2 against a 4.3e-2 allowance, and the call refuses
+    basis = basis_cache.get(2, 4, seed=1)
+    q0, q1 = np.array([1.0, 0.0, 0.0]), np.array([0.6, 0.8, 0.0])
+    raw, _ = _pushforward_raw(basis, q0, q1)
+    assert abs(raw.imag) < 1e-14 * (1.0 + abs(raw.real))
+    rule = quadric.fiber_rule
+
+    def uneven_rule(qs, k):
+        nodes, weights = rule(qs, k)
+        weights = weights.copy()
+        weights[0] *= 1.5
+        return nodes, weights
+
+    monkeypatch.setattr(quadric, "fiber_rule", uneven_rule)
+    raw, allowance = _pushforward_raw(basis, q0, q1)
+    assert (round(raw.imag, 3), round(allowance, 3)) == (-0.090, 0.043)
+    with pytest.raises(RuntimeError, match="imaginary residue -9.010e-02 exceeds noise allowance"):
+        pushforward_kernel(basis, q0, q1)
+
+
 def test_pushforward_fiber_rule_has_the_kernel_degree():
     # the kernel has degree k in each fiber variable, so the degree-k fiber
     # rule must match an independent double fiber integral of higher degree,
@@ -682,10 +712,6 @@ def test_fubini_study_distance_basics():
     assert _fubini_study_distance(z, z) == 0.0
     assert _fubini_study_distance(z, np.exp(1j * 0.8) * z) < 1e-7
     np.testing.assert_allclose(_fubini_study_distance(z, z.conj()), SQRT2, rtol=1e-12)
-    with pytest.raises(ValueError):
-        _fubini_study_distance(z / SQRT2, z)
-    with pytest.raises(ValueError):
-        _fubini_study_distance(np.array([SQRT2, 0.0, 0.0], dtype=complex), z)
 
 
 def test_probe_pair():
@@ -697,13 +723,9 @@ def test_probe_pair():
         np.testing.assert_allclose(np.sum(np.abs(z) ** 2), 1.0, rtol=1e-13)
         assert abs(np.sum(z * z)) < 1e-13
     dist = math.sqrt(max(2.0 - 2.0 * abs(np.vdot(x, xp)), 0.0))
-    np.testing.assert_allclose(dist, SQRT2 * math.sin(0.45), rtol=1e-12)
+    np.testing.assert_allclose(dist, SQRT2 * math.sin(quadric.PROBE_ANGLE / 2), rtol=1e-12)
     with pytest.raises(ValueError):
         probe_pair(1, seed=0)
-    with pytest.raises(ValueError):
-        probe_pair(2, seed=0, angle=0.0)
-    with pytest.raises(ValueError):
-        probe_pair(2, seed=0, angle=math.pi)
 
 
 # ------------------------------------------------------- unique fiber geometry
@@ -755,13 +777,15 @@ def test_unique_fiber_grid_scan():
 # ---------------------------------------------------------------- decay probe
 
 
-def test_decay_probe_trivial_pairs():
+def test_decay_probe_trivial_pairs(monkeypatch):
+    # with no least distance the probe takes a point paired with itself or its own fiber
+    monkeypatch.setattr(quadric, "PROBE_MIN_DISTANCE", 0.0)
     bases = [exact_cone_basis(2, k) for k in (2, 3, 4)]
     x = np.array([1.0, 1j, 0.0]) / SQRT2
-    same = offdiagonal_decay_probe(bases, x, x, min_dist=0.0)
+    same = offdiagonal_decay_probe(bases, x, x)
     np.testing.assert_allclose(same.values, 1.0, rtol=1e-12)
     assert same.distance < 1e-7
-    fiber = offdiagonal_decay_probe(bases, x, np.exp(1j * 0.9) * x, min_dist=0.0)
+    fiber = offdiagonal_decay_probe(bases, x, np.exp(1j * 0.8) * x)
     np.testing.assert_allclose(fiber.values, 1.0, rtol=1e-12)
 
 
@@ -770,25 +794,32 @@ def test_decay_probe_structure():
     x, xp = probe_pair(2, seed=77)
     report = offdiagonal_decay_probe(bases, x, xp)
     assert report.ks == (2, 3, 4, 5, 6, 7, 8)
-    np.testing.assert_allclose(report.distance, SQRT2 * math.sin(0.45), rtol=1e-12)
+    half = quadric.PROBE_ANGLE / 2
+    np.testing.assert_allclose(report.distance, SQRT2 * math.sin(half), rtol=1e-12)
     assert not any(report.below_floor)
     assert report.monotone_until_floor
     assert report.superpolynomial is False
-    # overlap |<x, x'>| = cos^2(0.45) drives exponential decay in k
-    assert abs(report.decay_rate - 2.0 * math.log(math.cos(0.45))) < 0.01
+    # overlap |<x, x'>| = cos^2(PROBE_ANGLE / 2) drives exponential decay in k
+    assert abs(report.decay_rate - 2.0 * math.log(math.cos(half))) < 0.01
     for a, b in zip(report.values, report.values[1:]):
         assert b < a
 
 
-def test_decay_probe_errors(basis_cache):
+def test_decay_probe_errors(monkeypatch):
     with pytest.raises(ValueError):
         offdiagonal_decay_probe([], *probe_pair(2, seed=1))
     mixed = [exact_cone_basis(2, 2), exact_cone_basis(3, 2)]
     with pytest.raises(ValueError):
         offdiagonal_decay_probe(mixed, *probe_pair(2, seed=1))
-    close = probe_pair(2, seed=1, angle=0.3)
-    with pytest.raises(ValueError):
-        offdiagonal_decay_probe([exact_cone_basis(2, 2)], *close)
+    # points off the unit slice or off the null cone are refused before the distance is formed
+    x, xp = probe_pair(2, seed=1)
+    for bad in (SQRT2 * x, np.array([1.0, 0.0, 0.0], dtype=complex)):
+        with pytest.raises(ValueError, match="offdiagonal_decay_probe"):
+            offdiagonal_decay_probe([exact_cone_basis(2, 2)], bad, xp)
+    # a pair at angle 0.3 lies sqrt(2) sin(0.15), about 0.21, apart: below PROBE_MIN_DISTANCE
+    monkeypatch.setattr(quadric, "PROBE_ANGLE", 0.3)
+    with pytest.raises(ValueError, match="below minimum"):
+        offdiagonal_decay_probe([exact_cone_basis(2, 2)], *probe_pair(2, seed=1))
 
 
 @pytest.mark.parametrize("seed", [1, 77, 20250819])
@@ -797,7 +828,7 @@ def test_decay_probe_matches_closed_form(n, kmax, seed):
     # an exact basis leaves only rounding between the probe and |<x, x'>|^k
     bases = [exact_cone_basis(n, k) for k in range(1, kmax + 1)]
     report = offdiagonal_decay_probe(bases, *probe_pair(n, seed))
-    expected = [decay_exact(0.9, k) for k in report.ks]
+    expected = [decay_exact(quadric.PROBE_ANGLE, k) for k in report.ks]
     np.testing.assert_allclose(report.values, expected, rtol=1e-12, atol=0.0)
 
 
@@ -830,7 +861,7 @@ def test_slice_check_does_not_depend_on_the_radius(n):
             except ValueError:
                 outcomes.append(False)
         assert outcomes == [accepted] * 4, (factor, outcomes)
-    # the decay probe's radius-1 check and its distance's radius-sqrt(2) check agree
+    # the decay probe's radius-1 check decides for its distance's radius-sqrt(2) lifts too
     bases = [exact_cone_basis(n, k) for k in (1, 2, 3)]
     offdiagonal_decay_probe(bases, (1.0 + 4e-10) * x, xp)
     with pytest.raises(ValueError, match="offdiagonal_decay_probe"):
