@@ -13,11 +13,12 @@ equal, not abbreviate, flag names of the chosen subcommand; its values may
 begin with "-", and explicit command line flags always win over them.
 --config is found by argparse itself, so an abbreviation such as --conf is
 honoured and of two --config flags the last is loaded.
-Tables share one CSV schema (n,k,delta,C,theta,exact,asymptotic,abs_err,
-rel_err); JSON documents carry schema_version 1 and a config echo of every
-parsed flag but --out, --config and --format.  Exit codes: 0 on success, 2
-on invalid usage or argument values (an unwritable --out among them), 1 on
-unexpected failure.
+The compare and scaling tables share one CSV schema (n,k,delta,C,theta,
+exact,asymptotic,abs_err,rel_err), and eval has its own (EVAL_HEADER:
+n,k,theta,legendre,projector); JSON documents carry schema_version 1 and a
+config echo of every parsed flag but --out, --config and --format.  Exit
+codes: 0 on success, 2 on invalid usage or argument values (an unwritable
+--out among them), 1 on unexpected failure.
 """
 from __future__ import annotations
 
@@ -112,7 +113,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                         help="window margin constant")
     window.add_argument("--delta", type=_delta_value, default=0.0,
                         help="window shrink exponent in [0, 1/6)")
-    window.add_argument("--grid", type=_int_type(1, MAX_GRID), default=512,
+    window.add_argument("--grid", type=_int_type(1, MAX_GRID), default=harness.GRID_SIZE,
                         help="angles per window")
 
     parser = argparse.ArgumentParser(

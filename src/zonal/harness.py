@@ -2,9 +2,11 @@
 
 Errors are always measured against the local oscillation envelope: the
 figure of merit for a degree is max |exact - leading| / amplitude over a
-midpoint grid inside the angle window.  Output helpers emit one CSV schema
-(n,k,delta,C,theta,exact,asymptotic,abs_err,rel_err) and JSON summaries
-with schema_version 1; floats are formatted for full round-trip.
+midpoint grid inside the angle window.  Comparison tables share one CSV
+schema, CSV_HEADER (n,k,delta,C,theta,exact,asymptotic,abs_err,rel_err);
+write_csv takes any other header, such as the eval subcommand's own
+(cli.EVAL_HEADER).  JSON summaries carry schema_version 1; floats are
+formatted for full round-trip.
 """
 from __future__ import annotations
 
@@ -22,10 +24,8 @@ from .special import ZonalIndex, _is_int, dim_eigenspace, legendre_normalized, p
 
 __all__ = [
     "ScalingFit",
-    "ConvergenceRow",
     "bracket_errors_on_grid",
     "fit_error_scaling",
-    "c_constant_convergence",
     "geometric_oracle",
     "compare_rows",
     "write_csv",
@@ -149,55 +149,36 @@ def fit_error_scaling(
     )
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    """One degree of the push-forward constant comparison."""
-
-    k: int
-    numeric: float
-    leading: float
-    ratio: float
-
-
-def c_constant_convergence(n: int, ks) -> list[ConvergenceRow]:
-    """Closed-form push-forward constant against its leading form, per degree.
-
-    The ratio is the finite-k Gamma ratio sqrt(k^L Gamma(k+L) / Gamma(k+n-1)),
-    L = (n-1)/2, so this tabulates how fast c_k approaches its leading form.
-    """
-    rows = []
-    for k in ks:
-        idx = ZonalIndex(n=n, k=int(k))
-        value = quadric.c_constant_numeric(idx)
-        lead = c_constant_leading(idx)
-        rows.append(ConvergenceRow(k=int(k), numeric=value, leading=lead, ratio=value / lead))
-    return rows
-
-
 def geometric_oracle(bases, pairs: int, seed: int) -> dict:
     """Cross-checks of the geometric chain on Monte Carlo bases, per degree.
 
-    Takes the cone bases of one sphere dimension, as `quadric.build_cone_basis`
-    returns them, checks and orders them once (`quadric._ordered_bases`)
-    before any push-forward, and reports them in increasing degree.  For
-    every degree: evaluates the fiber push-forward of the kernel at `pairs`
-    random sphere pairs plus the diagonal, and compares against the
-    push-forward constant squared times the sphere projector.  The
-    constant's fields are the degree's `c_constant_convergence` row and
+    Takes the cone bases of one sphere dimension and one sample count, as
+    `quadric.build_cone_basis` returns them, checks and orders them once
+    (`quadric._ordered_bases`) before any push-forward, and reports them in
+    increasing degree.  For every degree: evaluates the fiber push-forward
+    of the kernel at `pairs` random sphere pairs plus the diagonal, and
+    compares against the push-forward constant squared times the sphere
+    projector.  The constant's fields, the closed-form c_k
+    (`quadric.c_constant_numeric`), its leading form and their ratio,
     depend on neither the bases nor `seed`.  Residuals are normalized by the
     diagonal scale C^2 N / vol(S^n), so they measure the Monte Carlo noise
-    of the basis alone.  The decay section is the bases' `quadric.DecayReport`
-    at one separated probe pair.  Everything random is driven by
-    counter-based substreams of `seed`, so the result is a function of the
-    arguments alone.
+    of the basis alone.  The decay section is the bases'
+    `quadric.DecayReport` at the probe's separated pair.  Everything random
+    is driven by counter-based substreams of `seed`, so the result is a
+    function of the arguments alone.
     """
     n, bases = quadric._ordered_bases(bases, "geometric_oracle")
+    counts = sorted({basis.samples for basis in bases})
+    if len(counts) > 1:
+        raise ValueError(f"geometric_oracle: bases mix sample counts {' and '.join(map(str, counts))}")
     if pairs < 1:
         raise ValueError(f"geometric_oracle: pairs must be >= 1, got {pairs}")
     degrees = []
-    for basis, c in zip(bases, c_constant_convergence(n, [b.k for b in bases])):
+    for basis in bases:
         idx = ZonalIndex(n=n, k=basis.k)
-        scale = c.numeric**2 * dim_eigenspace(idx) / vol_sphere(n)
+        c_numeric = quadric.c_constant_numeric(idx)
+        c_leading = c_constant_leading(idx)
+        scale = c_numeric**2 * dim_eigenspace(idx) / vol_sphere(n)
         gen = rng.substream(seed, rng.PAIR_DRAW, idx.k)
         rows = []
         for _ in range(pairs):
@@ -205,7 +186,7 @@ def geometric_oracle(bases, pairs: int, seed: int) -> dict:
             q1 = quadric.sphere_point(n, gen)
             push = quadric.pushforward_kernel(basis, q0, q1)
             t = float(np.dot(q0, q1))
-            pred = c.numeric**2 * float(projector_kernel(idx, t))
+            pred = c_numeric**2 * float(projector_kernel(idx, t))
             rows.append(
                 {
                     "dot": t,
@@ -221,16 +202,16 @@ def geometric_oracle(bases, pairs: int, seed: int) -> dict:
             {
                 "k": idx.k,
                 "gram_error": basis.gram_error,
-                "c_numeric": c.numeric,
-                "c_leading": c.leading,
-                "c_ratio": c.ratio,
+                "c_numeric": c_numeric,
+                "c_leading": c_leading,
+                "c_ratio": c_numeric / c_leading,
                 "pairs": rows,
                 "max_residual": max(residuals),
                 "mean_residual": sum(residuals) / len(residuals),
                 "diagonal_residual": abs(diag - scale) / scale,
             }
         )
-    report = quadric.offdiagonal_decay_probe(bases, *quadric.probe_pair(n, seed))
+    report = quadric.offdiagonal_decay_probe(bases, seed)
     return {"n": n, "samples": bases[0].samples, "pairs": pairs, "degrees": degrees, "decay": asdict(report)}
 
 

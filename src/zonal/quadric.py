@@ -35,14 +35,12 @@ from .special import ZonalIndex, vol_sphere
 
 __all__ = [
     "ConeBasis",
-    "SzegoEvaluator",
     "DecayReport",
     "sample_frame",
     "sphere_point",
     "build_cone_basis",
     "pushforward_kernel",
     "c_constant_numeric",
-    "probe_pair",
     "offdiagonal_decay_probe",
 ]
 
@@ -53,10 +51,8 @@ POINT_TOL = 1e-9
 # to this degree, tighter than _inverse_gram's exactness bound (n (n+1))^k < 2^53.
 ORACLE_DIMENSIONS = (2, 3)
 ORACLE_MAX_DEGREE = 12
-# the decay probe's pair: the angle between its two base points, and the
-# least projective distance it accepts (the pair's is sqrt(2) sin(0.45), about 0.615)
+# the angle between the two base points of the decay probe's pair
 PROBE_ANGLE = 0.9
-PROBE_MIN_DISTANCE = 0.5
 
 
 def _require_oracle_domain(label: str, n: int, ks=()) -> None:
@@ -77,7 +73,7 @@ def _cone_slice_mass(n: int) -> float:
     product of the base and fiber sphere volumes (the base direction moving
     along the fiber circle carries metric factor sqrt(2), as a direct
     computation at n=1 confirms: two circles of circumference 2 pi sqrt(2)).
-    The form scales with degree 2n-1 in the radius r (``SzegoEvaluator.prefactor``
+    The form scales with degree 2n-1 in the radius r (``ConeBasis.prefactor``
     divides by that r^(2n-1)), and one global 1/(2 pi) normalizes the circle
     direction:
 
@@ -286,6 +282,34 @@ class ConeBasis:
         # a real product on the rows seen as reals, real and imaginary parts interleaved
         return (self.coeff @ rows.view(float)).view(complex).T
 
+    def prefactor(self, radius: float) -> float:
+        """r^-(2k+2n-1), the kernel's scale on the radius-r slice relative to the unit one."""
+        return float(radius) ** -(2 * self.k + 2 * self.n - 1)
+
+    def kernel(self, x, y, radius: float):
+        """Reproducing kernel r^-(2k+2n-1) sum_j s_j(x) conj(s_j(y)) on the radius-r slice.
+
+        x and y are points of shape (n+1,) or (M, n+1) on that slice; one x
+        broadcasts against many y, and two 1-D points give a complex scalar.
+        Both sides are checked and evaluated in one stacked call.
+        """
+        if not (radius > 0.0):
+            raise ValueError(f"ConeBasis.kernel: expected radius > 0, got {radius!r}")
+        x = np.asarray(x, dtype=complex)
+        y = np.asarray(y, dtype=complex)
+        single = x.ndim == 1 and y.ndim == 1
+        xs = np.atleast_2d(x)
+        points = np.concatenate([xs, np.atleast_2d(y)])
+        # both equations relative to r^2, so a point and its rescaling pass or fail together
+        tol = POINT_TOL * radius * radius
+        if np.any(np.abs(np.sum(points * points, axis=-1)) > tol):
+            raise ValueError("ConeBasis.kernel x, y: point is not on the null cone (tol 1e-9 r^2)")
+        if np.any(np.abs(np.sum(np.abs(points) ** 2, axis=-1) - radius * radius) > tol):
+            raise ValueError(f"ConeBasis.kernel x, y: point is not on the radius-{radius:g} slice (tol 1e-9 r^2)")
+        sx, sy = np.split(self.evaluate(points), [len(xs)])
+        vals = self.prefactor(radius) * np.sum(sx * sy.conj(), axis=-1)
+        return complex(vals[0]) if single else vals
+
 
 def build_cone_basis(n: int, ks, samples: int, seed: int) -> tuple[ConeBasis, ...]:
     """Estimate the Gram of each degree's monomial basis on the unit slice and invert it.
@@ -373,52 +397,6 @@ def _ordered_bases(bases, label: str) -> tuple[int, list[ConeBasis]]:
     return dims[0], bases
 
 
-def _require_on_slice(z: np.ndarray, r: float, label: str) -> None:
-    # both equations relative to r^2, so a point and its rescaling pass or fail together
-    tol = POINT_TOL * r * r
-    if np.any(np.abs(np.sum(z * z, axis=-1)) > tol):
-        raise ValueError(f"{label}: point is not on the null cone (tol 1e-9 r^2)")
-    if np.any(np.abs(np.sum(np.abs(z) ** 2, axis=-1) - r * r) > tol):
-        raise ValueError(f"{label}: point is not on the radius-{r:g} slice (tol 1e-9 r^2)")
-
-
-@dataclass(frozen=True)
-class SzegoEvaluator:
-    """Reproducing kernel of the degree-k section space at a chosen radius.
-
-    kernel(x, y) = r^-(2k+2n-1) sum_j s_j(x) conj(s_j(y)) with s_j the
-    orthonormal sections of the underlying unit-slice basis.
-    """
-
-    basis: ConeBasis
-    radius: float
-
-    def __post_init__(self):
-        if not (self.radius > 0.0):
-            raise ValueError(f"SzegoEvaluator.radius: expected > 0, got {self.radius!r}")
-
-    @property
-    def prefactor(self) -> float:
-        return float(self.radius) ** -(2 * self.basis.k + 2 * self.basis.n - 1)
-
-    def kernel(self, x, y):
-        """K(x, y) for points of shape (n+1,) or (M, n+1) on the radius-r slice.
-
-        One x broadcasts against many y; two 1-D points give a complex scalar.
-        Both sides are checked and evaluated in one stacked call.
-        """
-        x = np.asarray(x, dtype=complex)
-        y = np.asarray(y, dtype=complex)
-        single = x.ndim == 1 and y.ndim == 1
-        xs = np.atleast_2d(x)
-        points = np.concatenate([xs, np.atleast_2d(y)])
-        _require_on_slice(points, self.radius, "SzegoEvaluator.kernel x, y")
-        s = self.basis.evaluate(points)
-        sx, sy = np.split(s, [len(xs)])
-        vals = self.prefactor * np.sum(sx * sy.conj(), axis=-1)
-        return complex(vals[0]) if single else vals
-
-
 def _pushforward_raw(basis: ConeBasis, q0: np.ndarray, q1: np.ndarray) -> tuple[complex, float]:
     """Complex double fiber integral plus its imaginary-noise allowance."""
     n, k = basis.n, basis.k
@@ -434,7 +412,7 @@ def _pushforward_raw(basis: ConeBasis, q0: np.ndarray, q1: np.ndarray) -> tuple[
     nodes, w = fiber_rule(qs, k)
     s = basis.evaluate((qs[:, None, :] + 1j * nodes).reshape(-1, n + 1))
     fibers = w @ s.reshape(2, len(w), basis.size)
-    prefactor = SzegoEvaluator(basis, math.sqrt(2.0)).prefactor  # the slice of q + ip
+    prefactor = basis.prefactor(math.sqrt(2.0))  # the slice of q + ip
     raw = prefactor * complex(np.sum(fibers[0] * fibers[1].conj()))
     # the exact kernel pushes forward to a real value, and the sampled one
     # lies within gram_error times the fiber integrals' norms of it (see
@@ -488,37 +466,11 @@ def c_constant_numeric(idx: ZonalIndex) -> float:
 def _fubini_study_distance(z0: np.ndarray, z1: np.ndarray) -> float:
     """Projective distance between circle fibers through two slice points.
 
-    For z0, z1 on the radius-sqrt(2) slice, which the caller checks, this is
-    the minimum over phases of |exp(-i g) z0 - z1| / sqrt(2), which closes
-    to sqrt(2 - |<z0, z1>|).
+    For z0, z1 on the radius-sqrt(2) slice, where the caller builds them,
+    this is the minimum over phases of |exp(-i g) z0 - z1| / sqrt(2), which
+    closes to sqrt(2 - |<z0, z1>|).
     """
     return math.sqrt(max(2.0 - abs(complex(np.vdot(z0, z1))), 0.0))
-
-
-def probe_pair(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Separated unit-slice pair sharing a fiber direction, for decay probes.
-
-    Draws a Haar frame (q, p) and a unit extension e orthogonal to both,
-    then returns x = (q + ip)/sqrt(2) and x' = (cos(a) q + sin(a) e
-    + ip)/sqrt(2), a = PROBE_ANGLE.  The projective distance between the
-    pair is sqrt(2) sin(a / 2).
-    """
-    if n < 2:
-        raise ValueError(f"probe_pair: extension direction needs n >= 2, got {n}")
-    gen = rng.substream(seed, rng.PROBE, 0)
-    q, p = _frame_block(n, 1, gen)
-    q, p = q[0], p[0]
-    while True:
-        v = gen.normal(size=n + 1)
-        v -= np.dot(v, q) * q + np.dot(v, p) * p
-        norm = float(np.linalg.norm(v))
-        if norm > FRAME_TOL:
-            e = v / norm
-            break
-    scale = 1.0 / math.sqrt(2.0)
-    x = scale * (q + 1j * p)
-    x_prime = scale * (math.cos(PROBE_ANGLE) * q + math.sin(PROBE_ANGLE) * e + 1j * p)
-    return x, x_prime
 
 
 @dataclass(frozen=True)
@@ -534,29 +486,43 @@ class DecayReport:
     superpolynomial: bool | None
 
 
-def offdiagonal_decay_probe(bases: list[ConeBasis], x: np.ndarray, x_prime: np.ndarray) -> DecayReport:
+def offdiagonal_decay_probe(bases: list[ConeBasis], seed: int) -> DecayReport:
     """Normalized kernel magnitude at a fixed separated pair, per degree.
 
-    For each degree-k basis, evaluates the sections at both points of the
-    unit-slice pair in one call, takes their 2 x 2 Gram s s^H, and computes
-    |K(x, x')| / sqrt(K(x, x) K(x', x')), which lies within
-    gram_error (1 + value) / (1 - gram_error) of the exact kernel's, and
-    flags values below the basis gram_error, where they are consistent with
-    zero, as noise-floor entries.  The distance is `_fubini_study_distance`
-    of the pair's sqrt(2) lifts.  Reports the fitted exponential decay
-    rate over the clean prefix (None below two clean values), whether the
-    clean prefix is strictly decreasing, and whether successive ratios
-    shrink (None below three).  The bases must be non-empty and share one
-    sphere dimension (`_ordered_bases`).
+    The pair is drawn from the rng.PROBE substream of seed: a Haar frame
+    (q, p) and a unit extension e orthogonal to both give the unit-slice
+    points x = (q + ip)/sqrt(2) and x' = (cos(a) q + sin(a) e + ip)/sqrt(2),
+    a = PROBE_ANGLE, sqrt(2) sin(a / 2) apart in projective distance
+    (`_fubini_study_distance` of their sqrt(2) lifts).  For each degree-k
+    basis, evaluates the sections at both points in one call, takes their
+    2 x 2 Gram s s^H, and computes |K(x, x')| / sqrt(K(x, x) K(x', x')),
+    which lies within gram_error (1 + value) / (1 - gram_error) of the
+    exact kernel's, and flags values below the basis gram_error, where they
+    are consistent with zero, as noise-floor entries.  Reports the fitted
+    exponential decay rate over the clean prefix (None below two clean
+    values), whether the clean prefix is strictly decreasing, and whether
+    successive ratios shrink (None below three).  The bases must be
+    non-empty and share one sphere dimension n >= 2 (`_ordered_bases`), as
+    e needs a third direction.
     """
-    _, bases = _ordered_bases(bases, "offdiagonal_decay_probe")
+    n, bases = _ordered_bases(bases, "offdiagonal_decay_probe")
+    if n < 2:
+        raise ValueError(f"offdiagonal_decay_probe: extension direction needs n >= 2, got {n}")
+    gen = rng.substream(seed, rng.PROBE, 0)
+    q, p = _frame_block(n, 1, gen)
+    q, p = q[0], p[0]
+    while True:
+        v = gen.normal(size=n + 1)
+        v -= np.dot(v, q) * q + np.dot(v, p) * p
+        norm = float(np.linalg.norm(v))
+        if norm > FRAME_TOL:
+            e = v / norm
+            break
+    scale = 1.0 / math.sqrt(2.0)
+    x = scale * (q + 1j * p)
+    x_prime = scale * (math.cos(PROBE_ANGLE) * q + math.sin(PROBE_ANGLE) * e + 1j * p)
     pair = np.array([x, x_prime], dtype=complex)
-    _require_on_slice(pair, 1.0, "offdiagonal_decay_probe x, x_prime")
     dist = _fubini_study_distance(*(math.sqrt(2.0) * pair))
-    if dist < PROBE_MIN_DISTANCE:
-        raise ValueError(
-            f"offdiagonal_decay_probe: pair distance {dist:.3f} below minimum {PROBE_MIN_DISTANCE:g}"
-        )
 
     ks, values, flags = [], [], []
     for basis in bases:

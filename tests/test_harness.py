@@ -13,14 +13,13 @@ from zonal.harness import (
     CSV_HEADER,
     JSON_BATCH,
     bracket_errors_on_grid,
-    c_constant_convergence,
     compare_rows,
     fit_error_scaling,
     geometric_oracle,
     json_summary,
     write_csv,
 )
-from zonal.quadric import SzegoEvaluator, _pushforward_raw, build_cone_basis, sphere_point
+from zonal.quadric import _pushforward_raw, build_cone_basis, sphere_point
 from zonal.special import ZonalIndex, legendre_normalized
 
 
@@ -174,13 +173,16 @@ def test_scaling_fit_points_and_dict():
 
 
 def test_c_constant_convergence_rows():
-    rows = c_constant_convergence(2, (2, 4))
-    assert [r.k for r in rows] == [2, 4]
-    for row in rows:
-        lead = c_constant_leading(ZonalIndex(n=2, k=row.k))
-        assert row.leading == lead
-        assert row.ratio == row.numeric / lead
-        assert 0.8 < row.ratio < 1.5
+    # the oracle's c-constant fields: the closed form, its leading form and their ratio
+    out = geometric_oracle(build_cone_basis(2, (2, 4), 30_000, seed=3), pairs=1, seed=3)
+    assert [d["k"] for d in out["degrees"]] == [2, 4]
+    for deg in out["degrees"]:
+        idx = ZonalIndex(n=2, k=deg["k"])
+        lead = c_constant_leading(idx)
+        assert deg["c_numeric"] == quadric.c_constant_numeric(idx)
+        assert deg["c_leading"] == lead
+        assert deg["c_ratio"] == deg["c_numeric"] / lead
+        assert 0.8 < deg["c_ratio"] < 1.5
 
 
 def test_csv_cells_round_trip():
@@ -274,6 +276,11 @@ def test_geometric_oracle_checks_bases_before_any_pushforward(monkeypatch):
     mixed = [exact_cone_basis(2, 2), exact_cone_basis(3, 2)]
     with pytest.raises(ValueError, match="mix sphere dimensions n = 2 and 3"):
         geometric_oracle(mixed, pairs=2, seed=1)
+    # the report states one sample count, so bases built with two are refused
+    (small,) = build_cone_basis(2, (2,), 20_000, seed=1)
+    (large,) = build_cone_basis(2, (4,), 200_000, seed=1)
+    with pytest.raises(ValueError, match="bases mix sample counts 20000 and 200000"):
+        geometric_oracle([large, small], pairs=2, seed=1)
 
 
 def test_geometric_oracle_report():
@@ -325,7 +332,6 @@ def test_geometric_oracle_within_gram_error(n, seed):
     for deg, basis in zip(out["degrees"], bases):
         error = deg["gram_error"]
         assert error == basis.gram_error
-        ev = SzegoEvaluator(basis=basis, radius=math.sqrt(2.0))
         gen = rng.substream(seed, rng.PAIR_DRAW, basis.k)
         for row in deg["pairs"]:
             q0, q1 = sphere_point(n, gen), sphere_point(n, gen)
@@ -334,7 +340,7 @@ def test_geometric_oracle_within_gram_error(n, seed):
             for q in (q0, q1):
                 nodes, weights = fiber_nodes(q, basis.k)
                 fibers.append(weights @ eval_monomials(q + 1j * nodes, basis.exponents) @ basis.coeff.T)
-            bound = error * ev.prefactor * np.linalg.norm(fibers[0]) * np.linalg.norm(fibers[1])
+            bound = error * basis.prefactor(math.sqrt(2.0)) * np.linalg.norm(fibers[0]) * np.linalg.norm(fibers[1])
             rounding = 1e-12 * (1.0 + abs(row["predicted"]))
             assert abs(row["pushforward"] - row["predicted"]) <= bound + rounding
             assert abs(_pushforward_raw(basis, q0, q1)[0].imag) <= bound + rounding

@@ -23,7 +23,7 @@ from oracles import (
 from zonal import quadric, rng
 from zonal.asymptotics import c_constant_leading
 from zonal.quadric import (
-    SzegoEvaluator,
+    ConeBasis,
     _cone_slice_mass,
     _frame_block,
     _fubini_study_distance,
@@ -34,7 +34,6 @@ from zonal.quadric import (
     build_cone_basis,
     c_constant_numeric,
     offdiagonal_decay_probe,
-    probe_pair,
     pushforward_kernel,
     sample_frame,
     sphere_point,
@@ -431,48 +430,44 @@ def test_build_allocates_nothing_per_block_up_front(monkeypatch):
 
 def test_szego_evaluator_validation(basis_cache):
     basis = basis_cache.get(2, 2)
+    x = unit_slice_point(2, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="expected radius > 0"):
+        basis.kernel(x, x, 0.0)
+    assert basis.prefactor(1.0) == 1.0
+    np.testing.assert_allclose(basis.prefactor(SQRT2), SQRT2 ** -(2 * 2 + 2 * 2 - 1), rtol=1e-15)
     with pytest.raises(ValueError):
-        SzegoEvaluator(basis=basis, radius=0.0)
-    ev = SzegoEvaluator(basis=basis, radius=1.0)
-    assert ev.prefactor == 1.0
-    ev2 = SzegoEvaluator(basis=basis, radius=SQRT2)
-    np.testing.assert_allclose(ev2.prefactor, SQRT2 ** -(2 * 2 + 2 * 2 - 1), rtol=1e-15)
-    with pytest.raises(ValueError):
-        ev.kernel(np.array([1.0, 0.0, 0.0]), unit_slice_point(2, np.random.default_rng(0)))
+        basis.kernel(np.array([1.0, 0.0, 0.0]), x, 1.0)
 
 
 def test_kernel_hermitian_exact(basis_cache):
     basis = basis_cache.get(2, 3)
-    ev = SzegoEvaluator(basis=basis, radius=1.0)
     gen = np.random.default_rng(11)
     for _ in range(20):
         x = unit_slice_point(2, gen)
         y = unit_slice_point(2, gen)
-        val = ev.kernel(x, y)
-        assert abs(val - np.conj(ev.kernel(y, x))) < 1e-13 * max(1.0, abs(val))
+        val = basis.kernel(x, y, 1.0)
+        assert abs(val - np.conj(basis.kernel(y, x, 1.0))) < 1e-13 * max(1.0, abs(val))
 
 
 def test_kernel_parity_exact(basis_cache):
     for n, k in [(2, 2), (2, 3)]:
         basis = basis_cache.get(n, k)
-        ev = SzegoEvaluator(basis=basis, radius=1.0)
         gen = np.random.default_rng(13)
         for _ in range(10):
             x = unit_slice_point(n, gen)
             y = unit_slice_point(n, gen)
-            assert ev.kernel(-x, y) == (-1.0) ** k * ev.kernel(x, y)
+            assert basis.kernel(-x, y, 1.0) == (-1.0) ** k * basis.kernel(x, y, 1.0)
 
 
 def test_kernel_circle_equivariance(basis_cache):
     basis = basis_cache.get(2, 3)
-    ev = SzegoEvaluator(basis=basis, radius=1.0)
     gen = np.random.default_rng(17)
     for _ in range(100):
         x = unit_slice_point(2, gen)
         y = unit_slice_point(2, gen)
         phase = gen.uniform(0.0, 2.0 * math.pi)
-        lhs = ev.kernel(np.exp(1j * phase) * x, y)
-        rhs = np.exp(1j * basis.k * phase) * ev.kernel(x, y)
+        lhs = basis.kernel(np.exp(1j * phase) * x, y, 1.0)
+        rhs = np.exp(1j * basis.k * phase) * basis.kernel(x, y, 1.0)
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
 
 
@@ -480,28 +475,25 @@ def test_kernel_homogeneity(basis_cache):
     # radius-r kernel at scaled points is r^(1-2n) times the unit one
     for n, k in [(2, 3), (3, 2)]:
         basis = basis_cache.get(n, k)
-        unit = SzegoEvaluator(basis=basis, radius=1.0)
-        scaled = SzegoEvaluator(basis=basis, radius=SQRT2)
         gen = np.random.default_rng(19)
         for _ in range(10):
             x = unit_slice_point(n, gen)
             y = unit_slice_point(n, gen)
-            lhs = scaled.kernel(SQRT2 * x, SQRT2 * y)
-            rhs = SQRT2 ** (1 - 2 * n) * unit.kernel(x, y)
+            lhs = basis.kernel(SQRT2 * x, SQRT2 * y, SQRT2)
+            rhs = SQRT2 ** (1 - 2 * n) * basis.kernel(x, y, 1.0)
             np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
 def test_kernel_conjugation():
     # the section space is conjugation stable, so exact bases commute with it
     basis = exact_cone_basis(2, 3)
-    ev = SzegoEvaluator(basis=basis, radius=1.0)
     gen = np.random.default_rng(23)
     for _ in range(20):
         x = unit_slice_point(2, gen)
         y = unit_slice_point(2, gen)
-        val = ev.kernel(x, y)
+        val = basis.kernel(x, y, 1.0)
         np.testing.assert_allclose(
-            ev.kernel(x.conj(), y.conj()), np.conj(val), rtol=0, atol=5e-13 * max(1.0, abs(val))
+            basis.kernel(x.conj(), y.conj(), 1.0), np.conj(val), rtol=0, atol=5e-13 * max(1.0, abs(val))
         )
 
 
@@ -509,12 +501,12 @@ def test_kernel_conjugation():
 @pytest.mark.parametrize("k", [1, 3, 6])
 def test_kernel_matches_closed_form(n, k):
     # exact-quadrature basis against N_k / mass(1) (z . conj(w))^k, sharing no zonal code
-    ev = SzegoEvaluator(basis=exact_cone_basis(n, k), radius=1.0)
+    basis = exact_cone_basis(n, k)
     gen = np.random.default_rng(100 * n + k)
     x = np.array([unit_slice_point(n, gen) for _ in range(50)])
     y = np.array([unit_slice_point(n, gen) for _ in range(50)])
-    diagonal = ev.basis.size / _cone_slice_mass(n)
-    err = np.abs(ev.kernel(x, y) - szego_kernel_exact(n, k, x, y)).max() / diagonal
+    diagonal = basis.size / _cone_slice_mass(n)
+    err = np.abs(basis.kernel(x, y, 1.0) - szego_kernel_exact(n, k, x, y)).max() / diagonal
     assert err <= 1e-13
 
 
@@ -522,12 +514,11 @@ def test_kernel_conjugation_monte_carlo(basis_cache):
     # Monte Carlo bases obey it only to Gram noise: the sampled kernel lies
     # within gram_error |s(x)| |s(y)| of the exact one at each pair of points
     basis = basis_cache.get(2, 3)
-    ev = SzegoEvaluator(basis=basis, radius=1.0)
     gen = np.random.default_rng(29)
     for _ in range(10):
         x = unit_slice_point(2, gen)
         y = unit_slice_point(2, gen)
-        diff = abs(ev.kernel(x.conj(), y.conj()) - np.conj(ev.kernel(x, y)))
+        diff = abs(basis.kernel(x.conj(), y.conj(), 1.0) - np.conj(basis.kernel(x, y, 1.0)))
         sx, sy, sxc, syc = np.linalg.norm(basis.evaluate(np.array([x, y, x.conj(), y.conj()])), axis=1)
         assert diff <= basis.gram_error * (sx * sy + sxc * syc) + 1e-13
 
@@ -537,11 +528,10 @@ def test_diagonal_matches_dimension():
     gen = np.random.default_rng(31)
     for n, k in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]:
         basis = exact_cone_basis(n, k)
-        ev = SzegoEvaluator(basis=basis, radius=SQRT2)
         expected = basis.size / (SQRT2 ** (2 * n - 1) * _cone_slice_mass(n))
         for _ in range(5):
             z = sample_frame(n, gen)
-            np.testing.assert_allclose(ev.kernel(z, z).real, expected, rtol=1e-10)
+            np.testing.assert_allclose(basis.kernel(z, z, SQRT2).real, expected, rtol=1e-10)
 
 
 # ---------------------------------------------------------------- push-forward
@@ -612,12 +602,11 @@ def test_pushforward_refuses_a_residue_past_its_allowance(basis_cache, monkeypat
 def test_pushforward_fiber_rule_has_the_kernel_degree():
     # the kernel has degree k in each fiber variable, so the degree-k fiber
     # rule must match an independent double fiber integral of higher degree,
-    # scaled by the radius-sqrt(2) evaluator's prefactor
+    # scaled by the basis's radius-sqrt(2) prefactor
     gen = np.random.default_rng(53)
     for n in (2, 3):
         for k in range(1, 9):
             basis = exact_cone_basis(n, k)
-            ev = SzegoEvaluator(basis=basis, radius=SQRT2)
             q0 = sphere_point(n, gen)
             for q1 in (sphere_point(n, gen), sphere_point(n, gen), q0):
                 raw, _ = _pushforward_raw(basis, q0, q1)
@@ -626,7 +615,7 @@ def test_pushforward_fiber_rule_has_the_kernel_degree():
                     nodes, weights = fiber_nodes(q, k + 4)
                     sections = eval_monomials(q + 1j * nodes, basis.exponents) @ basis.coeff.T
                     fibers.append(weights @ sections)
-                ref = ev.prefactor * complex(np.sum(fibers[0] * fibers[1].conj()))
+                ref = basis.prefactor(SQRT2) * complex(np.sum(fibers[0] * fibers[1].conj()))
                 assert abs(raw - ref) <= 1e-13 * max(1.0, abs(ref)), (n, k, raw, ref)
 
 
@@ -715,17 +704,15 @@ def test_fubini_study_distance_basics():
 
 
 def test_probe_pair():
-    x, xp = probe_pair(2, seed=77)
-    y, yp = probe_pair(2, seed=77)
-    np.testing.assert_array_equal(x, y)
-    np.testing.assert_array_equal(xp, yp)
-    for z in (x, xp):
-        np.testing.assert_allclose(np.sum(np.abs(z) ** 2), 1.0, rtol=1e-13)
-        assert abs(np.sum(z * z)) < 1e-13
-    dist = math.sqrt(max(2.0 - 2.0 * abs(np.vdot(x, xp)), 0.0))
-    np.testing.assert_allclose(dist, SQRT2 * math.sin(quadric.PROBE_ANGLE / 2), rtol=1e-12)
-    with pytest.raises(ValueError):
-        probe_pair(1, seed=0)
+    # the probe draws its pair from the seed alone, PROBE_ANGLE apart at the base
+    bases = [exact_cone_basis(2, k) for k in (2, 3)]
+    report = offdiagonal_decay_probe(bases, seed=77)
+    assert offdiagonal_decay_probe(bases, seed=77) == report
+    np.testing.assert_allclose(report.distance, SQRT2 * math.sin(quadric.PROBE_ANGLE / 2), rtol=1e-12)
+    # the extension direction needs a third coordinate beyond the frame
+    n1 = ConeBasis(1, 2, ((0, 2), (1, 1)), np.eye(2), samples=0, gram_error=0.0)
+    with pytest.raises(ValueError, match="extension direction needs n >= 2, got 1"):
+        offdiagonal_decay_probe([n1], seed=0)
 
 
 # ------------------------------------------------------- unique fiber geometry
@@ -778,21 +765,17 @@ def test_unique_fiber_grid_scan():
 
 
 def test_decay_probe_trivial_pairs(monkeypatch):
-    # with no least distance the probe takes a point paired with itself or its own fiber
-    monkeypatch.setattr(quadric, "PROBE_MIN_DISTANCE", 0.0)
+    # at angle 0 the probe pairs a point with itself
+    monkeypatch.setattr(quadric, "PROBE_ANGLE", 0.0)
     bases = [exact_cone_basis(2, k) for k in (2, 3, 4)]
-    x = np.array([1.0, 1j, 0.0]) / SQRT2
-    same = offdiagonal_decay_probe(bases, x, x)
+    same = offdiagonal_decay_probe(bases, seed=77)
     np.testing.assert_allclose(same.values, 1.0, rtol=1e-12)
     assert same.distance < 1e-7
-    fiber = offdiagonal_decay_probe(bases, x, np.exp(1j * 0.8) * x)
-    np.testing.assert_allclose(fiber.values, 1.0, rtol=1e-12)
 
 
 def test_decay_probe_structure():
     bases = [exact_cone_basis(2, k) for k in (2, 3, 4, 5, 6, 7, 8)]
-    x, xp = probe_pair(2, seed=77)
-    report = offdiagonal_decay_probe(bases, x, xp)
+    report = offdiagonal_decay_probe(bases, seed=77)
     assert report.ks == (2, 3, 4, 5, 6, 7, 8)
     half = quadric.PROBE_ANGLE / 2
     np.testing.assert_allclose(report.distance, SQRT2 * math.sin(half), rtol=1e-12)
@@ -805,21 +788,12 @@ def test_decay_probe_structure():
         assert b < a
 
 
-def test_decay_probe_errors(monkeypatch):
-    with pytest.raises(ValueError):
-        offdiagonal_decay_probe([], *probe_pair(2, seed=1))
+def test_decay_probe_errors():
+    with pytest.raises(ValueError, match="need at least one basis"):
+        offdiagonal_decay_probe([], seed=1)
     mixed = [exact_cone_basis(2, 2), exact_cone_basis(3, 2)]
-    with pytest.raises(ValueError):
-        offdiagonal_decay_probe(mixed, *probe_pair(2, seed=1))
-    # points off the unit slice or off the null cone are refused before the distance is formed
-    x, xp = probe_pair(2, seed=1)
-    for bad in (SQRT2 * x, np.array([1.0, 0.0, 0.0], dtype=complex)):
-        with pytest.raises(ValueError, match="offdiagonal_decay_probe"):
-            offdiagonal_decay_probe([exact_cone_basis(2, 2)], bad, xp)
-    # a pair at angle 0.3 lies sqrt(2) sin(0.15), about 0.21, apart: below PROBE_MIN_DISTANCE
-    monkeypatch.setattr(quadric, "PROBE_ANGLE", 0.3)
-    with pytest.raises(ValueError, match="below minimum"):
-        offdiagonal_decay_probe([exact_cone_basis(2, 2)], *probe_pair(2, seed=1))
+    with pytest.raises(ValueError, match="mix sphere dimensions n = 2 and 3"):
+        offdiagonal_decay_probe(mixed, seed=1)
 
 
 @pytest.mark.parametrize("seed", [1, 77, 20250819])
@@ -827,7 +801,7 @@ def test_decay_probe_errors(monkeypatch):
 def test_decay_probe_matches_closed_form(n, kmax, seed):
     # an exact basis leaves only rounding between the probe and |<x, x'>|^k
     bases = [exact_cone_basis(n, k) for k in range(1, kmax + 1)]
-    report = offdiagonal_decay_probe(bases, *probe_pair(n, seed))
+    report = offdiagonal_decay_probe(bases, seed)
     expected = [decay_exact(quadric.PROBE_ANGLE, k) for k in report.ks]
     np.testing.assert_allclose(report.values, expected, rtol=1e-12, atol=0.0)
 
@@ -835,15 +809,13 @@ def test_decay_probe_matches_closed_form(n, kmax, seed):
 def test_points_must_match_the_basis_dimension():
     # an n = 3 basis lives on C^4; C^3 and C^5 pairs on their own slices are refused
     basis = exact_cone_basis(3, 2)
-    ev = SzegoEvaluator(basis=basis, radius=1.0)
+    gen = np.random.default_rng(1)
     for m in (2, 4):
-        x, xp = probe_pair(m, seed=1)
+        x, xp = unit_slice_point(m, gen), unit_slice_point(m, gen)
         with pytest.raises(ValueError, match="C\\^4"):
             basis.evaluate(x)
         with pytest.raises(ValueError, match="C\\^4"):
-            ev.kernel(x, xp)
-        with pytest.raises(ValueError, match="C\\^4"):
-            offdiagonal_decay_probe([basis], x, xp)
+            basis.kernel(x, xp, 1.0)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -851,21 +823,17 @@ def test_slice_check_does_not_depend_on_the_radius(n):
     # a point off the slice by a factor 1 + f has |z|^2 off by about 2 f r^2,
     # inside the 1e-9 r^2 tolerance at f = 4e-10 and outside it at 6e-10
     basis = exact_cone_basis(n, 1)
-    x, xp = probe_pair(n, seed=1)
+    gen = np.random.default_rng(1)
+    x, xp = unit_slice_point(n, gen), unit_slice_point(n, gen)
     for factor, accepted in ((4e-10, True), (6e-10, False)):
         outcomes = []
         for r in (0.1, 1.0, SQRT2, 10.0):
             try:
-                SzegoEvaluator(basis, r).kernel(r * (1.0 + factor) * x, r * xp)
+                basis.kernel(r * (1.0 + factor) * x, r * xp, r)
                 outcomes.append(True)
             except ValueError:
                 outcomes.append(False)
         assert outcomes == [accepted] * 4, (factor, outcomes)
-    # the decay probe's radius-1 check decides for its distance's radius-sqrt(2) lifts too
-    bases = [exact_cone_basis(n, k) for k in (1, 2, 3)]
-    offdiagonal_decay_probe(bases, (1.0 + 4e-10) * x, xp)
-    with pytest.raises(ValueError, match="offdiagonal_decay_probe"):
-        offdiagonal_decay_probe(bases, (1.0 + 6e-10) * x, xp)
 
 
 def test_kernel_against_many_points_matches_single_pairs():
@@ -873,12 +841,11 @@ def test_kernel_against_many_points_matches_single_pairs():
     basis = exact_cone_basis(3, 8)
     gen = np.random.default_rng(5)
     for r in (1.0, SQRT2):
-        ev = SzegoEvaluator(basis, r)
         x = r * unit_slice_point(3, gen)
         ys = np.array([r * unit_slice_point(3, gen) for _ in range(6)])
-        values = ev.kernel(x, ys)
+        values = basis.kernel(x, ys, r)
         assert values.shape == (6,)
         for y, value in zip(ys, values):
-            single = ev.kernel(x, y)
+            single = basis.kernel(x, y, r)
             assert isinstance(single, complex)
             assert abs(value - single) <= 1e-14 * max(1.0, abs(single))
