@@ -234,8 +234,8 @@ def _cmd_scaling(args) -> int:
         ks.append(k)
         k *= 2
     window = AngleWindow(c=args.window_c, delta=args.delta)
-    fit = harness.fit_error_scaling(args.n, ks, window, args.grid)
-    _emit(args, "scaling", fit.as_dict(), fit.worst_rows, ks=ks)
+    summary, worst_rows = harness.fit_error_scaling(args.n, ks, window, args.grid)
+    _emit(args, "scaling", summary, worst_rows, ks=ks)
     return 0
 
 

@@ -14,7 +14,6 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .asymptotics import AngleWindow, c_constant_leading, legendre_leading
 from .special import ZonalIndex, _is_int, dim_eigenspace, legendre_normalized, projector_kernel, vol_sphere
 
 __all__ = [
-    "ScalingFit",
     "bracket_errors_on_grid",
     "fit_error_scaling",
     "geometric_oracle",
@@ -55,63 +53,33 @@ def bracket_errors_on_grid(idx: ZonalIndex, window: AngleWindow, grid_size: int 
     return thetas, exact, lead, rel
 
 
-@dataclass(frozen=True)
-class ScalingFit:
-    """Log-log fit of bracket error against degree."""
-
-    n: int
-    window: AngleWindow
-    ks: tuple[int, ...]
-    errors: tuple[float, ...]
-    slope: float
-    intercept: float
-    r_squared: float
-    exact: bool
-    # each degree's worst-angle CSV-schema row; not part of the JSON summary
-    worst_rows: tuple[dict, ...] = field(default=(), compare=False, repr=False)
-
-    @property
-    def points(self) -> tuple[tuple[float, float], ...]:
-        """(log k, log error) pairs behind the fit; zero errors floored."""
-        floor = sys.float_info.min
-        return tuple(
-            (math.log(float(k)), math.log(max(err, floor)))
-            for k, err in zip(self.ks, self.errors)
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "C": self.window.c,
-            "delta": self.window.delta,
-            "ks": list(self.ks),
-            "errors": list(self.errors),
-            "points": [list(point) for point in self.points],
-            "slope": None if math.isnan(self.slope) else self.slope,
-            "intercept": None if math.isnan(self.intercept) else self.intercept,
-            "r_squared": self.r_squared,
-            "exact": self.exact,
-        }
-
-
 def fit_error_scaling(
     n: int,
     ks,
     window: AngleWindow | None = None,
     grid_size: int = GRID_SIZE,
-) -> ScalingFit:
+) -> tuple[dict, list[dict]]:
     """Ordinary least squares of log error on log degree.
+
+    Returns (summary, worst_rows): the JSON payload of `zonal scaling`, and
+    each degree's worst-angle CSV-schema row, which its CSV writes.  The
+    summary's points are the (log k, log error) pairs behind the fit, zero
+    errors floored to the smallest normal float.  The degrees must be at
+    least two and distinct.
 
     A family whose bracket closes exactly (the circle case) leaves rounding
     errors that grow like k eps.  A run whose error at every degree k stays
     below EXACT_C k eps / sin(lo), lo the window's lower edge at k, is
-    flagged exact and carries a NaN slope instead of a fit through noise.
-    On the default window n >= 2 meets that bound only from k near 10^7.
+    flagged exact and carries a null slope and intercept instead of a fit
+    through noise.  On the default window n >= 2 meets that bound only from
+    k near 10^7.
     """
     window = window or AngleWindow()
-    ks = tuple(int(k) for k in ks)
+    ks = [int(k) for k in ks]
     if len(ks) < 2:
         raise ValueError(f"fit_error_scaling: need at least 2 degrees, got {len(ks)}")
+    if len(set(ks)) < len(ks):
+        raise ValueError(f"fit_error_scaling: degrees must be distinct, got {ks}")
     if any(k < 1 for k in ks):
         raise ValueError("fit_error_scaling: degrees must be >= 1")
     errors = []
@@ -125,10 +93,9 @@ def fit_error_scaling(
         worst_rows += _schema_rows(idx, window, grid, [int(np.argmax(rel))])
         bound = EXACT_C * k * sys.float_info.epsilon / math.sin(window.bounds(k)[0])
         exact = exact and errors[-1] <= bound
-    if exact:
-        slope = intercept = math.nan
-        r2 = 1.0
-    else:
+    slope = intercept = math.nan
+    r2 = 1.0
+    if not exact:
         logk = np.log(np.array(ks, dtype=float))
         loge = np.log(np.array(errors, dtype=float))
         slope, intercept = (float(v) for v in np.polyfit(logk, loge, 1))
@@ -136,34 +103,37 @@ def fit_error_scaling(
         ss_res = float(np.sum((loge - pred) ** 2))
         ss_tot = float(np.sum((loge - loge.mean()) ** 2))
         r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
-    return ScalingFit(
-        n=n,
-        window=window,
-        ks=ks,
-        errors=tuple(errors),
-        slope=slope,
-        intercept=intercept,
-        r_squared=r2,
-        exact=exact,
-        worst_rows=tuple(worst_rows),
-    )
+    floor = sys.float_info.min
+    summary = {
+        "n": n,
+        "C": window.c,
+        "delta": window.delta,
+        "ks": ks,
+        "errors": errors,
+        "points": [[math.log(float(k)), math.log(max(err, floor))] for k, err in zip(ks, errors)],
+        "slope": None if math.isnan(slope) else slope,
+        "intercept": None if math.isnan(intercept) else intercept,
+        "r_squared": r2,
+        "exact": exact,
+    }
+    return summary, worst_rows
 
 
 def geometric_oracle(bases, pairs: int, seed: int) -> dict:
     """Cross-checks of the geometric chain on Monte Carlo bases, per degree.
 
-    Takes the cone bases of one sphere dimension and one sample count, as
-    `quadric.build_cone_basis` returns them, checks and orders them once
-    (`quadric._ordered_bases`) before any push-forward, and reports them in
-    increasing degree.  For every degree: evaluates the fiber push-forward
+    Takes the cone bases of one sphere dimension, one sample count and
+    distinct degrees, as `quadric.build_cone_basis` returns them, checks and
+    orders them once (`quadric._ordered_bases`) before any push-forward, and
+    reports them in increasing degree.  For every degree: evaluates the fiber push-forward
     of the kernel at `pairs` random sphere pairs plus the diagonal, and
     compares against the push-forward constant squared times the sphere
     projector.  The constant's fields, the closed-form c_k
     (`quadric.c_constant_numeric`), its leading form and their ratio,
     depend on neither the bases nor `seed`.  Residuals are normalized by the
     diagonal scale C^2 N / vol(S^n), so they measure the Monte Carlo noise
-    of the basis alone.  The decay section is the bases'
-    `quadric.DecayReport` at the probe's separated pair.  Everything random
+    of the basis alone.  The decay section is the dict
+    `quadric.offdiagonal_decay_probe` returns for the bases.  Everything random
     is driven by counter-based substreams of `seed`, so the result is a
     function of the arguments alone.
     """
@@ -211,8 +181,8 @@ def geometric_oracle(bases, pairs: int, seed: int) -> dict:
                 "diagonal_residual": abs(diag - scale) / scale,
             }
         )
-    report = quadric.offdiagonal_decay_probe(bases, seed)
-    return {"n": n, "samples": bases[0].samples, "pairs": pairs, "degrees": degrees, "decay": asdict(report)}
+    decay = quadric.offdiagonal_decay_probe(bases, seed)
+    return {"n": n, "samples": bases[0].samples, "pairs": pairs, "degrees": degrees, "decay": decay}
 
 
 def _schema_rows(idx: ZonalIndex, window: AngleWindow, grid, indices) -> list[dict]:

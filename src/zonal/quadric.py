@@ -35,7 +35,6 @@ from .special import ZonalIndex, vol_sphere
 
 __all__ = [
     "ConeBasis",
-    "DecayReport",
     "sample_frame",
     "sphere_point",
     "build_cone_basis",
@@ -387,13 +386,17 @@ def build_cone_basis(n: int, ks, samples: int, seed: int) -> tuple[ConeBasis, ..
 
 
 def _ordered_bases(bases, label: str) -> tuple[int, list[ConeBasis]]:
-    """(n, the bases in increasing degree); ValueError if there are none or they mix sphere dimensions."""
+    """(n, the bases in increasing degree); ValueError if there are none, they
+    mix sphere dimensions or they repeat a degree."""
     bases = sorted(bases, key=lambda b: b.k)
     dims = sorted({basis.n for basis in bases})
     if not dims:
         raise ValueError(f"{label}: need at least one basis")
     if len(dims) > 1:
         raise ValueError(f"{label}: bases mix sphere dimensions n = {' and '.join(map(str, dims))}")
+    repeated = sorted({a.k for a, b in zip(bases, bases[1:]) if a.k == b.k})
+    if repeated:
+        raise ValueError(f"{label}: bases repeat degree k = {' and '.join(map(str, repeated))}")
     return dims[0], bases
 
 
@@ -473,20 +476,7 @@ def _fubini_study_distance(z0: np.ndarray, z1: np.ndarray) -> float:
     return math.sqrt(max(2.0 - abs(complex(np.vdot(z0, z1))), 0.0))
 
 
-@dataclass(frozen=True)
-class DecayReport:
-    """Off-diagonal kernel decay across degrees at one fixed pair."""
-
-    distance: float
-    ks: tuple[int, ...]
-    values: tuple[float, ...]
-    below_floor: tuple[bool, ...]
-    decay_rate: float | None
-    monotone_until_floor: bool
-    superpolynomial: bool | None
-
-
-def offdiagonal_decay_probe(bases: list[ConeBasis], seed: int) -> DecayReport:
+def offdiagonal_decay_probe(bases: list[ConeBasis], seed: int) -> dict:
     """Normalized kernel magnitude at a fixed separated pair, per degree.
 
     The pair is drawn from the rng.PROBE substream of seed: a Haar frame
@@ -498,12 +488,14 @@ def offdiagonal_decay_probe(bases: list[ConeBasis], seed: int) -> DecayReport:
     2 x 2 Gram s s^H, and computes |K(x, x')| / sqrt(K(x, x) K(x', x')),
     which lies within gram_error (1 + value) / (1 - gram_error) of the
     exact kernel's, and flags values below the basis gram_error, where they
-    are consistent with zero, as noise-floor entries.  Reports the fitted
-    exponential decay rate over the clean prefix (None below two clean
-    values), whether the clean prefix is strictly decreasing, and whether
-    successive ratios shrink (None below three).  The bases must be
-    non-empty and share one sphere dimension n >= 2 (`_ordered_bases`), as
-    e needs a third direction.
+    are consistent with zero, as noise-floor entries.  Returns the oracle's
+    decay section: the pair's `distance`, the degrees `ks` in increasing
+    order, their `values` and `below_floor` flags, the fitted exponential
+    `decay_rate` over the clean prefix before the first floor entry (None
+    below two clean values), and whether that prefix is strictly decreasing
+    (`monotone_until_floor`).  The bases must be non-empty, of distinct
+    degrees and share one sphere dimension n >= 2 (`_ordered_bases`), as e
+    needs a third direction.
     """
     n, bases = _ordered_bases(bases, "offdiagonal_decay_probe")
     if n < 2:
@@ -539,8 +531,5 @@ def offdiagonal_decay_probe(bases: list[ConeBasis], seed: int) -> DecayReport:
     rate = None
     if len(clean) >= 2:
         rate = float(np.polyfit(np.array(ks[:first_floor], dtype=float), np.log(clean), 1)[0])
-    superpoly = None
-    if len(clean) >= 3:
-        ratios = [b / a for a, b in zip(clean, clean[1:])]
-        superpoly = all(r2 < r1 for r1, r2 in zip(ratios, ratios[1:]))
-    return DecayReport(dist, tuple(ks), tuple(values), tuple(flags), rate, monotone, superpoly)
+    return {"distance": dist, "ks": ks, "values": values, "below_floor": flags,
+            "decay_rate": rate, "monotone_until_floor": monotone}

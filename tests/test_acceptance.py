@@ -70,13 +70,13 @@ def test_criterion_2_laplace_accuracy():
 def test_criterion_3_error_scaling_slope():
     t0 = time.perf_counter()
     ks = (64, 128, 256, 512, 1024, 2048, 4096)
-    results = {n: fit_error_scaling(n, ks) for n in (2, 3)}
+    results = {n: fit_error_scaling(n, ks)[0] for n in (2, 3)}
     elapsed = time.perf_counter() - t0
     ok = all(
-        -1.25 <= fit.slope <= -0.75 and fit.r_squared > 0.95 for fit in results.values()
+        -1.25 <= fit["slope"] <= -0.75 and fit["r_squared"] > 0.95 for fit in results.values()
     )
     detail = ", ".join(
-        f"n={n}: slope {fit.slope:.3f}, r^2 {fit.r_squared:.4f}" for n, fit in results.items()
+        f"n={n}: slope {fit['slope']:.3f}, r^2 {fit['r_squared']:.4f}" for n, fit in results.items()
     )
     _report(
         "criterion 3 error scaling slope",
@@ -218,9 +218,9 @@ def test_criterion_8_offdiagonal_decay(basis_cache):
     elapsed = time.perf_counter() - t0
     _report(
         "criterion 8 off-diagonal decay",
-        report.distance >= 0.5 and report.monotone_until_floor and elapsed < 120.0,
-        f"distance {report.distance:.3f} (>= 0.5), strictly decreasing over "
-        f"k={report.ks[0]}..{report.ks[-1]} until floor: {report.monotone_until_floor}, "
+        report["distance"] >= 0.5 and report["monotone_until_floor"] and elapsed < 120.0,
+        f"distance {report['distance']:.3f} (>= 0.5), strictly decreasing over "
+        f"k={report['ks'][0]}..{report['ks'][-1]} until floor: {report['monotone_until_floor']}, "
         f"{elapsed:.1f}s (< 120s)",
     )
 

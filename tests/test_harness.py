@@ -110,7 +110,7 @@ def test_relative_bracket_error_circle_closes():
         assert float(bracket_errors_on_grid(ZonalIndex(n=1, k=k), AngleWindow(), 1 << 17)[3].max()) < 1e-13
 
 
-def test_relative_bracket_error_decreases_with_degree():
+def test_bracket_error_decreases_with_degree():
     window = AngleWindow()
     errs = [float(bracket_errors_on_grid(ZonalIndex(n=2, k=k), window)[3].max()) for k in (256, 1024)]
     assert errs[1] < errs[0]
@@ -124,24 +124,24 @@ def test_wider_window_is_harder():
 
 
 def test_fit_error_scaling_exact_circle():
-    fit = fit_error_scaling(1, (64, 128, 256))
-    assert fit.exact
-    assert math.isnan(fit.slope)
-    assert fit.r_squared == 1.0
-    assert all(math.isfinite(x) and math.isfinite(y) for x, y in fit.points)
+    summary, _ = fit_error_scaling(1, (64, 128, 256))
+    assert summary["exact"]
+    assert summary["slope"] is None and summary["intercept"] is None
+    assert summary["r_squared"] == 1.0
+    assert all(math.isfinite(x) and math.isfinite(y) for x, y in summary["points"])
     # near the poles rounding t = cos(theta) costs up to 34 k eps at k=256,
     # so the bound scales with 1 / sin of the window edge
     narrow = AngleWindow(c=0.01, delta=0.16)
-    assert fit_error_scaling(1, (64, 128, 256), narrow).exact
-    assert not fit_error_scaling(2, (64, 128, 256), narrow).exact
+    assert fit_error_scaling(1, (64, 128, 256), narrow)[0]["exact"]
+    assert not fit_error_scaling(2, (64, 128, 256), narrow)[0]["exact"]
 
 
 def test_fit_error_scaling_slope_band():
     for n in (2, 3):
-        fit = fit_error_scaling(n, (64, 128, 256, 512))
-        assert not fit.exact
-        assert -1.4 < fit.slope < -0.6
-        assert fit.r_squared > 0.9
+        summary, _ = fit_error_scaling(n, (64, 128, 256, 512))
+        assert not summary["exact"]
+        assert -1.4 < summary["slope"] < -0.6
+        assert summary["r_squared"] > 0.9
 
 
 def test_fit_error_scaling_validation():
@@ -149,30 +149,31 @@ def test_fit_error_scaling_validation():
         fit_error_scaling(2, (64,))
     with pytest.raises(ValueError):
         fit_error_scaling(2, (0, 64))
+    # a repeated degree adds no second point to fit through
+    with pytest.raises(ValueError, match="degrees must be distinct"):
+        fit_error_scaling(2, (64, 64))
 
 
-def test_scaling_fit_points_and_dict():
-    fit = fit_error_scaling(2, (64, 128))
-    assert fit.points == tuple(
-        (math.log(float(k)), math.log(e)) for k, e in zip(fit.ks, fit.errors)
-    )
-    doc = fit.as_dict()
-    assert doc["ks"] == [64, 128]
-    assert doc["points"] == [list(p) for p in fit.points]
-    assert set(doc) == {
+def test_scaling_summary_points_and_keys():
+    summary, _ = fit_error_scaling(2, (64, 128))
+    assert summary["ks"] == [64, 128]
+    assert summary["points"] == [
+        [math.log(float(k)), math.log(e)] for k, e in zip(summary["ks"], summary["errors"])
+    ]
+    assert set(summary) == {
         "n", "C", "delta", "ks", "errors", "points", "slope", "intercept", "r_squared", "exact",
     }
     # the worst-angle rows feed `zonal scaling --format csv`, not the JSON
     window = AngleWindow(c=1.0, delta=0.1)
-    fit = fit_error_scaling(2, (64, 128), window, grid_size=32)
-    assert len(fit.worst_rows) == 2
-    for k, err, row in zip(fit.ks, fit.errors, fit.worst_rows):
+    summary, worst_rows = fit_error_scaling(2, (64, 128), window, grid_size=32)
+    assert len(worst_rows) == 2
+    for k, err, row in zip(summary["ks"], summary["errors"], worst_rows):
         rows = compare_rows(ZonalIndex(n=2, k=k), window, grid_size=32)
         assert row == max(rows, key=lambda r: r["rel_err"])
         assert row["rel_err"] == err
 
 
-def test_c_constant_convergence_rows():
+def test_oracle_c_constant_fields():
     # the oracle's c-constant fields: the closed form, its leading form and their ratio
     out = geometric_oracle(build_cone_basis(2, (2, 4), 30_000, seed=3), pairs=1, seed=3)
     assert [d["k"] for d in out["degrees"]] == [2, 4]
@@ -276,6 +277,9 @@ def test_geometric_oracle_checks_bases_before_any_pushforward(monkeypatch):
     mixed = [exact_cone_basis(2, 2), exact_cone_basis(3, 2)]
     with pytest.raises(ValueError, match="mix sphere dimensions n = 2 and 3"):
         geometric_oracle(mixed, pairs=2, seed=1)
+    # a repeated degree would be reported twice and fail the strict decrease
+    with pytest.raises(ValueError, match="bases repeat degree k = 2"):
+        geometric_oracle(build_cone_basis(2, (2, 2, 4), 30_000, seed=1), pairs=2, seed=1)
     # the report states one sample count, so bases built with two are refused
     (small,) = build_cone_basis(2, (2,), 20_000, seed=1)
     (large,) = build_cone_basis(2, (4,), 200_000, seed=1)
@@ -298,10 +302,10 @@ def test_geometric_oracle_report():
         assert deg["diagonal_residual"] < 0.1
         assert 0.9 < deg["c_ratio"] < 1.1
     decay = out["decay"]
-    # the probe's report as it is: its tuples serialize as JSON lists
-    assert decay["ks"] == (2, 3)
+    # the probe's decay section as it is
+    assert set(decay) == {"distance", "ks", "values", "below_floor", "decay_rate", "monotone_until_floor"}
+    assert decay["ks"] == [2, 3]
     assert decay["monotone_until_floor"] is True
-    assert decay["superpolynomial"] is None  # two degrees cannot show curvature
 
 
 @pytest.mark.parametrize("n", [2, 3])

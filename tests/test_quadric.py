@@ -428,7 +428,7 @@ def test_build_allocates_nothing_per_block_up_front(monkeypatch):
 # ---------------------------------------------------------------- kernel identities
 
 
-def test_szego_evaluator_validation(basis_cache):
+def test_kernel_validation(basis_cache):
     basis = basis_cache.get(2, 2)
     x = unit_slice_point(2, np.random.default_rng(0))
     with pytest.raises(ValueError, match="expected radius > 0"):
@@ -703,12 +703,12 @@ def test_fubini_study_distance_basics():
     np.testing.assert_allclose(_fubini_study_distance(z, z.conj()), SQRT2, rtol=1e-12)
 
 
-def test_probe_pair():
+def test_decay_probe_pair():
     # the probe draws its pair from the seed alone, PROBE_ANGLE apart at the base
     bases = [exact_cone_basis(2, k) for k in (2, 3)]
     report = offdiagonal_decay_probe(bases, seed=77)
     assert offdiagonal_decay_probe(bases, seed=77) == report
-    np.testing.assert_allclose(report.distance, SQRT2 * math.sin(quadric.PROBE_ANGLE / 2), rtol=1e-12)
+    np.testing.assert_allclose(report["distance"], SQRT2 * math.sin(quadric.PROBE_ANGLE / 2), rtol=1e-12)
     # the extension direction needs a third coordinate beyond the frame
     n1 = ConeBasis(1, 2, ((0, 2), (1, 1)), np.eye(2), samples=0, gram_error=0.0)
     with pytest.raises(ValueError, match="extension direction needs n >= 2, got 1"):
@@ -769,22 +769,21 @@ def test_decay_probe_trivial_pairs(monkeypatch):
     monkeypatch.setattr(quadric, "PROBE_ANGLE", 0.0)
     bases = [exact_cone_basis(2, k) for k in (2, 3, 4)]
     same = offdiagonal_decay_probe(bases, seed=77)
-    np.testing.assert_allclose(same.values, 1.0, rtol=1e-12)
-    assert same.distance < 1e-7
+    np.testing.assert_allclose(same["values"], 1.0, rtol=1e-12)
+    assert same["distance"] < 1e-7
 
 
 def test_decay_probe_structure():
     bases = [exact_cone_basis(2, k) for k in (2, 3, 4, 5, 6, 7, 8)]
     report = offdiagonal_decay_probe(bases, seed=77)
-    assert report.ks == (2, 3, 4, 5, 6, 7, 8)
+    assert report["ks"] == [2, 3, 4, 5, 6, 7, 8]
     half = quadric.PROBE_ANGLE / 2
-    np.testing.assert_allclose(report.distance, SQRT2 * math.sin(half), rtol=1e-12)
-    assert not any(report.below_floor)
-    assert report.monotone_until_floor
-    assert report.superpolynomial is False
+    np.testing.assert_allclose(report["distance"], SQRT2 * math.sin(half), rtol=1e-12)
+    assert not any(report["below_floor"])
+    assert report["monotone_until_floor"]
     # overlap |<x, x'>| = cos^2(PROBE_ANGLE / 2) drives exponential decay in k
-    assert abs(report.decay_rate - 2.0 * math.log(math.cos(half))) < 0.01
-    for a, b in zip(report.values, report.values[1:]):
+    assert abs(report["decay_rate"] - 2.0 * math.log(math.cos(half))) < 0.01
+    for a, b in zip(report["values"], report["values"][1:]):
         assert b < a
 
 
@@ -794,6 +793,9 @@ def test_decay_probe_errors():
     mixed = [exact_cone_basis(2, 2), exact_cone_basis(3, 2)]
     with pytest.raises(ValueError, match="mix sphere dimensions n = 2 and 3"):
         offdiagonal_decay_probe(mixed, seed=1)
+    repeated = [exact_cone_basis(2, k) for k in (4, 2, 4, 2)]
+    with pytest.raises(ValueError, match="bases repeat degree k = 2 and 4"):
+        offdiagonal_decay_probe(repeated, seed=1)
 
 
 @pytest.mark.parametrize("seed", [1, 77, 20250819])
@@ -802,8 +804,8 @@ def test_decay_probe_matches_closed_form(n, kmax, seed):
     # an exact basis leaves only rounding between the probe and |<x, x'>|^k
     bases = [exact_cone_basis(n, k) for k in range(1, kmax + 1)]
     report = offdiagonal_decay_probe(bases, seed)
-    expected = [decay_exact(quadric.PROBE_ANGLE, k) for k in report.ks]
-    np.testing.assert_allclose(report.values, expected, rtol=1e-12, atol=0.0)
+    expected = [decay_exact(quadric.PROBE_ANGLE, k) for k in report["ks"]]
+    np.testing.assert_allclose(report["values"], expected, rtol=1e-12, atol=0.0)
 
 
 def test_points_must_match_the_basis_dimension():
