@@ -1,6 +1,6 @@
 """High-degree leading asymptotics for the zonal kernels.
 
-Each approximant is the product amplitude * cos(phase) with a common phase
+Each approximant is the product amplitude * cos(alpha) with a common phase
 
     alpha(theta) = k theta + (theta/2 - pi/4)(n - 1),
 
@@ -87,10 +87,9 @@ def _midpoint_nodes(lo: float, hi: float, size: int) -> tuple[np.ndarray, np.nda
 
 @dataclass(frozen=True)
 class AsymptoticValue:
-    """Leading approximant split as amplitude, phase, and their product amplitude * cos(phase)."""
+    """Leading approximant: its amplitude and its value amplitude * cos(alpha), alpha the common phase."""
 
     amplitude: np.ndarray | float
-    phase: np.ndarray | float
     value: np.ndarray | float
 
 
@@ -128,10 +127,11 @@ def _leading(idx: ZonalIndex, theta, form, sin=None, exact=None):
     c is the amplitude at n = 1 and b holds every other constant.  For L > 0
     c joins b as c^(1/L), so the power forms the amplitude itself and no
     factor leaves the double range first; ValueError unless the amplitude
-    at its largest is a normal positive double.  Amplitude, phase and value
-    are formed in one pass over special's chunks.  ``sin``, when given, is
-    np.sin(theta), as a caller holding it already passes it; without
-    it the sine is formed over the same chunks and threads first.  With
+    at its largest is a normal positive double.  Amplitude and value are
+    formed in one pass over special's chunks, each chunk's phase in its
+    value row.  ``sin``, when given, is np.sin(theta), as a caller holding
+    it already passes it; without it the sine is formed over the same
+    chunks and threads first.  With
     ``exact``, of theta's shape, the pass also forms the bracket error
     |exact - value| / amplitude and returns (AsymptoticValue, error).
     """
@@ -153,17 +153,17 @@ def _leading(idx: ZonalIndex, theta, form, sin=None, exact=None):
 
     def chunk(th, s, *rest):
         if exact is None:
-            amp, phase, value = rest
+            amp, value = rest
         else:
-            ex, amp, phase, value, rel = rest
+            ex, amp, value, rel = rest
         if lam:
             with np.errstate(over="ignore"):
                 np.divide(b, s, out=amp)
                 amp **= lam
         else:
             amp[...] = c
-        _phase_alpha(idx, th, out=phase)
-        np.cos(phase, out=value)
+        _phase_alpha(idx, th, out=value)
+        np.cos(value, out=value)
         value *= amp
         if exact is not None:
             np.subtract(ex, value, out=rel)
@@ -172,13 +172,13 @@ def _leading(idx: ZonalIndex, theta, form, sin=None, exact=None):
 
     ins = (arr, sin) if exact is None else (arr, sin, exact)
     # a 0-d theta gives scalars, as numpy's own arithmetic does
-    amp, phase, value, *rel = (out[()] for out in special._in_chunks(chunk, *ins, outs=len(ins) + 1))
-    lead = AsymptoticValue(amplitude=amp, phase=phase, value=value)
+    amp, value, *rel = (out[()] for out in special._in_chunks(chunk, *ins, outs=len(ins)))
+    lead = AsymptoticValue(amplitude=amp, value=value)
     return lead if exact is None else (lead, rel[0])
 
 
 def legendre_leading(idx: ZonalIndex, theta, *, _sin=None, _exact=None):
-    """Leading high-degree form of the value-one zonal polynomial.
+    """Leading high-degree form of the value-one zonal polynomial: amplitude and value.
 
     amplitude = 4^L (1/2)_L (2 k sin theta)^(-L), L = (n-1)/2, the large-k limit
     of special._darboux_plan's scale; b = (2/k) ((1/2)_L)^(1/L) goes through

@@ -35,7 +35,8 @@ from .special import ZonalIndex, legendre_normalized, projector_kernel
 
 DEFAULT_SEED = 20250819
 DEFAULT_SAMPLES = 1_000_000
-# compare peaks at about 179 MB at 2^18 angles, CSV or JSON, both streamed
+# compare peaks at about 76 MB at 2^18 angles in CSV, streamed from the
+# columns, and at about 183 MB in JSON, whose encoder takes one dict per row
 MAX_GRID = 1 << 18
 # each pair row holds about 0.3 KB until the JSON is written, so 12 degrees
 # at the cap hold about 0.4 GB
@@ -184,15 +185,17 @@ def _config_argv(command: str, path: str, sub: argparse.ArgumentParser) -> list[
     return out
 
 
-def _emit(args, kind: str, payload: dict, rows=(), header=harness.CSV_HEADER, **echo) -> None:
-    """Write rows as CSV or the payload as JSON, to the --out file or stdout.
+def _emit(args, kind: str, payload: dict | None, columns=None, header=harness.CSV_HEADER, **echo) -> None:
+    """Write ``columns`` as CSV or ``payload`` (None: the rows of ``columns``) as JSON, to --out or stdout.
 
     The JSON config echo is every parsed flag but --out, --config and
     --format, --window-c as C, updated with ``echo``.
     """
     if getattr(args, "format", "json") == "csv":
-        write = lambda fh: harness.write_csv(rows, fh, header=header)
+        write = lambda fh: harness.write_csv(columns, fh, header=header)
     else:
+        if payload is None:
+            payload = {"rows": harness._table_rows(columns, header)}
         config = {("C" if key == "window_c" else key): value for key, value in vars(args).items()
                   if key not in ("out", "config", "format", "func", "command")}
         write = lambda fh: harness.json_summary(kind, {**config, **echo}, payload, fh)
@@ -209,19 +212,16 @@ def _emit(args, kind: str, payload: dict, rows=(), header=harness.CSV_HEADER, **
 def _cmd_eval(args) -> int:
     idx = ZonalIndex(n=args.n, k=args.k)
     thetas = np.asarray(args.theta, dtype=float)
-    legendre = legendre_normalized(idx, np.cos(thetas))
-    projector = projector_kernel(idx, np.cos(thetas))
-    rows = [{"n": args.n, "k": args.k, "theta": float(t), "legendre": float(p), "projector": float(q)}
-            for t, p, q in zip(thetas, legendre, projector)]
-    _emit(args, "eval", {"rows": rows}, rows, EVAL_HEADER)
+    columns = {"n": args.n, "k": args.k, "theta": thetas, "legendre": legendre_normalized(idx, np.cos(thetas)),
+               "projector": projector_kernel(idx, np.cos(thetas))}
+    _emit(args, "eval", None, columns, EVAL_HEADER)
     return 0
 
 
 def _cmd_compare(args) -> int:
     idx = ZonalIndex(n=args.n, k=args.k)
     window = AngleWindow(c=args.window_c, delta=args.delta)
-    rows = harness.compare_rows(idx, window, args.grid)
-    _emit(args, "compare", {"rows": rows}, rows)
+    _emit(args, "compare", None, harness.compare_rows(idx, window, args.grid))
     return 0
 
 
@@ -234,8 +234,8 @@ def _cmd_scaling(args) -> int:
         ks.append(k)
         k *= 2
     window = AngleWindow(c=args.window_c, delta=args.delta)
-    summary, worst_rows = harness.fit_error_scaling(args.n, ks, window, args.grid)
-    _emit(args, "scaling", summary, worst_rows, ks=ks)
+    summary, worst = harness.fit_error_scaling(args.n, ks, window, args.grid)
+    _emit(args, "scaling", summary, worst, ks=ks)
     return 0
 
 

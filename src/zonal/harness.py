@@ -2,11 +2,12 @@
 
 Errors are always measured against the local oscillation envelope: the
 figure of merit for a degree is max |exact - leading| / amplitude over a
-midpoint grid inside the angle window.  Comparison tables share one CSV
-schema, CSV_HEADER (n,k,delta,C,theta,exact,asymptotic,abs_err,rel_err);
-write_csv takes any other header, such as the eval subcommand's own
-(cli.EVAL_HEADER).  JSON summaries carry schema_version 1; floats are
-formatted for full round-trip.
+midpoint grid inside the angle window.  Tables are columns, a dict from
+each header name to an array or to one value every row repeats, and
+comparison tables share CSV_HEADER (n,k,delta,C,theta,exact,asymptotic,
+abs_err,rel_err); write_csv takes any other header, such as cli.EVAL_HEADER.
+JSON summaries carry schema_version 1; floats are formatted for full
+round-trip.
 """
 from __future__ import annotations
 
@@ -58,14 +59,14 @@ def fit_error_scaling(
     ks,
     window: AngleWindow | None = None,
     grid_size: int = GRID_SIZE,
-) -> tuple[dict, list[dict]]:
+) -> tuple[dict, dict]:
     """Ordinary least squares of log error on log degree.
 
-    Returns (summary, worst_rows): the JSON payload of `zonal scaling`, and
-    each degree's worst-angle CSV-schema row, which its CSV writes.  The
-    summary's points are the (log k, log error) pairs behind the fit, zero
-    errors floored to the smallest normal float.  The degrees must be at
-    least two and distinct.
+    Returns (summary, worst): the JSON payload of `zonal scaling`, and the
+    CSV-schema columns of each degree's worst angle, which its CSV writes.
+    The summary's points are the (log k, log error) pairs behind the fit,
+    zero errors floored to the smallest normal float.  The degrees must be
+    at least two distinct integers >= 1.
 
     A family whose bracket closes exactly (the circle case) leaves rounding
     errors that grow like k eps.  A run whose error at every degree k stays
@@ -75,22 +76,22 @@ def fit_error_scaling(
     k near 10^7.
     """
     window = window or AngleWindow()
+    ks = list(ks)
+    if not all(_is_int(k) and k >= 1 for k in ks):
+        raise ValueError(f"fit_error_scaling: degrees must be integers >= 1, got {ks}")
     ks = [int(k) for k in ks]
     if len(ks) < 2:
         raise ValueError(f"fit_error_scaling: need at least 2 degrees, got {len(ks)}")
     if len(set(ks)) < len(ks):
         raise ValueError(f"fit_error_scaling: degrees must be distinct, got {ks}")
-    if any(k < 1 for k in ks):
-        raise ValueError("fit_error_scaling: degrees must be >= 1")
     errors = []
-    worst_rows = []
+    worst = []
     exact = True
     for k in ks:
-        idx = ZonalIndex(n=n, k=k)
-        grid = bracket_errors_on_grid(idx, window, grid_size)
-        rel = grid[3]
-        errors.append(float(rel.max()))
-        worst_rows += _schema_rows(idx, window, grid, [int(np.argmax(rel))])
+        thetas, values, lead, rel = bracket_errors_on_grid(ZonalIndex(n=n, k=k), window, grid_size)
+        i = int(np.argmax(rel))
+        errors.append(float(rel[i]))
+        worst.append((thetas[i], values[i], lead.value[i], rel[i]))
         bound = EXACT_C * k * sys.float_info.epsilon / math.sin(window.bounds(k)[0])
         exact = exact and errors[-1] <= bound
     slope = intercept = math.nan
@@ -116,7 +117,7 @@ def fit_error_scaling(
         "r_squared": r2,
         "exact": exact,
     }
-    return summary, worst_rows
+    return summary, _schema_columns(n, np.array(ks), window, *np.array(worst).T)
 
 
 def geometric_oracle(bases, pairs: int, seed: int) -> dict:
@@ -185,53 +186,48 @@ def geometric_oracle(bases, pairs: int, seed: int) -> dict:
     return {"n": n, "samples": bases[0].samples, "pairs": pairs, "degrees": degrees, "decay": decay}
 
 
-def _schema_rows(idx: ZonalIndex, window: AngleWindow, grid, indices) -> list[dict]:
-    """CSV-schema rows at the given indices of a bracket_errors_on_grid result."""
-    thetas, exact, lead, rel = grid
-    asym = lead.value
-    return [
-        {
-            "n": idx.n,
-            "k": idx.k,
-            "delta": window.delta,
-            "C": window.c,
-            "theta": float(thetas[i]),
-            "exact": float(exact[i]),
-            "asymptotic": float(asym[i]),
-            "abs_err": abs(float(exact[i]) - float(asym[i])),
-            "rel_err": float(rel[i]),
-        }
-        for i in indices
-    ]
+def _schema_columns(n, k, window: AngleWindow, thetas, exact, asym, rel) -> dict:
+    abs_err = np.subtract(exact, asym)
+    np.abs(abs_err, out=abs_err)
+    return {"n": n, "k": k, "delta": window.delta, "C": window.c, "theta": thetas, "exact": exact,
+            "asymptotic": asym, "abs_err": abs_err, "rel_err": rel}
 
 
-def compare_rows(idx: ZonalIndex, window: AngleWindow, grid_size: int = GRID_SIZE):
-    """CSV-schema rows comparing exact and leading values over the window."""
-    grid = bracket_errors_on_grid(idx, window, grid_size)
-    return _schema_rows(idx, window, grid, range(len(grid[0])))
+def compare_rows(idx: ZonalIndex, window: AngleWindow, grid_size: int = GRID_SIZE) -> dict:
+    """CSV-schema columns comparing exact and leading values over the window."""
+    thetas, exact, lead, rel = bracket_errors_on_grid(idx, window, grid_size)
+    return _schema_columns(idx.n, idx.k, window, thetas, exact, lead.value, rel)
 
 
-def _csv_cell(value) -> str:
-    if _is_int(value):
-        return str(int(value))
-    return repr(float(value))
+def _batches(columns: dict, header, text: bool):
+    """Each JSON_BATCH rows of ``columns`` as one list per header name, of Python numbers or their reprs.
 
-
-def _write_batched(stream, pieces) -> None:
-    # JSON_BATCH strings per write: one write per string would be one system
-    # call each on an unbuffered stdout (PYTHONUNBUFFERED), twice the time
-    while batch := list(itertools.islice(pieces, JSON_BATCH)):
-        stream.write("".join(batch))
-
-
-def write_csv(rows, stream, header=CSV_HEADER) -> None:
-    """Write rows under ``header`` to ``stream``, integers as integers, floats round-trip.
-
-    The rows go out in batches of JSON_BATCH lines and are never held whole
-    as text.
+    A 0-d column's one value is converted once and repeated; the others
+    have one length, the row count (one row when every column is 0-d).
     """
-    lines = (",".join(_csv_cell(row[name]) for name in header) + "\n" for row in rows)
-    _write_batched(stream, itertools.chain([",".join(header) + "\n"], lines))
+    arrays = [np.asarray(columns[name]) for name in header]
+    size = next((len(a) for a in arrays if a.ndim), 1)
+    form = (lambda values: list(map(repr, values))) if text else list
+    for start in range(0, size, JSON_BATCH):
+        stop = min(start + JSON_BATCH, size)
+        yield [form(a[start:stop].tolist()) if a.ndim else form([a.tolist()]) * (stop - start) for a in arrays]
+
+
+def _table_rows(columns: dict, header=CSV_HEADER) -> list[dict]:
+    """The rows of ``columns`` as dicts of Python numbers, keyed by ``header``."""
+    return [dict(zip(header, row)) for cells in _batches(columns, header, False) for row in zip(*cells)]
+
+
+def write_csv(columns: dict, stream, header=CSV_HEADER) -> None:
+    """Write the table ``columns`` under ``header`` to ``stream``, integers as integers, floats round-trip.
+
+    The rows are converted and written JSON_BATCH at a time and are never
+    held whole as text: one write per line would be one system call each on
+    an unbuffered stdout (PYTHONUNBUFFERED), twice the time.
+    """
+    stream.write(",".join(header) + "\n")
+    for cells in _batches(columns, header, True):
+        stream.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def json_summary(kind: str, config: dict, payload: dict, stream) -> None:
@@ -241,5 +237,7 @@ def json_summary(kind: str, config: dict, payload: dict, stream) -> None:
     whole in memory.
     """
     doc = {"schema_version": 1, "kind": kind, "config": config, **payload}
-    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
-    _write_batched(stream, itertools.chain(chunks, ["\n"]))
+    chunks = itertools.chain(json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc), ["\n"])
+    # JSON_BATCH chunks per write, for the reason write_csv batches its lines
+    while batch := list(itertools.islice(chunks, JSON_BATCH)):
+        stream.write("".join(batch))

@@ -73,7 +73,7 @@ def test_uncached_sine_runs_in_chunks_bit_for_bit(monkeypatch):
                 assert sin.shape == ref.shape
                 np.testing.assert_array_equal(sin.view(np.int64), ref.view(np.int64))
             cached = legendre_leading(ZonalIndex(n=3, k=256), th, _sin=ref)
-            for f in ("amplitude", "phase", "value"):
+            for f in ("amplitude", "value"):
                 got, want = np.asarray(getattr(leads[0], f)), np.asarray(getattr(cached, f))
                 np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -107,7 +107,8 @@ def plain_leading(form, n, k, theta, exact):
 def test_asymptotic_value_in_chunks_is_the_product(monkeypatch):
     # the leading forms' one pass over special's chunks, threaded past one
     # chunk, keeps the bits of the whole-array arithmetic: the amplitude,
-    # the phase, the value amplitude * cos(phase) and the bracket error.
+    # the value amplitude * cos(phase) and the bracket error, and
+    # _phase_alpha keeps the phase's.
     # Signed zeros, infinities and NaNs in the exact values pass through the
     # error; at n = 301 amplitudes away from the poles underflow to 0, so
     # values are +-0 and errors divide by 0; at k = 2^1023 most phases
@@ -137,18 +138,20 @@ def test_asymptotic_value_in_chunks_is_the_product(monkeypatch):
                 refs = plain_leading(form, n, k, th, ex)
                 lead = fn(idx, th)
                 fused, rel = asymptotics._leading(idx, th, form, None, ex)
-                got = (lead.amplitude, lead.phase, lead.value, fused.amplitude, fused.phase, fused.value, rel)
-                for arr, ref in zip(got, refs[:3] * 2 + refs[3:]):
+                amp, phase, value, err = refs
+                got = (_phase_alpha(idx, th), lead.amplitude, lead.value, fused.amplitude, fused.value, rel)
+                for arr, ref in zip(got, (phase, amp, value, amp, value, err), strict=True):
                     assert type(arr) is np.ndarray and arr.shape == ref.shape and arr.dtype == ref.dtype
                     np.testing.assert_array_equal(arr.view(np.int64), ref.view(np.int64), err_msg=f"{fn.__name__} n={n}")
                 signs |= set(np.signbit(lead.value[lead.value == 0.0]).ravel().tolist())
     assert signs == {False, True}
-    assert np.isnan(lead.value).any() and np.isinf(lead.phase).any()
+    with np.errstate(over="ignore"):
+        assert np.isnan(lead.value).any() and np.isinf(_phase_alpha(idx, th)).any()
 
 
 def test_one_angle_gives_its_value_in_any_batch():
-    # a 0-d angle runs the chunk arithmetic of an array, so its amplitude,
-    # phase and value are its entries in any batch, bit for bit (numpy's
+    # a 0-d angle runs the chunk arithmetic of an array, so its amplitude
+    # and value are its entries in any batch, bit for bit (numpy's
     # scalar power puts about 1 in 26 of them an ulp away, n = 2..11)
     theta = np.random.default_rng(3).uniform(0.01, 3.13, 300)
     for fn in (legendre_leading, projector_leading, gegenbauer_leading):
@@ -157,7 +160,7 @@ def test_one_angle_gives_its_value_in_any_batch():
                 batch = fn(ZonalIndex(n=n, k=k), theta)
                 for i in range(0, theta.size, 7):
                     one = fn(ZonalIndex(n=n, k=k), float(theta[i]))
-                    for f in ("amplitude", "phase", "value"):
+                    for f in ("amplitude", "value"):
                         got, ref = getattr(one, f), getattr(batch, f)[i]
                         assert type(got) is np.float64 and got.view(np.int64) == ref.view(np.int64), (fn, n, k, f)
 
@@ -253,7 +256,9 @@ def test_projector_leading_amplitude_relation():
             np.testing.assert_allclose(
                 np.asarray(proj.amplitude), factor * np.asarray(leg.amplitude), rtol=1e-13
             )
-            np.testing.assert_array_equal(proj.phase, leg.phase)
+            # both are amplitude * cos of the common phase, bit for bit
+            for lead in (proj, leg):
+                np.testing.assert_array_equal(lead.value, lead.amplitude * np.cos(_phase_alpha(idx, theta)))
 
 
 def test_projector_leading_circle_amplitude():
@@ -267,7 +272,8 @@ def test_gegenbauer_leading_matches_legendre_at_n2():
     geg = gegenbauer_leading(idx, theta)
     leg = legendre_leading(idx, theta)
     np.testing.assert_allclose(np.asarray(geg.amplitude), np.asarray(leg.amplitude), rtol=1e-13)
-    np.testing.assert_array_equal(geg.phase, leg.phase)
+    for lead in (geg, leg):
+        np.testing.assert_array_equal(lead.value, lead.amplitude * np.cos(_phase_alpha(idx, theta)))
 
 
 def test_gegenbauer_leading_circle_amplitude():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import decay_exact, eval_monomials, exact_cone_basis, fiber_nodes, gram_stderr
-from zonal import asymptotics, quadric, rng, special
+from zonal import asymptotics, harness, quadric, rng, special
 from zonal.asymptotics import AngleWindow, c_constant_leading, legendre_leading
 from zonal.harness import (
     CSV_HEADER,
@@ -58,7 +58,7 @@ def test_bracket_errors_match_the_uncached_reference_bit_for_bit():
                         ref_lead = legendre_leading(idx, theta)
                         ref_rel = np.abs(ref_exact - ref_lead.value) / ref_lead.amplitude
                         pairs = [(got_theta, theta), (exact, ref_exact), (rel, ref_rel),
-                                 *((getattr(lead, f), getattr(ref_lead, f)) for f in ("amplitude", "phase", "value"))]
+                                 *((getattr(lead, f), getattr(ref_lead, f)) for f in ("amplitude", "value"))]
                         for got, ref in pairs:
                             np.testing.assert_array_equal(bits(got), bits(ref), err_msg=f"{idx} {window} {size}")
     info = nodes.cache_info()
@@ -67,12 +67,13 @@ def test_bracket_errors_match_the_uncached_reference_bit_for_bit():
 
 
 def test_bracket_memory_is_the_outputs_and_chunks(monkeypatch):
-    # the exact values and the leading form's amplitude, phase, value and
-    # error are 5 input sizes, all returned; the passes that form them hold
-    # one chunk's temporaries a thread.  Peak over 2^18 angles of a cached
-    # window, n = 1, 2, 3, in input sizes on 1 and MAX_WORKERS threads:
-    # 5.00 and 5.00 when the leading side ran as whole-array passes, 5.07
-    # and 5.20 in one chunked pass; one whole-array temporary more reads 6
+    # the exact values and the leading form's amplitude, value and error
+    # are 4 input sizes, all returned; the phase is formed in the value row
+    # and no row of it is kept, and the passes that form them hold one
+    # chunk's temporaries a thread.  Peak over 2^18 angles of a cached
+    # window, n = 1, 2, 3, in input sizes on 1 and MAX_WORKERS threads: at
+    # most 4.07 and 4.20; a phase row, or any whole-array temporary more,
+    # reads 5 or above
     window, size = AngleWindow(), 2**18
     window.nodes(256, size)
     for workers in (1, special.MAX_WORKERS):
@@ -84,7 +85,7 @@ def test_bracket_memory_is_the_outputs_and_chunks(monkeypatch):
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 5.5 * 8 * size, (workers, n)
+            assert peak < 4.5 * 8 * size, (workers, n)
 
 
 def test_window_nodes_are_read_only_and_bounded():
@@ -149,6 +150,11 @@ def test_fit_error_scaling_validation():
         fit_error_scaling(2, (64,))
     with pytest.raises(ValueError):
         fit_error_scaling(2, (0, 64))
+    # ZonalIndex refuses a fractional or boolean degree, and so does the fit
+    with pytest.raises(ValueError, match="degrees must be integers"):
+        fit_error_scaling(2, (64.9, 128.2))
+    with pytest.raises(ValueError, match="degrees must be integers"):
+        fit_error_scaling(2, (True, 64))
     # a repeated degree adds no second point to fit through
     with pytest.raises(ValueError, match="degrees must be distinct"):
         fit_error_scaling(2, (64, 64))
@@ -163,12 +169,13 @@ def test_scaling_summary_points_and_keys():
     assert set(summary) == {
         "n", "C", "delta", "ks", "errors", "points", "slope", "intercept", "r_squared", "exact",
     }
-    # the worst-angle rows feed `zonal scaling --format csv`, not the JSON
+    # the worst-angle columns feed `zonal scaling --format csv`, not the JSON
     window = AngleWindow(c=1.0, delta=0.1)
-    summary, worst_rows = fit_error_scaling(2, (64, 128), window, grid_size=32)
+    summary, worst = fit_error_scaling(2, (64, 128), window, grid_size=32)
+    worst_rows = harness._table_rows(worst)
     assert len(worst_rows) == 2
     for k, err, row in zip(summary["ks"], summary["errors"], worst_rows):
-        rows = compare_rows(ZonalIndex(n=2, k=k), window, grid_size=32)
+        rows = harness._table_rows(compare_rows(ZonalIndex(n=2, k=k), window, grid_size=32))
         assert row == max(rows, key=lambda r: r["rel_err"])
         assert row["rel_err"] == err
 
@@ -190,13 +197,20 @@ def test_csv_cells_round_trip():
     # write_csv's cells: integers as integers, floats as strings that round-trip, signed zero included
     floats = (0.1, 1.0 / 3.0, 1e-300, 2.0, -0.0, math.pi, np.float64(0.7))
     stream = io.StringIO()
-    write_csv([{"x": x, "k": 2} for x in floats] + [{"x": 2.0, "k": np.int64(3)}], stream, header=("x", "k"))
-    header, *lines, last = stream.getvalue().splitlines()
-    assert header == "x,k" and last == "2.0,3"
+    write_csv({"x": np.array(floats), "k": 2}, stream, header=("x", "k"))
+    header, *lines = stream.getvalue().splitlines()
+    assert header == "x,k"
     for x, line in zip(floats, lines, strict=True):
         cell, k = line.split(",")
         assert k == "2"
         assert float(cell) == x and math.copysign(1.0, float(cell)) == math.copysign(1.0, x)
+    # a numpy scalar in a constant column prints as the Python number it holds,
+    # not as numpy's repr np.float64(1.0); integer columns print as integers,
+    # and -0.0, 1e-300, nan and inf as repr(float) prints them
+    stream = io.StringIO()
+    columns = {"C": np.float64(1.0), "k": np.int64(3), "i": np.arange(4), "x": np.array([-0.0, 1e-300, math.nan, math.inf])}
+    write_csv(columns, stream, header=("C", "k", "i", "x"))
+    assert stream.getvalue() == "C,k,i,x\n1.0,3,0,-0.0\n1.0,3,1,1e-300\n1.0,3,2,nan\n1.0,3,3,inf\n"
 
 
 def test_write_csv_schema():
@@ -211,28 +225,28 @@ def test_write_csv_schema():
     assert first[0] == "2" and first[1] == "16"  # integers stay integers
     assert float(first[4]) > 0.0
     other = io.StringIO()
-    write_csv([{"k": 3, "x": 0.5}], other, header=("k", "x"))
+    write_csv({"k": 3, "x": [0.5]}, other, header=("k", "x"))
     assert other.getvalue() == "k,x\n3,0.5\n"
 
 
 @pytest.mark.parametrize("count", [0, 3, JSON_BATCH + 1])
 def test_write_csv_stream_matches_one_shot(count):
-    # JSON_BATCH + 1 rows span two batched writes
-    rows = [{"k": i, "x": 0.1 * i} for i in range(count)]
-    expected = "k,x\n" + "".join(f"{i},{0.1 * i!r}\n" for i in range(count))
+    # JSON_BATCH + 1 rows span two batched writes; a constant column repeats on every row
+    columns = {"k": np.arange(count), "n": np.int64(2), "x": 0.1 * np.arange(count)}
+    expected = "k,n,x\n" + "".join(f"{i},2,{0.1 * i!r}\n" for i in range(count))
     stream = io.StringIO()
-    assert write_csv(rows, stream, header=("k", "x")) is None
+    assert write_csv(columns, stream, header=("k", "n", "x")) is None
     assert stream.getvalue() == expected
 
 
 def test_compare_rows_contents():
     window = AngleWindow(c=1.0, delta=0.1)
-    rows = compare_rows(ZonalIndex(n=2, k=64), window, grid_size=8)
-    for row in rows:
-        assert set(row) == set(CSV_HEADER)
-        assert row["n"] == 2 and row["k"] == 64
-        assert row["delta"] == 0.1 and row["C"] == 1.0
-        np.testing.assert_allclose(row["abs_err"], abs(row["exact"] - row["asymptotic"]), rtol=1e-12)
+    columns = compare_rows(ZonalIndex(n=2, k=64), window, grid_size=8)
+    assert set(columns) == set(CSV_HEADER)
+    assert columns["n"] == 2 and columns["k"] == 64
+    assert columns["delta"] == 0.1 and columns["C"] == 1.0
+    assert all(columns[name].shape == (8,) for name in CSV_HEADER[4:])
+    np.testing.assert_array_equal(columns["abs_err"], np.abs(columns["exact"] - columns["asymptotic"]))
 
 
 def test_json_summary_layout():

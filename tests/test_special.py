@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import binom, eval_gegenbauer, eval_jacobi, eval_legendre
 
 from oracles import gegenbauer_norm_constant
-from zonal import special
+from zonal import asymptotics, special
 from zonal.asymptotics import AngleWindow, gegenbauer_leading, legendre_leading, projector_leading
 from zonal.harness import bracket_errors_on_grid
 from zonal.special import (
@@ -446,7 +446,7 @@ def test_worker_count_keeps_every_value(monkeypatch, thread_starts):
                 assert len(thread_starts) - before == workers - 1
                 for form in (legendre_leading, projector_leading, gegenbauer_leading):
                     lead = form(idx, theta)
-                    arrays += [lead.value, lead.amplitude * np.cos(lead.phase)]
+                    arrays += [lead.value, lead.amplitude * np.cos(asymptotics._phase_alpha(idx, theta))]
                 _, exact, lead, rel = bracket_errors_on_grid(idx, window, size)
                 arrays += [exact, lead.value, rel]
                 got.append([a.view(np.int64) for a in arrays])
